@@ -2,8 +2,8 @@
 
 Output contract: stdout carries a deterministic document (JSON by default,
 CSV where tabular) that echoes the command and parameters; run metadata such
-as elapsed time goes to stderr only, so identical invocations are
-byte-identical.  Dyadic numbers serialize as {"num", "log2_den", "decimal"},
+as elapsed time (and each verify check's seconds) goes to stderr only, so
+identical invocations are byte-identical.  Dyadic numbers serialize as {"num", "log2_den", "decimal"},
 general rationals as {"num", "den", "decimal"}.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
@@ -417,6 +417,7 @@ def cmd_verify(args) -> int:
             print(f"PASS {r.name}")
         else:
             print(f"FAIL {r.name}: {r.detail}")
+        print(f"time {r.name}: {r.seconds:.3f}s", file=sys.stderr)
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return 1 if failed else 0
 

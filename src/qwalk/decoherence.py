@@ -5,7 +5,10 @@ different sites, and otherwise a sign fixed by whether their change counts
 agree mod 4.  Consequently every event-level sum reduces to the four-way
 census of change-count residues among the event's members, and that census
 is the workhorse of this module: it *is* the rank-two structure of the
-matrix, since the two eigenvector components of an event are
+matrix.  An event's census is four popcounts of its membership mask against
+the four residue-class masks of the path space, which are built once per
+horizon by a recurrence on n and cached.  The two eigenvector components of
+an event are
 
     even residues:  (census[0] - census[2])        (real part)
     odd residues:   (census[1] - census[3]) * i    (imaginary part)
@@ -18,17 +21,41 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .exact import Dyadic, GaussianScaled
-from .paths import PathSpace, change_residue_counts
+from .paths import PathSpace, change_residue, change_residue_counts
 
 DENSE_MAX_STEPS = 12  # 4**12 one-byte signs, ~17 MB
 EVENT_MAX_STEPS = 24  # membership masks beyond 2**24 bits are not materialized
 EIGEN_MAX_STEPS = 20
 EIGEN_CHECK_MAX_STEPS = 10
 GRAM_MAX_EVENTS = 12
+
+
+@cache
+def _residue_masks(n: int) -> tuple[int, int, int, int]:
+    """The n-path space split by change count mod 4, as four membership masks.
+
+    Bit j of mask r is set iff path j has change count congruent to r.  A
+    path of n steps is a first step followed by an (n-1)-step path k.  A
+    first step of 0 leaves the change count of k as it is.  A first step of
+    1 adds two changes when k starts on site 0 and none when it starts on
+    site 1.  So each level is the cached previous level's masks twice over,
+    the upper copy with its site-0 half moved two residues on; no path is
+    visited.  Callers pass the n of a checked event, so 1 <= n <= 24.
+    """
+    if n == 1:
+        return (0b01, 0b10, 0, 0)  # path 0 has no change, path 1 one
+    prev = _residue_masks(n - 1)
+    low = (1 << (1 << (n - 2))) - 1  # shorter paths below this start on site 0
+    shift = 1 << (n - 1)
+    return tuple(
+        prev[r] | (((prev[(r - 2) & 3] & low) | (prev[r] & ~low)) << shift)
+        for r in range(4)
+    )
 
 
 @dataclass(frozen=True)
@@ -192,7 +219,7 @@ class DecoherenceState:
     def residue(self, j: int) -> int:
         """Change count of path j, mod 4."""
         self.space.check_index(j)
-        return (j ^ (j >> 1)).bit_count() & 3
+        return change_residue(j)
 
     def entry_sign(self, j: int, k: int) -> int:
         """Sign of the (j, k) matrix entry: 0, +1 or -1."""
@@ -216,7 +243,7 @@ class DecoherenceState:
             )
         if self._dense is None:
             size = self.space.size
-            res = [(j ^ (j >> 1)).bit_count() & 3 for j in range(size)]
+            res = [change_residue(j) for j in range(size)]
             grid = array("b", bytes(size * size))
             for j in range(size):
                 rj = res[j]
@@ -233,12 +260,20 @@ class DecoherenceState:
             raise ValueError("event lives over a different path space")
 
     def census(self, event: Event) -> tuple[int, int, int, int]:
-        """Counts of the event's members by change count mod 4."""
+        """Counts of the event's members by change count mod 4.
+
+        Four popcounts of the event's mask against the cached residue-class
+        masks of this horizon; no member is visited.
+        """
         self._check_event(event)
-        counts = [0, 0, 0, 0]
-        for j in event.indices():
-            counts[(j ^ (j >> 1)).bit_count() & 3] += 1
-        return tuple(counts)
+        mask = event.mask
+        m0, m1, m2, m3 = _residue_masks(self.space.n)
+        return (
+            (mask & m0).bit_count(),
+            (mask & m1).bit_count(),
+            (mask & m2).bit_count(),
+            (mask & m3).bit_count(),
+        )
 
     def functional(self, a: Event, b: Event) -> GaussianScaled:
         """Decoherence functional of the event pair, via the rank-two censuses."""
@@ -285,7 +320,7 @@ class DecoherenceState:
         out = []
         for j in self.space.indices():
             if (j & 1) == parity:
-                out.append(units[(j ^ (j >> 1)).bit_count() & 3])
+                out.append(units[change_residue(j)])
             else:
                 out.append((0, 0))
         return out
@@ -312,7 +347,7 @@ class DecoherenceState:
                 f"exact eigen-equation check capped at n <= {EIGEN_CHECK_MAX_STEPS}"
             )
         size = self.space.size
-        res = [(j ^ (j >> 1)).bit_count() & 3 for j in range(size)]
+        res = [change_residue(j) for j in range(size)]
         half = 1 << (n - 1)
         for parity in (0, 1):
             vec = self.eigenvector_exact(parity)

@@ -19,13 +19,23 @@ from functools import total_ordering
 
 
 def _reduce(parts: list[int], log2_den: int) -> tuple[list[int], int]:
-    """Strip common factors of two from numerators and denominator exponent."""
+    """Strip common factors of two from numerators and denominator exponent.
+
+    The parts share as many trailing zero bits as their bitwise OR has, so
+    one shift by that count (capped at log2_den) reduces them.  All-zero
+    parts reduce to denominator exponent 0.
+    """
     if log2_den < 0:
         raise ValueError("denominator exponent must be nonnegative")
-    while log2_den and all(p & 1 == 0 for p in parts):
-        parts = [p >> 1 for p in parts]
-        log2_den -= 1
-    return parts, log2_den
+    if not log2_den:
+        return parts, 0
+    acc = 0
+    for p in parts:
+        acc |= p
+    if acc & 1:
+        return parts, log2_den
+    shift = min((acc & -acc).bit_length() - 1, log2_den) if acc else log2_den
+    return [p >> shift for p in parts], log2_den - shift
 
 
 @total_ordering

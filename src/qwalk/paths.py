@@ -48,6 +48,11 @@ def changes_count(space: PathSpace, j: int) -> int:
     return (j ^ (j >> 1)).bit_count()
 
 
+def change_residue(j: int) -> int:
+    """Change count of the path with index j, mod 4 (no range check)."""
+    return (j ^ (j >> 1)).bit_count() & 3
+
+
 def ones_count(space: PathSpace, j: int) -> int:
     """Number of steps path j spends on site 1."""
     space.check_index(j)

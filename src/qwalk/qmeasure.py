@@ -14,7 +14,7 @@ from itertools import combinations
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic
-from .paths import PathSpace, change_residue_counts
+from .paths import PathSpace, change_residue, change_residue_counts
 
 COMPOSITION_MAX_STEPS = 8
 FULL_ENUMERATION_MAX_STEPS = 4
@@ -198,7 +198,7 @@ def regularity_check(state: DecoherenceState, a: Event, b: Event) -> bool:
 def _precluded_masks_by_gray_walk(n: int) -> list[int]:
     """Scan every subset of the space, one toggled path per step."""
     size = 1 << n
-    residue = [(j ^ (j >> 1)).bit_count() & 3 for j in range(size)]
+    residue = [change_residue(j) for j in range(size)]
     counts = [0, 0, 0, 0]
     found = []
     prev = 0
@@ -236,7 +236,7 @@ def enumerate_precluded(
         and max_cardinality <= BOUNDED_ENUMERATION_MAX_CARD
     ):
         size = 1 << n
-        residue = [(j ^ (j >> 1)).bit_count() & 3 for j in range(size)]
+        residue = [change_residue(j) for j in range(size)]
         for card in range(1, max_cardinality + 1):
             for combo in combinations(range(size), card):
                 counts = [0, 0, 0, 0]

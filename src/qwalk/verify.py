@@ -9,6 +9,7 @@ deterministic; the random suites run from a fixed seed.
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -95,6 +96,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+    seconds: float  # wall time the check took
 
 
 def _state(n: int) -> DecoherenceState:
@@ -1208,12 +1210,14 @@ CHECKS: list[tuple[str, Callable[[], None]]] = [
 def run_checks() -> list[CheckResult]:
     results = []
     for name, fn in CHECKS:
+        started = time.perf_counter()
         try:
             fn()
         except CheckFailure as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            passed, detail = False, str(exc)
         except Exception as exc:  # a crash is a failure with its own story
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}"))
+            passed, detail = False, f"{type(exc).__name__}: {exc}"
         else:
-            results.append(CheckResult(name, True, ""))
+            passed, detail = True, ""
+        results.append(CheckResult(name, passed, detail, time.perf_counter() - started))
     return results

@@ -268,6 +268,23 @@ def test_verify_smoke_subset(capsys, monkeypatch):
     assert "PASS matrix-n1" in out and "2/2 checks passed" in out
 
 
+def test_verify_timings_go_to_stderr(capsys, monkeypatch):
+    import qwalk.verify as verify_module
+
+    names = ("matrix-n1", "measure-table-n2")
+    trimmed = [c for c in verify_module.CHECKS if c[0] in names]
+    monkeypatch.setattr(verify_module, "CHECKS", trimmed)
+    code, out, err = run_cli(capsys, "verify")
+    assert code == 0
+    assert out == "PASS matrix-n1\nPASS measure-table-n2\n2/2 checks passed\n"
+    assert run_cli(capsys, "verify")[1] == out
+    timing_lines = [line for line in err.splitlines() if line.startswith("time ")]
+    assert [line.split(":")[0] for line in timing_lines] == [f"time {n}" for n in names]
+    for line in timing_lines:
+        seconds = line.rsplit(" ", 1)[1]
+        assert seconds.endswith("s") and float(seconds[:-1]) >= 0
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     import qwalk.verify as verify_module
 

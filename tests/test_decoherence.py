@@ -7,14 +7,15 @@ import pytest
 from qwalk.decoherence import (
     DecoherenceState,
     Event,
+    _residue_masks,
     psd_by_pivoted_cholesky,
 )
 from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic, GaussianScaled
-from qwalk.paths import PathSpace
+from qwalk.paths import PathSpace, change_residue_counts
 
 
-from oracles import entry_sign_oracle
+from oracles import changes_oracle, entry_sign_oracle
 
 
 def state(n: int) -> DecoherenceState:
@@ -134,6 +135,69 @@ def test_dense_signs_agree_with_oracle():
                 assert grid[j * size + k] == entry_sign_oracle(n, j, k)
     with pytest.raises(ResourceLimitError):
         state(13).dense_signs()
+
+
+# -- residue-class masks and the census ---------------------------------------
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_residue_masks_partition_the_space(n):
+    masks = _residue_masks(n)
+    full = (1 << (1 << n)) - 1
+    assert masks[0] | masks[1] | masks[2] | masks[3] == full
+    assert sum(m.bit_count() for m in masks) == 1 << n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_residue_masks_match_string_oracle(n):
+    masks = _residue_masks(n)
+    for j in range(1 << n):
+        r = changes_oracle(n, j) % 4
+        assert [(m >> j) & 1 for m in masks] == [int(s == r) for s in range(4)]
+
+
+def test_residue_mask_popcounts_match_profile():
+    for n in range(1, 25):
+        assert tuple(m.bit_count() for m in _residue_masks(n)) == change_residue_counts(n)
+
+
+def test_residue_masks_are_cached():
+    for n in (1, 7, 16):
+        assert _residue_masks(n) is _residue_masks(n)
+    st = state(9)
+    ev = Event.full(st.space)
+    st.census(ev)
+    hits = _residue_masks.cache_info().hits
+    st.census(ev)
+    state(9).census(ev)
+    assert _residue_masks.cache_info().hits == hits + 2
+
+
+def census_oracle(n: int, members) -> tuple[int, int, int, int]:
+    counts = [0, 0, 0, 0]
+    for j in members:
+        counts[changes_oracle(n, j) % 4] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", [16, 20, 24])
+def test_census_matches_string_oracle_seeded(n):
+    rng = random.Random(5000 + n)
+    st = state(n)
+    for _ in range(25):
+        members = rng.sample(range(1 << n), rng.randint(1, 64))
+        assert st.census(event(n, members)) == census_oracle(n, members)
+
+
+def test_census_matches_index_loop_dense_n12():
+    rng = random.Random(5012)
+    st = state(12)
+    for _ in range(40):
+        ev = Event(st.space, rng.getrandbits(1 << 12))
+        counts = [0, 0, 0, 0]
+        for j in ev.indices():
+            counts[(j ^ (j >> 1)).bit_count() & 3] += 1
+        assert st.census(ev) == tuple(counts)
 
 
 # -- functional ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -94,3 +95,96 @@ def test_root_two_arithmetic():
     with pytest.raises(ValueError):
         x.to_dyadic()
     assert RootTwoScaled(6, 0, 1).to_dyadic() == Dyadic(3, 0)
+
+
+# -- reduction to lowest terms ------------------------------------------------
+
+
+def _reduce_bit_by_bit(parts, log2_den):
+    """Reference: strip one common factor of two per turn."""
+    while log2_den and all(p % 2 == 0 for p in parts):
+        parts = [p // 2 for p in parts]
+        log2_den -= 1
+    return parts, log2_den
+
+
+def _parts(value):
+    if isinstance(value, Dyadic):
+        return (value.num,)
+    if isinstance(value, GaussianScaled):
+        return (value.re, value.im)
+    return (value.int_part, value.root_part)
+
+
+@pytest.mark.parametrize("cls", [Dyadic, GaussianScaled, RootTwoScaled])
+def test_reduce_zero_drops_the_denominator(cls):
+    arity = 1 if cls is Dyadic else 2
+    for den in (0, 1, 7, 64):
+        value = cls(*([0] * arity), den)
+        assert _parts(value) == (0,) * arity and value.log2_den == 0
+
+
+@pytest.mark.parametrize(
+    "value, parts, den",
+    [
+        (Dyadic(-12, 5), (-3,), 3),
+        (Dyadic(-1, 4), (-1,), 4),
+        (GaussianScaled(-4, 8, 3), (-1, 2), 1),
+        (GaussianScaled(12, -20, 6), (3, -5), 4),
+        (RootTwoScaled(-8, -4, 4), (-2, -1), 2),
+        (RootTwoScaled(0, -48, 5), (0, -3), 1),
+    ],
+)
+def test_reduce_negative_numerators(value, parts, den):
+    assert _parts(value) == parts and value.log2_den == den
+
+
+@pytest.mark.parametrize(
+    "value, parts",
+    [
+        (Dyadic(64, 2), (16,)),
+        (Dyadic(-1 << 40, 3), (-(1 << 37),)),
+        (GaussianScaled(32, -64, 3), (4, -8)),
+        (GaussianScaled(0, 1 << 20, 5), (0, 1 << 15)),
+        (RootTwoScaled(0, 48, 2), (0, 12)),
+        (RootTwoScaled(-256, 512, 7), (-2, 4)),
+    ],
+)
+def test_reduce_stops_at_integer(value, parts):
+    # more trailing zeros than the denominator exponent: the value is an integer
+    assert _parts(value) == parts and value.log2_den == 0
+
+
+@pytest.mark.parametrize(
+    "value, parts, den",
+    [
+        (Dyadic(-3, 4), (-3,), 4),
+        (GaussianScaled(2, 1, 3), (2, 1), 3),
+        (GaussianScaled(-3, 4, 2), (-3, 4), 2),
+        (RootTwoScaled(1, 2, 2), (1, 2), 2),
+        (RootTwoScaled(8, -5, 6), (8, -5), 6),
+    ],
+)
+def test_reduce_keeps_mixed_parity(value, parts, den):
+    assert _parts(value) == parts and value.log2_den == den
+
+
+@pytest.mark.parametrize("cls", [Dyadic, GaussianScaled, RootTwoScaled])
+def test_reduce_rejects_negative_exponent(cls):
+    arity = 1 if cls is Dyadic else 2
+    for parts in ([0] * arity, [4] * arity, [-3] * arity):
+        with pytest.raises(ValueError):
+            cls(*parts, -1)
+
+
+def test_reduce_matches_bit_by_bit_reference():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        arity = rng.choice((1, 2))
+        shift = rng.randint(0, 70)
+        parts = [rng.randint(-(1 << 12), 1 << 12) << shift for _ in range(arity)]
+        den = rng.randint(0, 80)
+        cls = Dyadic if arity == 1 else rng.choice((GaussianScaled, RootTwoScaled))
+        want_parts, want_den = _reduce_bit_by_bit(parts, den)
+        value = cls(*parts, den)
+        assert _parts(value) == tuple(want_parts) and value.log2_den == want_den

@@ -101,6 +101,15 @@ def test_strategies_random_larger():
             assert values.pop() == mu_oracle(n, members)
 
 
+def test_rank2_matches_pairwise_seeded_n20():
+    rng = random.Random(2020)
+    st = state(20)
+    for _ in range(20):
+        members = rng.sample(range(1 << 20), rng.randint(1, 64))
+        ev = event(20, members)
+        assert mu(st, ev) == mu(st, ev, Strategy.PAIRWISE)
+
+
 def test_measure_nonnegative_and_denominator():
     rng = random.Random(11)
     for n in (3, 5, 8):
