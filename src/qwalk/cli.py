@@ -16,7 +16,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -63,14 +62,6 @@ CAPS = {
 
 class UsageError(Exception):
     pass
-
-
-def _worker_cap() -> int:
-    raw = os.environ.get("QWALK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _check_cap(command: str, n: int, force: bool, cost_note: str) -> None:
@@ -226,9 +217,7 @@ def cmd_preclusion(args) -> None:
 
 def cmd_limit(args) -> None:
     event = _parse_limit_event(args.event)
-    report = limit_mu_hat(
-        event, args.n_max, window=args.window, tol=args.tol, max_workers=_worker_cap()
-    )
+    report = limit_mu_hat(event, args.n_max, window=args.window, tol=args.tol)
     rows = [
         [n, exact.num, exact.log2_den, repr(decimal)]
         for (n, exact, decimal) in report.values

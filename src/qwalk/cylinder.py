@@ -14,12 +14,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import combinations
 from typing import Union
 
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic, RootTwoScaled
-from .paths import PathSpace, change_residue_counts
+from .paths import (
+    PathSpace,
+    change_residue,
+    change_residue_count_levels,
+    change_residue_counts,
+)
 from .qmeasure import Strategy, mu, mu_from_census
 
 APPROXIMANT_MAX_LEVEL = 24
@@ -174,18 +180,12 @@ def _finite_prefix_indices(paths: tuple[EventualPath, ...], n: int) -> set[int]:
     return {p.index_at(n) for p in paths}
 
 
-def _at_most_count(n: int, k: int) -> int:
-    return sum(math.comb(n, t) for t in range(min(k, n) + 1))
-
-
 def _at_most_indices(n: int, k: int):
-    if _at_most_count(n, k) > COMBINATION_CAP:
+    if sum(math.comb(n, t) for t in range(min(k, n) + 1)) > COMBINATION_CAP:
         raise ResourceLimitError(
             f"at-most-{k}-ones approximant at level {n} exceeds "
             f"{COMBINATION_CAP} members"
         )
-    from itertools import combinations
-
     for t in range(min(k, n) + 1):
         for positions in combinations(range(n), t):
             j = 0
@@ -195,35 +195,74 @@ def _at_most_indices(n: int, k: int):
 
 
 def _census_of_indices(indices) -> tuple[int, int, int, int]:
+    """Census of explicit member indices: the reference route."""
     counts = [0, 0, 0, 0]
     for j in indices:
-        counts[(j ^ (j >> 1)).bit_count() & 3] += 1
+        counts[change_residue(j)] += 1
     return tuple(counts)
 
 
-def _at_most_census(n: int, k: int) -> tuple[int, int, int, int]:
-    """Census of all paths with at most k ones, by their one-run structure.
+def _at_most_censuses(k: int, n_max: int):
+    """Censuses at levels 1..n_max of the paths with at most k ones.
 
-    A path whose one-steps occupy `runs` maximal blocks changes site twice
-    per block, minus one if the last step sits on site 1.
+    layers[t] censuses the paths with exactly t ones.  A path ends on the
+    site of its residue's parity, so a 0-step keeps its layer and lifts an
+    odd residue r to r + 1, and a 1-step moves it to the next layer and
+    lifts an even one: O(min(k, n)) additions per level.
     """
-    if _at_most_count(n, k) > COMBINATION_CAP:
-        raise ResourceLimitError(
-            f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
-        )
-    from itertools import combinations
+    layers = [(1, 0, 0, 0)]  # level 0: the empty path
+    for _ in range(n_max):
+        if len(layers) <= k:
+            layers.append((0, 0, 0, 0))
+        for t in range(len(layers) - 1, 0, -1):
+            a0, a1, a2, a3 = layers[t]
+            b0, b1, b2, b3 = layers[t - 1]
+            layers[t] = (a0 + a3, b0 + b1, a2 + a1, b2 + b3)
+        yield tuple(map(sum, zip(*layers)))
 
-    counts = [0, 0, 0, 0]
-    counts[0] += 1  # the all-zeros path
-    for t in range(1, min(k, n) + 1):
-        for positions in combinations(range(1, n + 1), t):
-            runs = 1
-            for a, b in zip(positions, positions[1:]):
-                if b != a + 1:
-                    runs += 1
-            c = 2 * runs - (1 if positions[-1] == n else 0)
-            counts[c & 3] += 1
-    return tuple(counts)
+
+def _capped_at_most_censuses(k: int, n_max: int):
+    """The at-most-k sweep, refused from the first level whose hull has more
+    than COMBINATION_CAP members, where the member enumeration it replaced
+    stopped; the sweep itself would run on at the same cost."""
+    for n, census in enumerate(_at_most_censuses(k, n_max), start=1):
+        if sum(census) > COMBINATION_CAP:
+            raise ResourceLimitError(
+                f"at-most-{k}-ones census at level {n} exceeds "
+                f"{COMBINATION_CAP} members"
+            )
+        yield census
+
+
+def _prefix_censuses(paths: tuple[EventualPath, ...], n_max: int):
+    """Censuses at levels 1..n_max of the distinct length-n prefixes of the
+    paths, each prefix grown by one step per level."""
+    states = [(0, 0)] * len(paths)  # (prefix index, change residue) per path
+    for n in range(n_max):
+        bits = [p.prefix[n] if n < len(p.prefix) else p.repeat for p in paths]
+        # a step off the last site, the residue's parity, is a change
+        states = [
+            ((j << 1) | b, (r + (b ^ (r & 1))) & 3) for (j, r), b in zip(states, bits)
+        ]
+        counts = [0, 0, 0, 0]
+        for r in dict(states).values():  # one entry per distinct prefix
+            counts[r] += 1
+        yield tuple(counts)
+
+
+def _limit_censuses(event: SymbolicEvent, n_max: int):
+    """Censuses of the event's limit terms at levels 1..n_max, in one pass:
+    its hulls, or for a complement the complements of the inner set's hulls."""
+    if isinstance(event, FinitePathSet):
+        return _prefix_censuses(event.paths, n_max)
+    if isinstance(event, AtMostKOnes):
+        return _capped_at_most_censuses(event.limit, n_max)
+    if isinstance(event, ComplementOfFinitePathSet):
+        pairs = zip(change_residue_count_levels(n_max), _prefix_censuses(event.paths, n_max))
+        return (tuple(f - i for f, i in zip(*pair)) for pair in pairs)
+    if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
+        return change_residue_count_levels(n_max)
+    raise ValueError(f"unsupported symbolic event {event!r}")
 
 
 def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
@@ -271,23 +310,15 @@ def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
     For hull-described events this is the measure of the decreasing hull.
     A complement of a finite path set is instead the increasing union of
     the complements of the inner set's hulls, so its terms are the measures
-    of those complements; both exact, via residue censuses only.
+    of those complements; both exact, via residue censuses only.  The term
+    ends the census sweep `limit_mu_hat` tabulates, at that table's cost.
+    At-most-K terms past COMBINATION_CAP hull members raise
+    ResourceLimitError.
     """
     if n < 1:
         raise ValueError("need level >= 1")
-    if isinstance(event, FinitePathSet):
-        return mu_from_census(
-            _census_of_indices(_finite_prefix_indices(event.paths, n)), n
-        )
-    if isinstance(event, AtMostKOnes):
-        return mu_from_census(_at_most_census(n, event.limit), n)
-    if isinstance(event, ComplementOfFinitePathSet):
-        full = change_residue_counts(n)
-        inner = _census_of_indices(_finite_prefix_indices(event.paths, n))
-        return mu_from_census(tuple(f - i for f, i in zip(full, inner)), n)
-    if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
-        return mu_from_census(change_residue_counts(n), n)
-    raise ValueError(f"unsupported symbolic event {event!r}")
+    *_, census = _limit_censuses(event, n)
+    return mu_from_census(census, n)
 
 
 # -- limit reports -----------------------------------------------------------
@@ -350,26 +381,21 @@ def limit_mu_hat(
     tol: float = 1e-9,
     blow_up: float = 1e6,
     growth_run: int = 10,
-    max_workers: int = 1,
 ) -> LimitReport:
     """Tabulate the event's measure sequence and classify its limit.
 
-    Levels are independent, so `max_workers` > 1 fans the per-level terms
-    over a thread pool; results merge in level order either way.
+    One census sweep yields every level's term, each equal to
+    `limit_term(event, n)`; a whole table costs what its last term does,
+    and an at-most-K table past COMBINATION_CAP members is refused.
     """
     if not 2 <= window <= n_max:
         raise ValueError("need n_max >= window >= 2")
     if n_max > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit tables are capped at n <= {LIMIT_MAX_LEVEL}")
-    levels = range(1, n_max + 1)
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            terms = list(pool.map(lambda n: limit_term(event, n), levels))
-    else:
-        terms = [limit_term(event, n) for n in levels]
-    rows = [(n, exact, float(exact)) for n, exact in zip(levels, terms)]
+    rows = []
+    for n, census in enumerate(_limit_censuses(event, n_max), start=1):
+        exact = mu_from_census(census, n)
+        rows.append((n, exact, float(exact)))
     verdict, estimate, at_n = classify_sequence(
         [r[2] for r in rows], window, tol, blow_up, growth_run
     )

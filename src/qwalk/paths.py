@@ -95,13 +95,19 @@ def change_residue_counts(n: int) -> tuple[int, int, int, int]:
 
     One appended step either keeps or flips the end site, so each residue
     class inherits from itself and its predecessor: profile[r] gains
-    profile[r-1] per step, starting from (1, 1, 0, 0) at n=1.  The end-site
+    profile[r-1] per step, starting from (1, 0, 0, 0) at n=0.  The end-site
     parity equals the change-count parity, which is why this single profile
     also splits the space by final site (even residues = ended on 0).
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    v = (1, 1, 0, 0)
-    for _ in range(n - 1):
-        v = (v[0] + v[3], v[1] + v[0], v[2] + v[1], v[3] + v[2])
+    *_, v = change_residue_count_levels(n)
     return v
+
+
+def change_residue_count_levels(n_max: int):
+    """change_residue_counts(n) for n = 1..n_max, one appended step apart."""
+    v = (1, 0, 0, 0)
+    for _ in range(n_max):
+        v = (v[0] + v[3], v[1] + v[0], v[2] + v[1], v[3] + v[2])
+        yield v

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import mu_oracle
+from oracles import at_most_census_oracle, census_mu_oracle, mu_oracle
 
 from qwalk.cli import main
 
@@ -140,6 +140,21 @@ def test_limit_csv_round_trip(capsys):
             members = [j for j in range(1 << n) if j != 0]
             assert parsed == mu_oracle(n, members)
         assert parsed == complement_of_constant_closed_form(n).as_fraction()
+
+
+def test_limit_at_most_three_up_to_the_combination_cap(capsys):
+    code, out, _ = run_cli(
+        capsys, "limit", "--event", "at-most-ones:3", "--n-max", "181", "--format", "csv"
+    )
+    assert code == 0
+    rows = csv_rows(out)
+    assert [int(row["n"]) for row in rows] == list(range(1, 182))
+    for row in rows:
+        n = int(row["n"])
+        parsed = Fraction(int(row["num"]), 1 << int(row["log2_den"]))
+        assert parsed == census_mu_oracle(at_most_census_oracle(n, 3), n)
+    code, out, err = run_cli(capsys, "limit", "--event", "at-most-ones:3", "--n-max", "182")
+    assert code == 3 and "resource bound" in err and out == ""
 
 
 def test_limit_verdict_fields(capsys):

@@ -1,12 +1,20 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from oracles import changes_oracle, mu_oracle, site_string
+from oracles import (
+    at_most_census_oracle,
+    census_mu_oracle,
+    changes_oracle,
+    mu_oracle,
+    site_string,
+)
 
 from qwalk.cylinder import (
     ALL_ZEROS,
+    COMBINATION_CAP,
     AtMostKOnes,
     ComplementOfFinitePathSet,
     CylinderEvent,
@@ -29,9 +37,15 @@ from qwalk.cylinder import (
     repeated_block_measures,
     repeated_block_verdict,
     variation_lower_bound,
+    _at_most_censuses,
+    _at_most_indices,
+    _census_of_indices,
+    _finite_prefix_indices,
+    _limit_censuses,
 )
 from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic
+from qwalk.paths import change_residue_counts
 
 
 # -- cylinder events ------------------------------------------------------------
@@ -196,6 +210,8 @@ def test_at_most_one_published_formula():
     for n in range(1, 21):
         assert limit_term(event, n).as_fraction() == Fraction(n * n - 4 * n + 5, 1 << n)
     assert float(limit_term(event, 30)) < 1e-6
+    for n, exact, _ in limit_mu_hat(event, 512).values:
+        assert exact.as_fraction() == Fraction(n * n - 4 * n + 5, 1 << n)
 
 
 def test_finite_path_bound():
@@ -249,12 +265,21 @@ def test_limit_report_finitely_many_ones():
     assert all(exact == Dyadic(1) for _, exact, _ in report.values)
 
 
-def test_limit_parallel_matches_serial():
-    event = ComplementOfFinitePathSet((ALL_ZEROS,))
-    serial = limit_mu_hat(event, 24)
-    threaded = limit_mu_hat(event, 24, max_workers=4)
-    assert serial.values == threaded.values
-    assert serial.verdict is threaded.verdict
+def test_limit_table_matches_terms():
+    paths = (ALL_ZEROS, EventualPath((1, 1), 0), EventualPath((0, 1), 1))
+    events = [
+        FinitePathSet(paths),
+        FinitePathSet(()),
+        *(AtMostKOnes(k) for k in range(5)),
+        ComplementOfFinitePathSet(paths),
+        ComplementOfFinitePathSet((ALL_ZEROS,)),
+        FinitelyManyOnes(),
+        InfinitelyManyOnes(),
+    ]
+    for event in events:
+        terms = [limit_term(event, n) for n in range(1, 41)]
+        rows = tuple((n, term, float(term)) for n, term in enumerate(terms, start=1))
+        assert limit_mu_hat(event, 40).values == rows
 
 
 def test_limit_validation():
@@ -280,6 +305,95 @@ def test_classify_sequence_rules():
     spiky = [2e6, 1.0] * 10
     verdict, _, _ = classify_sequence(spiky, 5, 1e-9)
     assert verdict is LimitVerdict.UNDETERMINED
+
+
+# -- census sweeps -------------------------------------------------------------------
+
+
+def sweep(event, n_max):
+    return list(_limit_censuses(event, n_max))
+
+
+def test_at_most_sweep_matches_enumeration():
+    # C(20, <= 4) = 6196 members, far under COMBINATION_CAP
+    for k in range(5):
+        table = sweep(AtMostKOnes(k), 20)
+        for n in range(1, 21):
+            members = _census_of_indices(_at_most_indices(n, k))
+            assert table[n - 1] == members == at_most_census_oracle(n, k)
+
+
+def test_at_most_three_at_the_combination_cap():
+    event = AtMostKOnes(3)
+    census = at_most_census_oracle(181, 3)
+    assert sum(census) <= COMBINATION_CAP
+    assert limit_term(event, 181).as_fraction() == census_mu_oracle(census, 181)
+    for n in (182, 256, 512):
+        assert sum(at_most_census_oracle(n, 3)) > COMBINATION_CAP
+        with pytest.raises(ResourceLimitError):
+            limit_term(event, n)
+    with pytest.raises(ResourceLimitError):
+        limit_mu_hat(event, 200)
+
+
+def test_at_most_dp_past_the_combination_cap():
+    table = list(_at_most_censuses(3, 512))
+    for n in (182, 256, 512):
+        assert table[n - 1] == at_most_census_oracle(n, 3)
+
+
+def test_at_most_sweep_matches_run_count_seeded():
+    rng = random.Random(20261018)
+    for _ in range(24):
+        k, n = rng.randint(0, 64), rng.randint(1, 512)
+        assert list(_at_most_censuses(k, n))[-1] == at_most_census_oracle(n, k)
+
+
+def test_at_most_sweep_is_full_space_when_k_reaches_n():
+    table = list(_at_most_censuses(128, 128))
+    for n in range(1, 129):
+        assert table[n - 1] == change_residue_counts(n)
+    for n in (1, 2, 3, 17, 64, 128):
+        assert list(_at_most_censuses(n, n))[-1] == change_residue_counts(n)
+
+
+def seeded_path_sets(seed: int):
+    """Path sets with duplicates (also under another description), shared
+    prefixes, empty prefixes and both repeat bits."""
+    yield ()
+    yield (ALL_ZEROS, EventualPath((0, 0, 0), 0), EventualPath((), 1), EventualPath((), 1))
+    rng = random.Random(seed)
+    for _ in range(16):
+        paths = [EventualPath((), rng.randrange(2))]
+        for _ in range(rng.randint(1, 7)):
+            base = rng.choice(paths)
+            kind = rng.randrange(3)
+            if kind == 0:  # the same path again
+                paths.append(base)
+                continue
+            head = base.prefix[: rng.randint(0, len(base.prefix))] if kind == 1 else ()
+            tail = tuple(rng.randrange(2) for _ in range(rng.randint(0, 24)))
+            paths.append(EventualPath(head + tail, rng.randrange(2)))
+        rng.shuffle(paths)
+        yield tuple(paths)
+
+
+def test_prefix_sweeps_match_indices():
+    for paths in seeded_path_sets(7):
+        inner = sweep(FinitePathSet(paths), 64)
+        outer = sweep(ComplementOfFinitePathSet(paths), 64)
+        for n in range(1, 65):
+            census = _census_of_indices(_finite_prefix_indices(paths, n))
+            assert inner[n - 1] == census
+            full = change_residue_counts(n)
+            assert outer[n - 1] == tuple(f - c for f, c in zip(full, census))
+
+
+def test_sweep_rejects_unknown_events():
+    with pytest.raises(ValueError):
+        limit_term("not an event", 3)
+    with pytest.raises(ValueError):
+        limit_mu_hat(object(), 8)
 
 
 # -- block products ---------------------------------------------------------------

@@ -3,6 +3,7 @@ import pytest
 from qwalk.errors import ResourceLimitError
 from qwalk.paths import (
     PathSpace,
+    change_residue_count_levels,
     change_residue_counts,
     changes_count,
     changes_vector,
@@ -121,3 +122,11 @@ def test_residue_counts_seed_and_total():
     assert change_residue_counts(1) == (1, 1, 0, 0)
     for n in range(1, 40):
         assert sum(change_residue_counts(n)) == 1 << n
+    with pytest.raises(ValueError):
+        change_residue_counts(0)
+
+
+def test_residue_count_levels_are_the_counts():
+    levels = list(change_residue_count_levels(64))
+    assert levels == [change_residue_counts(n) for n in range(1, 65)]
+    assert list(change_residue_count_levels(0)) == []
