@@ -18,9 +18,9 @@ and all functionals are inner products of such pairs over 2**n.
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from typing import Iterator, Sequence
 
@@ -168,42 +168,30 @@ class VectorMeasureValue:
         return (complex(self.even / scale, 0.0), complex(0.0, self.odd / scale))
 
 
-def psd_by_pivoted_cholesky(gram: Sequence[Sequence[float]], tol: float = 1e-9) -> bool:
-    """Float positive-semidefiniteness guard for a small symmetric matrix.
+def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
+    """Exact positive-semidefiniteness of a small symmetric integer matrix.
 
-    Diagonal pivots below -tol refuse; pivots inside (-tol, tol] terminate
-    the factorization (with a warning when mildly negative) once the
-    remaining block is negligible.
+    An LDL^T factorization in exact rationals, with no pivoting: a negative
+    pivot means not PSD, and so does a zero pivot with a nonzero entry left
+    in its column (a PSD matrix has a zero row wherever it has a zero
+    diagonal).  A positive pivot leaves the Schur complement of its row,
+    which is PSD iff the matrix is.
     """
-    k = len(gram)
-    m = [[float(x) for x in row] for row in gram]
+    m = [[Fraction(x) for x in row] for row in gram]
+    k = len(m)
     for step in range(k):
-        p = max(range(step, k), key=lambda r: m[r][r])
-        if p != step:
-            m[step], m[p] = m[p], m[step]
-            for row in m:
-                row[step], row[p] = row[p], row[step]
         d = m[step][step]
-        if d < -tol:
+        if d < 0:
             return False
-        if d <= tol:
-            worst = max(
-                (abs(m[r][c]) for r in range(step, k) for c in range(step, k)),
-                default=0.0,
-            )
-            if worst > tol ** 0.5:
+        if d == 0:
+            if any(m[r][step] for r in range(step + 1, k)):
                 return False
-            if d < 0:
-                warnings.warn(
-                    "pivot within tolerance of zero; reporting PSD", RuntimeWarning
-                )
-            return True
+            continue
         for r in range(step + 1, k):
             f = m[r][step] / d
-            for c in range(step, k):
-                m[r][c] -= f * m[step][c]
-        for c in range(step + 1, k):
-            m[step][c] = 0.0
+            if f:
+                for c in range(step + 1, k):
+                    m[r][c] -= f * m[step][c]
     return True
 
 
@@ -371,21 +359,18 @@ class DecoherenceState:
         c = self.census(event)
         return VectorMeasureValue(c[0] - c[2], c[1] - c[3], self.space.n)
 
-    def strong_positivity_check(self, events: Sequence[Event], tol: float = 1e-9) -> bool:
-        """Numerical guard that the events' functional Gram matrix is PSD.
+    def strong_positivity_check(self, events: Sequence[Event]) -> bool:
+        """Exact guard that the events' functional Gram matrix is PSD.
 
         The matrix is a Gram matrix of two-component vectors, hence PSD by
-        construction; the pivoted-Cholesky pass exists to catch
-        implementation bugs, not mathematical failures.
+        construction; the check exists to catch implementation bugs, not
+        mathematical failures.  It factors the integer matrix of the
+        2**n-scaled functionals, which has the same signature.
         """
         if len(events) > GRAM_MAX_EVENTS:
             raise ResourceLimitError(
                 f"strong-positivity check capped at {GRAM_MAX_EVENTS} events"
             )
         vectors = [self.vector_measure(ev) for ev in events]
-        scale = float(1 << self.space.n)
-        gram = [
-            [(x.even * y.even + x.odd * y.odd) / scale for y in vectors]
-            for x in vectors
-        ]
-        return psd_by_pivoted_cholesky(gram, tol)
+        gram = [[x.even * y.even + x.odd * y.odd for y in vectors] for x in vectors]
+        return psd_by_ldl(gram)

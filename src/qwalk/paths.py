@@ -8,6 +8,7 @@ so path j literally *is* the integer j and the whole space is range(2**n).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import ResourceLimitError
 
@@ -51,6 +52,33 @@ def changes_count(space: PathSpace, j: int) -> int:
 def change_residue(j: int) -> int:
     """Change count of the path with index j, mod 4 (no range check)."""
     return (j ^ (j >> 1)).bit_count() & 3
+
+
+_PLUS_TWO = bytes((r + 2) & 3 for r in range(256))
+
+
+@cache
+def change_residues(n: int) -> bytes:
+    """change_residue(j) for every path j of the n-path space, as one byte each.
+
+    A path of n steps is a first step followed by an (n-1)-step path k.  A
+    first step of 0 keeps the change count of k; a first step of 1 adds two
+    changes when k starts on site 0 and none when it starts on site 1.  So
+    each level is the cached previous level twice over, the site-0 half of
+    the upper copy moved two residues on.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > VECTOR_MAX_STEPS:
+        raise ResourceLimitError(
+            f"dense residue table capped at n <= {VECTOR_MAX_STEPS}; "
+            "query change_residue pointwise instead"
+        )
+    if n == 1:
+        return b"\x00\x01"  # path 0 has no change, path 1 one
+    prev = change_residues(n - 1)
+    half = len(prev) >> 1  # shorter paths below this start on site 0
+    return prev + prev[:half].translate(_PLUS_TWO) + prev[half:]
 
 
 def ones_count(space: PathSpace, j: int) -> int:

@@ -1,30 +1,37 @@
 """The quantum integral of a random variable against the truncated measure.
 
-Three equivalent evaluation routes are kept deliberately separate:
+A variable holds its values as integer numerators over one common
+denominator.  Three equivalent evaluation routes are kept deliberately
+separate:
 
 * DEFINITION -- the literal double sum of pairwise minima against entries
 * TRACE      -- the layered sum over super-level sets: each slab of values
                 contributes its thickness times the measure of the set of
-                paths reaching it (the trace identity, evaluated by sorted
-                prefix sums, so the min matrix is never materialized)
+                paths reaching it (the trace identity), so the min matrix is
+                never materialized
 * EIGEN      -- the two eigenvector quadratic forms, each computed by the
                 same layering restricted to one end-site parity
 
-Signed variables split canonically into positive and negative parts before
-any route runs.  All values are exact rationals throughout.
+The measure of a set of paths depends only on its census of change-count
+residues mod 4, so both fast routes read one census per call: how many
+paths carry each (value, residue) pair.  Signed variables split canonically
+into positive and negative parts before any route runs: the keys above and
+below zero.  All values are exact rationals throughout.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
-from .paths import PathSpace
+from .paths import PathSpace, change_residue, change_residues, changes_vector, ones_vector
 
 VARIABLE_MAX_STEPS = 20
 DEFINITION_MAX_STEPS = 12  # the dense cutoff; the double sum is 4**n
@@ -41,76 +48,107 @@ class IntegralStrategy(Enum):
 
 @dataclass(frozen=True)
 class RandomVariable:
-    """An exact-rational-valued function on the n-path space."""
+    """An exact-rational-valued function on the n-path space.
+
+    Path j has the value numerators[j] / denominator.  The form is
+    canonical -- denominator >= 1 and gcd(denominator, *numerators) == 1,
+    restored on construction -- so equal values mean equal variables.
+    """
 
     space: PathSpace
-    values: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int = 1
 
     def __post_init__(self) -> None:
         if self.space.n > VARIABLE_MAX_STEPS:
             raise ResourceLimitError(
                 f"random variables are capped at n <= {VARIABLE_MAX_STEPS}"
             )
-        if len(self.values) != self.space.size:
+        if len(self.numerators) != self.space.size:
             raise ValueError("value vector length must be 2**n")
+        if self.denominator < 1:
+            raise ValueError("denominator must be at least 1")
+        g = gcd(self.denominator, *self.numerators)
+        if g > 1:
+            object.__setattr__(self, "numerators", tuple(v // g for v in self.numerators))
+            object.__setattr__(self, "denominator", self.denominator // g)
+
+    @property
+    def values(self) -> tuple[Fraction, ...]:
+        """The values as Fractions, built anew on every access: O(2**n).
+
+        One Fraction per distinct numerator, shared by the paths that carry it.
+        """
+        den = self.denominator
+        table = {v: Fraction(v, den) for v in set(self.numerators)}
+        return tuple(map(table.__getitem__, self.numerators))
 
     @classmethod
     def from_values(cls, space: PathSpace, values) -> "RandomVariable":
-        return cls(space, tuple(Fraction(v) for v in values))
+        """Accepts anything Fraction() does; ints and Fractions pass as they are."""
+        values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+        den = lcm(*{v.denominator for v in values})
+        return cls(
+            space, tuple(v.numerator * (den // v.denominator) for v in values), den
+        )
 
     @classmethod
     def ones(cls, space: PathSpace) -> "RandomVariable":
-        return cls(space, tuple(Fraction(j.bit_count()) for j in space.indices()))
+        return cls(space, tuple(ones_vector(space)))
 
     @classmethod
     def changes(cls, space: PathSpace) -> "RandomVariable":
-        return cls(
-            space, tuple(Fraction((j ^ (j >> 1)).bit_count()) for j in space.indices())
-        )
+        return cls(space, tuple(changes_vector(space)))
 
     @classmethod
     def indicator(cls, event: Event) -> "RandomVariable":
-        return cls(
-            event.space,
-            tuple(Fraction(1 if j in event else 0) for j in event.space.indices()),
-        )
+        bits = format(event.mask, f"0{event.space.size}b")[::-1]  # bit j at index j
+        return cls(event.space, tuple(map(int, bits)))
 
     @classmethod
     def constant(cls, space: PathSpace, value) -> "RandomVariable":
-        return cls(space, (Fraction(value),) * space.size)
+        value = Fraction(value)
+        return cls(space, (value.numerator,) * space.size, value.denominator)
 
     def split(self) -> tuple["RandomVariable", "RandomVariable"]:
         """Canonical positive/negative parts: both nonnegative, product zero."""
-        pos = tuple(v if v > 0 else Fraction(0) for v in self.values)
-        neg = tuple(-v if v < 0 else Fraction(0) for v in self.values)
-        return RandomVariable(self.space, pos), RandomVariable(self.space, neg)
+        pos = tuple(v if v > 0 else 0 for v in self.numerators)
+        neg = tuple(-v if v < 0 else 0 for v in self.numerators)
+        return (
+            RandomVariable(self.space, pos, self.denominator),
+            RandomVariable(self.space, neg, self.denominator),
+        )
 
     def support(self) -> tuple[int, ...]:
-        return tuple(j for j, v in enumerate(self.values) if v != 0)
+        return tuple(j for j, v in enumerate(self.numerators) if v)
+
+    def _over(self, denominator: int) -> list[int]:
+        """The numerators over a multiple of this variable's denominator."""
+        factor = denominator // self.denominator
+        return [v * factor for v in self.numerators]
 
     def __add__(self, other: "RandomVariable") -> "RandomVariable":
         if self.space != other.space:
             raise ValueError("variables over different path spaces")
+        den = lcm(self.denominator, other.denominator)
         return RandomVariable(
-            self.space, tuple(a + b for a, b in zip(self.values, other.values))
+            self.space,
+            tuple(a + b for a, b in zip(self._over(den), other._over(den))),
+            den,
         )
 
     def scale(self, alpha) -> "RandomVariable":
         alpha = Fraction(alpha)
-        return RandomVariable(self.space, tuple(alpha * v for v in self.values))
+        return RandomVariable(
+            self.space,
+            tuple(alpha.numerator * v for v in self.numerators),
+            alpha.denominator * self.denominator,
+        )
 
 
-def _scaled_ints(values: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """Integer vector and common denominator so arithmetic stays in int."""
-    scale = lcm(*(v.denominator for v in values)) if values else 1
-    return [int(v * scale) for v in values], scale
-
-
-def _definition_part(state: DecoherenceState, vals: list[int]) -> int:
+def _definition_part(vals: list[int]) -> int:
     """Literal double sum of min(v_i, v_j) * sign(i, j) over the support."""
-    support = [
-        (j, v, (j ^ (j >> 1)).bit_count() & 3) for j, v in enumerate(vals) if v
-    ]
+    support = [(j, v, change_residue(j)) for j, v in enumerate(vals) if v]
     total = 0
     for j, vj, rj in support:
         for k, vk, rk in support:
@@ -121,55 +159,48 @@ def _definition_part(state: DecoherenceState, vals: list[int]) -> int:
     return total
 
 
-def _level_groups(members: list[tuple[int, int]]) -> list[tuple[int, list[int]]]:
-    """Group (value, index) pairs by value, descending; values all positive."""
-    members.sort(key=lambda t: -t[0])
-    groups: list[tuple[int, list[int]]] = []
-    for v, j in members:
-        if groups and groups[-1][0] == v:
-            groups[-1][1].append(j)
-        else:
-            groups.append((v, [j]))
-    return groups
+def _slabs(levels) -> list[tuple[int, int]]:
+    """(level, thickness down to the next lower level or to zero), descending."""
+    desc = sorted(levels, reverse=True)
+    return [(v, v - lower) for v, lower in zip(desc, desc[1:] + [0])]
 
 
-def _trace_part(vals: list[int]) -> int:
-    """Layered evaluation: slab thickness times the squared census sums of
-    the paths whose value reaches the slab."""
-    members = [(v, j) for j, v in enumerate(vals) if v]
-    groups = _level_groups(members)
-    counts = [0, 0, 0, 0]
+def _trace_part(census: Counter, sign: int) -> int:
+    """Layered evaluation of one part (sign +1 or -1): slab thickness times
+    the squared census sums of the paths whose value reaches the slab."""
+    levels: dict[int, list[int]] = {}
+    for (v, r), count in census.items():
+        v *= sign
+        if v > 0:
+            levels.setdefault(v, [0, 0, 0, 0])[r] += count
+    reach = [0, 0, 0, 0]
     total = 0
-    for gi, (v, idxs) in enumerate(groups):
-        for j in idxs:
-            counts[(j ^ (j >> 1)).bit_count() & 3] += 1
-        lower = groups[gi + 1][0] if gi + 1 < len(groups) else 0
-        q = (counts[0] - counts[2]) ** 2 + (counts[1] - counts[3]) ** 2
-        total += (v - lower) * q
+    for v, thickness in _slabs(levels):
+        for r, count in enumerate(levels[v]):
+            reach[r] += count
+        total += thickness * ((reach[0] - reach[2]) ** 2 + (reach[1] - reach[3]) ** 2)
     return total
 
 
-def _eigen_part(vals: list[int]) -> int:
+def _eigen_part(census: Counter, sign: int) -> int:
     """Per-parity layered quadratic forms of the two eigenvectors.
 
-    Each parity owns its own level structure; the squared magnitude of the
-    running unit-power sum is real for even endings and purely imaginary
-    for odd ones, so one signed accumulator per parity suffices.
+    Residue parity is the end site, so parity p owns residues p and p + 2,
+    and each parity has its own level structure.  The running unit-power sum
+    of a parity is real for even endings and purely imaginary for odd ones,
+    so one signed accumulator per parity gives its squared magnitude.
     """
     total = 0
     for parity in (0, 1):
-        members = [(v, j) for j, v in enumerate(vals) if v and (j & 1) == parity]
-        groups = _level_groups(members)
-        low = high = 0  # counts of the two residues this parity can take
-        for gi, (v, idxs) in enumerate(groups):
-            for j in idxs:
-                r = (j ^ (j >> 1)).bit_count() & 3
-                if r == parity:
-                    low += 1
-                else:
-                    high += 1
-            lower = groups[gi + 1][0] if gi + 1 < len(groups) else 0
-            total += (v - lower) * (low - high) ** 2
+        levels: dict[int, int] = {}
+        for (v, r), count in census.items():
+            v *= sign
+            if v > 0 and r & 1 == parity:
+                levels[v] = levels.get(v, 0) + (count if r == parity else -count)
+        amplitude = 0
+        for v, thickness in _slabs(levels):
+            amplitude += levels[v]
+            total += thickness * amplitude**2
     return total
 
 
@@ -182,23 +213,23 @@ def integral(
     if variable.space != state.space:
         raise ValueError("variable lives over a different path space")
     n = state.space.n
-    vals, scale = _scaled_ints(variable.values)
-    pos = [v if v > 0 else 0 for v in vals]
-    neg = [-v if v < 0 else 0 for v in vals]
+    vals = variable.numerators
     if strategy is IntegralStrategy.DEFINITION:
         if n > DEFINITION_MAX_STEPS:
             raise ResourceLimitError(
                 f"definition-route integral capped at n <= {DEFINITION_MAX_STEPS}; "
                 "use the trace or eigen route"
             )
-        raw = _definition_part(state, pos) - _definition_part(state, neg)
-    elif strategy is IntegralStrategy.TRACE:
-        raw = _trace_part(pos) - _trace_part(neg)
-    elif strategy is IntegralStrategy.EIGEN:
-        raw = _eigen_part(pos) - _eigen_part(neg)
+        pos = [v if v > 0 else 0 for v in vals]
+        neg = [-v if v < 0 else 0 for v in vals]
+        raw = _definition_part(pos) - _definition_part(neg)
+    elif strategy is IntegralStrategy.TRACE or strategy is IntegralStrategy.EIGEN:
+        census = Counter(zip(vals, change_residues(n)))
+        part = _trace_part if strategy is IntegralStrategy.TRACE else _eigen_part
+        raw = part(census, 1) - part(census, -1)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return Fraction(raw, scale << n)
+    return Fraction(raw, variable.denominator << n)
 
 
 # -- min-matrix structure ------------------------------------------------------
@@ -206,9 +237,14 @@ def integral(
 
 def min_matrix_entry(variable: RandomVariable, i: int, j: int) -> Fraction:
     """Entry (i, j) of the variable's min matrix, through the canonical split."""
-    vi, vj = variable.values[i], variable.values[j]
-    pi, mi = (vi, Fraction(0)) if vi > 0 else (Fraction(0), -vi)
-    pj, mj = (vj, Fraction(0)) if vj > 0 else (Fraction(0), -vj)
+    return Fraction(_min_hat(variable.numerators, i, j), variable.denominator)
+
+
+def _min_hat(vec, i: int, j: int) -> int:
+    """min(pos_i, pos_j) - min(neg_i, neg_j) of an integer vector."""
+    vi, vj = vec[i], vec[j]
+    pi, mi = (vi, 0) if vi > 0 else (0, -vi)
+    pj, mj = (vj, 0) if vj > 0 else (0, -vj)
     return min(pi, pj) - min(mi, mj)
 
 
@@ -266,17 +302,16 @@ def psd_check(variable: RandomVariable) -> bool:
     check computes them all the same (a duplicate or zero forces every
     later minor to zero, which shortcuts the scan).
     """
-    if any(v < 0 for v in variable.values):
+    if any(v < 0 for v in variable.numerators):
         raise ValueError("psd check needs a nonnegative variable")
     if variable.space.size > PSD_CHECK_MAX_VALUES:
         raise ResourceLimitError(
             f"psd check capped at {PSD_CHECK_MAX_VALUES} values"
         )
-    from bisect import insort
-
-    prefix: list[Fraction] = []
+    # the minors of the numerators have the signs of the minors of the values
+    prefix: list[int] = []
     saw_zero_minor = False
-    for v in variable.values:
+    for v in variable.numerators:
         insort(prefix, v)
         if saw_zero_minor:
             continue
@@ -310,10 +345,8 @@ def disjoint_support_grade2_check(
             f"entrywise identity check capped at n <= {ENTRYWISE_MAX_STEPS}"
         )
 
-    scale = lcm(*(v.denominator for rv in (f, g, h) for v in rv.values))
-    vecs = {}
-    for name, rv in (("f", f), ("g", g), ("h", h)):
-        vecs[name] = [int(v * scale) for v in rv.values]
+    den = lcm(f.denominator, g.denominator, h.denominator)
+    vecs = {"f": f._over(den), "g": g._over(den), "h": h._over(den)}
     sums = {
         "fg": [a + b for a, b in zip(vecs["f"], vecs["g"])],
         "fh": [a + b for a, b in zip(vecs["f"], vecs["h"])],
@@ -321,23 +354,17 @@ def disjoint_support_grade2_check(
         "fgh": [a + b + c for a, b, c in zip(vecs["f"], vecs["g"], vecs["h"])],
     }
 
-    def min_hat(vec: list[int], i: int, j: int) -> int:
-        vi, vj = vec[i], vec[j]
-        pi, mi = (vi, 0) if vi > 0 else (0, -vi)
-        pj, mj = (vj, 0) if vj > 0 else (0, -vj)
-        return min(pi, pj) - min(mi, mj)
-
     size = state.space.size
     for i in range(size):
         for j in range(size):
-            lhs = min_hat(sums["fgh"], i, j)
+            lhs = _min_hat(sums["fgh"], i, j)
             rhs = (
-                min_hat(sums["fg"], i, j)
-                + min_hat(sums["fh"], i, j)
-                + min_hat(sums["gh"], i, j)
-                - min_hat(vecs["f"], i, j)
-                - min_hat(vecs["g"], i, j)
-                - min_hat(vecs["h"], i, j)
+                _min_hat(sums["fg"], i, j)
+                + _min_hat(sums["fh"], i, j)
+                + _min_hat(sums["gh"], i, j)
+                - _min_hat(vecs["f"], i, j)
+                - _min_hat(vecs["g"], i, j)
+                - _min_hat(vecs["h"], i, j)
             )
             if lhs != rhs:
                 return False
@@ -369,10 +396,7 @@ def nonadditivity_witness(
     space = state.space
 
     def build(pattern) -> RandomVariable:
-        values = [Fraction(0)] * space.size
-        for j, v in enumerate(pattern):
-            values[j] = Fraction(v)
-        return RandomVariable(space, tuple(values))
+        return RandomVariable.from_values(space, pattern + (0,) * (space.size - 4))
 
     for f_pattern in product(range(3), repeat=4):
         f = build(f_pattern)

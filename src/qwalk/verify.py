@@ -1037,7 +1037,7 @@ def check_integral_strategies_random() -> None:
             values = [Fraction(0)] * size
             for j in support:
                 values[j] = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
-            rv = RandomVariable(state.space, tuple(values))
+            rv = RandomVariable.from_values(state.space, values)
             results = {s: integral(state, rv, s) for s in IntegralStrategy}
             check(
                 len(set(results.values())) == 1,
@@ -1054,7 +1054,7 @@ def check_integral_homogeneity() -> None:
             values = tuple(
                 Fraction(rng.randint(-6, 6), rng.choice((1, 3))) for _ in range(size)
             )
-            rv = RandomVariable(state.space, values)
+            rv = RandomVariable.from_values(state.space, values)
             base = integral(state, rv)
             for alpha in (Fraction(3), Fraction(-2), Fraction(5, 2), Fraction(-7, 3)):
                 check(
@@ -1086,7 +1086,7 @@ def check_psd_min_matrix() -> None:
         space = PathSpace(n)
         for _ in range(30):
             values = tuple(Fraction(rng.randint(0, 20), rng.choice((1, 2))) for _ in range(space.size))
-            check(psd_check(RandomVariable(space, values)), f"random nonneg at n={n}")
+            check(psd_check(RandomVariable.from_values(space, values)), f"random nonneg at n={n}")
 
 
 def check_indicator_rank_one() -> None:
@@ -1122,7 +1122,7 @@ def check_disjoint_support_identities() -> None:
             for j in part:
                 if rng.random() < 0.7:
                     values[j] = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-            rvs.append(RandomVariable(state.space, tuple(values)))
+            rvs.append(RandomVariable.from_values(state.space, values))
         check(
             disjoint_support_grade2_check(state, *rvs),
             f"disjoint-support identities failed on trial {trial} at n={n}",

@@ -7,6 +7,7 @@ cross-check rather than the same arithmetic twice.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import comb
 
 
@@ -59,3 +60,34 @@ def census_mu_oracle(census, n: int) -> Fraction:
     they differ by 2."""
     c0, c1, c2, c3 = census
     return Fraction((c0 - c2) ** 2 + (c1 - c3) ** 2, 1 << n)
+
+
+@cache
+def changes_table(n: int) -> tuple[int, ...]:
+    """changes_oracle(n, j) for every path j, scanned once per horizon."""
+    return tuple(changes_oracle(n, j) for j in range(1 << n))
+
+
+def layered_integral_oracle(n: int, values) -> Fraction:
+    """Quantum integral of int or Fraction values by the trace identity.
+
+    Each part (the values above zero, and the negated values below it) is
+    a stack of slabs between its distinct levels; a slab adds its thickness
+    times the q-measure of the paths whose value reaches it, taken from
+    their census of string-scanned change counts mod 4.
+    """
+    parts: tuple[dict, dict] = ({}, {})  # (num, den) of a level -> census
+    for v, changes in zip(values, changes_table(n)):
+        num, den = v.numerator, v.denominator
+        if num:
+            level = (num, den) if num > 0 else (-num, den)
+            parts[num < 0].setdefault(level, [0, 0, 0, 0])[changes % 4] += 1
+    total = Fraction(0)
+    for sign, part in zip((1, -1), parts):
+        at_level = {Fraction(*level): census for level, census in part.items()}
+        levels = sorted(at_level, reverse=True)
+        reach = [0, 0, 0, 0]
+        for level, lower in zip(levels, levels[1:] + [Fraction(0)]):
+            reach = [a + b for a, b in zip(reach, at_level[level])]
+            total += sign * (level - lower) * census_mu_oracle(reach, n)
+    return total

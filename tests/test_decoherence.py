@@ -1,5 +1,4 @@
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -8,7 +7,7 @@ from qwalk.decoherence import (
     DecoherenceState,
     Event,
     _residue_masks,
-    psd_by_pivoted_cholesky,
+    psd_by_ldl,
 )
 from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic, GaussianScaled
@@ -412,16 +411,36 @@ def test_strong_positivity_cap():
         st.strong_positivity_check([Event.full(st.space)] * 13)
 
 
-def test_pivoted_cholesky_rejects_indefinite():
-    assert not psd_by_pivoted_cholesky([[1.0, 2.0], [2.0, 1.0]])
-    assert not psd_by_pivoted_cholesky([[0.0, 1.0], [1.0, 0.0]])
-    assert not psd_by_pivoted_cholesky([[-1.0]])
-    assert psd_by_pivoted_cholesky([[1.0, 0.5], [0.5, 1.0]])
-    assert psd_by_pivoted_cholesky([[0.0, 0.0], [0.0, 0.0]])
+def test_exact_guard_rejects_indefinite():
+    assert not psd_by_ldl([[1, 2], [2, 1]])
+    assert not psd_by_ldl([[-1]])
+    assert psd_by_ldl([[2, 1], [1, 2]])
+    assert psd_by_ldl([[1, 1], [1, 1]])  # singular, rank one
 
 
-def test_pivoted_cholesky_warns_near_zero():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert psd_by_pivoted_cholesky([[-1e-12]])
-    assert any("tolerance" in str(w.message) for w in caught)
+def test_exact_guard_zero_pivot_with_nonzero_column():
+    assert not psd_by_ldl([[0, 1], [1, 0]])
+    assert not psd_by_ldl([[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+
+def test_exact_guard_zero_matrix():
+    assert psd_by_ldl([[0, 0], [0, 0]])
+    assert psd_by_ldl([[0] * 12 for _ in range(12)])
+
+
+def test_exact_guard_rank_two_family_of_twelve():
+    # twelve events at n = 6 give a rank-2 Gram matrix: ten zero pivots
+    # after the first two, each with an exactly zero column
+    rng = random.Random(21)
+    st = state(6)
+    events = [Event(st.space, rng.getrandbits(64)) for _ in range(12)]
+    vectors = [st.vector_measure(ev) for ev in events]
+    gram = [[x.even * y.even + x.odd * y.odd for y in vectors] for x in vectors]
+    assert st.strong_positivity_check(events)
+    assert psd_by_ldl(gram)
+    assert gram_psd_oracle(st, events)
+    # one unit less on a diagonal leaves the range of the matrix: no longer PSD
+    for i in range(12):
+        dented = [row[:] for row in gram]
+        dented[i][i] -= 1
+        assert not psd_by_ldl(dented)

@@ -5,6 +5,7 @@ from qwalk.paths import (
     PathSpace,
     change_residue_count_levels,
     change_residue_counts,
+    change_residues,
     changes_count,
     changes_vector,
     ones_count,
@@ -130,3 +131,21 @@ def test_residue_count_levels_are_the_counts():
     levels = list(change_residue_count_levels(64))
     assert levels == [change_residue_counts(n) for n in range(1, 65)]
     assert list(change_residue_count_levels(0)) == []
+
+
+def test_change_residue_table_matches_strings():
+    for n in range(1, 13):
+        table = change_residues(n)
+        assert len(table) == 1 << n
+        assert list(table) == [changes_oracle(n, j) % 4 for j in range(1 << n)]
+    for n in (16, 20):
+        table = change_residues(n)
+        assert tuple(table.count(r) for r in range(4)) == change_residue_counts(n)
+        assert change_residues(n) is table  # cached per horizon
+
+
+def test_change_residue_table_range():
+    with pytest.raises(ValueError):
+        change_residues(0)
+    with pytest.raises(ResourceLimitError):
+        change_residues(21)

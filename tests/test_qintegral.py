@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from oracles import entry_sign_oracle
+from oracles import changes_table, entry_sign_oracle, layered_integral_oracle
 
 from qwalk.decoherence import DecoherenceState, Event
 from qwalk.errors import ResourceLimitError
@@ -86,6 +86,56 @@ def test_indicator_variable():
     assert f.values == (0, 1, 0, 0, 1, 0, 0, 0)
 
 
+def test_canonical_form_equal_values_equal_variables():
+    space = PathSpace(2)
+    f = RandomVariable.from_values(space, [Fraction(1, 2), 1, 0, Fraction(-3, 2)])
+    g = RandomVariable.from_values(space, ["2/4", Fraction(2, 2), "0", -1.5])
+    h = RandomVariable(space, (2, 4, 0, -6), 4)  # reduced on construction
+    assert f == g == h
+    assert hash(f) == hash(g) == hash(h)
+    assert (f.numerators, f.denominator) == ((1, 2, 0, -3), 2)
+    assert f != RandomVariable.from_values(space, [Fraction(1, 2), 1, 0, 1])
+
+
+def test_canonical_form_scale_round_trip():
+    rng = random.Random(59)
+    space = PathSpace(4)
+    for _ in range(20):
+        f = RandomVariable.from_values(
+            space, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 6))) for _ in range(16)]
+        )
+        assert f.scale(2).scale(Fraction(1, 2)) == f
+        assert f.scale(Fraction(-3, 7)).scale(Fraction(-7, 3)) == f
+        assert f + f.scale(-1) == RandomVariable.constant(space, 0)
+
+
+def test_canonical_form_zero_has_denominator_one():
+    space = PathSpace(3)
+    assert RandomVariable.from_values(space, [0] * 8).denominator == 1
+    assert RandomVariable(space, (0,) * 8, 7).denominator == 1
+    f = rv(3, ["1/3", 0, 0, 0, 0, 0, 0, "-2/9"])
+    assert f.scale(0).denominator == 1
+    assert f.scale(0) == RandomVariable.constant(space, 0)
+
+
+def test_from_values_accepts_what_fraction_accepts():
+    f = RandomVariable.from_values(PathSpace(2), [1, Fraction(1, 3), "2/5", 0.25])
+    assert f.values == (1, Fraction(1, 3), Fraction(2, 5), Fraction(1, 4))
+    assert all(type(v) is Fraction for v in f.values)
+    assert f.denominator == 60
+
+
+def test_variable_rejects_bad_shapes():
+    space = PathSpace(2)
+    with pytest.raises(ValueError):
+        RandomVariable(space, (1, 2, 3))
+    with pytest.raises(ValueError):
+        RandomVariable.from_values(space, [1, 2, 3, 4, 5])
+    for den in (0, -1):
+        with pytest.raises(ValueError):
+            RandomVariable(space, (1, 2, 3, 4), den)
+
+
 # -- the published integral table ----------------------------------------------
 
 
@@ -162,6 +212,60 @@ def test_named_variables_agree_up_to_sixteen():
             assert trace == eigen
             if n <= 10:
                 assert integral(st, f, IntegralStrategy.DEFINITION) == trace
+
+
+def seeded_variables(n: int, rng: random.Random):
+    """(kind, variable, its values for the oracle) over a range of level
+    structures: many signed rational levels, a sparse support, the two
+    count variables (few levels, many ties) and an indicator."""
+    space = PathSpace(n)
+    size = 1 << n
+    pool = [Fraction(a, b) for a in range(-24, 25) for b in (1, 2, 3, 4)]
+    rational = [rng.choice(pool) for _ in range(size)]
+    yield "rational", RandomVariable.from_values(space, rational), rational
+    sparse = [0] * size
+    for j in rng.sample(range(size), 64):
+        sparse[j] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
+    yield "sparse", RandomVariable.from_values(space, sparse), sparse
+    yield "ones", RandomVariable.ones(space), [bin(j).count("1") for j in range(size)]
+    yield "changes", RandomVariable.changes(space), changes_table(n)
+    bits = [rng.getrandbits(1) for _ in range(size)]
+    mask = int("".join(map(str, reversed(bits))), 2)
+    yield "indicator", RandomVariable.indicator(Event(space, mask)), bits
+
+
+def test_layered_oracle_matches_double_sum_oracle():
+    rng = random.Random(56)
+    for n in (1, 2, 3, 4):
+        for _ in range(20):
+            values = [Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(1 << n)]
+            assert layered_integral_oracle(n, values) == integral_oracle_simple(n, values)
+
+
+@pytest.mark.parametrize("n", (12, 16, 20))
+def test_fast_routes_match_layered_oracle(n):
+    # past the definition cutoff TRACE and EIGEN read the same census, so
+    # their agreement alone proves nothing; each must match the oracle
+    st = state(n)
+    for kind, f, values in seeded_variables(n, random.Random(57 + n)):
+        want = layered_integral_oracle(n, values)
+        for strategy in (IntegralStrategy.TRACE, IntegralStrategy.EIGEN):
+            assert integral(st, f, strategy) == want, (kind, strategy)
+
+
+@pytest.mark.parametrize("n", (16, 20))
+def test_indicator_integral_is_measure_large_n(n):
+    st = state(n)
+    size = 1 << n
+    rng = random.Random(58 + n)
+    masks = [rng.getrandbits(size), 1 << rng.randrange(size), (1 << size) - 1]
+    masks.append(sum(1 << j for j in rng.sample(range(size), 40)))
+    for mask in masks:
+        ev = Event(st.space, mask)
+        f = RandomVariable.indicator(ev)
+        want = mu(st, ev).as_fraction()
+        assert integral(st, f, IntegralStrategy.TRACE) == want
+        assert integral(st, f, IntegralStrategy.EIGEN) == want
 
 
 def test_definition_route_cap():
