@@ -22,6 +22,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
@@ -33,6 +34,9 @@ EVENT_MAX_STEPS = 24  # membership masks beyond 2**24 bits are not materialized
 EIGEN_MAX_STEPS = 20
 EIGEN_CHECK_MAX_STEPS = 10
 GRAM_MAX_EVENTS = 12
+
+# _SAME_RESIDUE[r] translates a residue byte to 1 if it equals r, else to 0
+_SAME_RESIDUE = tuple(bytes(int(b == r) for b in range(256)) for r in range(4))
 
 
 @cache
@@ -215,7 +219,7 @@ class DecoherenceState:
         self.space.check_index(k)
         if (j ^ k) & 1:
             return 0
-        return 1 if (self.residue(j) ^ self.residue(k)) == 0 else -1
+        return 1 if change_residue(j) == change_residue(k) else -1
 
     def entry(self, j: int, k: int) -> GaussianScaled:
         """Matrix entry (j, k): sign / 2**n, exactly."""
@@ -327,29 +331,33 @@ class DecoherenceState:
         """Exact check that both eigenvectors satisfy (matrix * v) = v / 2.
 
         Works in integers: (2**n * matrix) applied to the unnormalized
-        vector must equal 2**(n-1) times that vector, entry by entry.
+        vector must equal 2**(n-1) times that vector, entry by entry.  Row j
+        of the sign matrix is zero off its own end site and, on it, +1 at
+        the columns sharing j's change residue and -1 elsewhere, so each
+        component of row j times the vector is twice its sum over the
+        same-residue columns minus its sum over the whole site.  Every row
+        of both sites is checked against every column of its site, so a
+        stray nonzero entry on the wrong site fails its own row.
         """
         n = self.space.n
         if n > EIGEN_CHECK_MAX_STEPS:
             raise ResourceLimitError(
                 f"exact eigen-equation check capped at n <= {EIGEN_CHECK_MAX_STEPS}"
             )
-        size = self.space.size
-        res = [change_residue(j) for j in range(size)]
+        res = bytes(change_residue(j) for j in self.space.indices())
         half = 1 << (n - 1)
         for parity in (0, 1):
             vec = self.eigenvector_exact(parity)
-            for j in range(size):
-                acc_re = acc_im = 0
-                rj = res[j]
-                for k in range(j & 1, size, 2):
-                    sign = 1 if rj == res[k] else -1
-                    re, im = vec[k]
-                    acc_re += sign * re
-                    acc_im += sign * im
-                want_re, want_im = vec[j]
-                if acc_re != half * want_re or acc_im != half * want_im:
-                    return False
+            for site in (0, 1):
+                site_res = res[site::2]
+                # the columns of this site sharing each change residue, as 0/1 bytes
+                same = [site_res.translate(_SAME_RESIDUE[r]) for r in range(4)]
+                for component in zip(*vec):
+                    col = component[site::2]
+                    col_total = sum(col)
+                    for r, want in zip(site_res, col):
+                        if sum(compress(col, same[r])) * 2 - col_total != half * want:
+                            return False
         return True
 
     # -- vector measure and strong positivity --------------------------------

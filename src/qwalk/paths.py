@@ -31,7 +31,7 @@ class PathSpace:
         return 1 << self.n
 
     def check_index(self, j: int) -> int:
-        if not 0 <= j < self.size:
+        if j < 0 or j >> self.n:
             raise ValueError(f"path index {j} out of range for n={self.n}")
         return j
 

@@ -4,7 +4,10 @@ A variable holds its values as integer numerators over one common
 denominator.  Three equivalent evaluation routes are kept deliberately
 separate:
 
-* DEFINITION -- the literal double sum of pairwise minima against entries
+* DEFINITION -- the literal double sum of pairwise minima against entries,
+                pair by pair: entries between paths on different end sites
+                are zero, so each end site's support is summed on its own,
+                each unordered pair once and doubled, the diagonal once
 * TRACE      -- the layered sum over super-level sets: each slab of values
                 contributes its thickness times the measure of the set of
                 paths reaching it (the trace identity), so the min matrix is
@@ -147,16 +150,28 @@ class RandomVariable:
 
 
 def _definition_part(vals: list[int]) -> int:
-    """Literal double sum of min(v_i, v_j) * sign(i, j) over the support."""
-    support = [(j, v, change_residue(j)) for j, v in enumerate(vals) if v]
-    total = 0
-    for j, vj, rj in support:
-        for k, vk, rk in support:
-            if (j ^ k) & 1:
-                continue
-            m = vj if vj < vk else vk
-            total += m if rj == rk else -m
-    return total
+    """Literal double sum of min(v_j, v_k) * sign(j, k) over the support.
+
+    Paths ending on different sites have sign 0, so the sum runs over each
+    end site's support on its own.  Within a site both the minimum and the
+    sign (+1 for equal change residues, -1 otherwise) are symmetric in the
+    pair, so each unordered pair of distinct paths is taken once and counted
+    twice, and each diagonal term (sign +1) once.
+    """
+    diagonal = off_diagonal = 0
+    for site in (0, 1):
+        support = [
+            (v, change_residue(j)) for j in range(site, len(vals), 2) if (v := vals[j])
+        ]
+        while support:
+            vj, rj = support.pop()
+            diagonal += vj
+            for vk, rk in support:
+                if rj == rk:
+                    off_diagonal += vj if vj < vk else vk
+                else:
+                    off_diagonal -= vj if vj < vk else vk
+    return diagonal + 2 * off_diagonal
 
 
 def _slabs(levels) -> list[tuple[int, int]]:
@@ -246,6 +261,18 @@ def _min_hat(vec, i: int, j: int) -> int:
     pi, mi = (vi, 0) if vi > 0 else (0, -vi)
     pj, mj = (vj, 0) if vj > 0 else (0, -vj)
     return min(pi, pj) - min(mi, mj)
+
+
+def _min_hat_row(vec: list[int], i: int) -> list[int]:
+    """Row i of the min matrix of an integer vector: _min_hat(vec, i, j) for
+    every j.  A positive v_i meets only the positive part of the row, a
+    negative one only the negative part, and a zero v_i meets neither."""
+    vi = vec[i]
+    if vi > 0:
+        return [(v if v < vi else vi) if v > 0 else 0 for v in vec]
+    if vi < 0:
+        return [(v if v > vi else vi) if v < 0 else 0 for v in vec]
+    return [0] * len(vec)
 
 
 def _exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
@@ -354,20 +381,21 @@ def disjoint_support_grade2_check(
         "fgh": [a + b + c for a, b, c in zip(vecs["f"], vecs["g"], vecs["h"])],
     }
 
-    size = state.space.size
-    for i in range(size):
-        for j in range(size):
-            lhs = _min_hat(sums["fgh"], i, j)
-            rhs = (
-                _min_hat(sums["fg"], i, j)
-                + _min_hat(sums["fh"], i, j)
-                + _min_hat(sums["gh"], i, j)
-                - _min_hat(vecs["f"], i, j)
-                - _min_hat(vecs["g"], i, j)
-                - _min_hat(vecs["h"], i, j)
+    for i in range(state.space.size):
+        lhs = _min_hat_row(sums["fgh"], i)
+        rhs = [
+            a + b + c - x - y - z
+            for a, b, c, x, y, z in zip(
+                _min_hat_row(sums["fg"], i),
+                _min_hat_row(sums["fh"], i),
+                _min_hat_row(sums["gh"], i),
+                _min_hat_row(vecs["f"], i),
+                _min_hat_row(vecs["g"], i),
+                _min_hat_row(vecs["h"], i),
             )
-            if lhs != rhs:
-                return False
+        ]
+        if lhs != rhs:
+            return False
 
     def integ(rv: RandomVariable) -> Fraction:
         return integral(state, rv, IntegralStrategy.TRACE)

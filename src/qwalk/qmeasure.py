@@ -36,10 +36,14 @@ class Interference(Enum):
     DESTRUCTIVE = "destructive"
 
 
+def _census_quadratic(census: tuple[int, int, int, int]) -> int:
+    """2**n times the measure of an event with this census over horizon n."""
+    return (census[0] - census[2]) ** 2 + (census[1] - census[3]) ** 2
+
+
 def mu_from_census(census: tuple[int, int, int, int], n: int) -> Dyadic:
     """Measure of any event whose members census as given, over horizon n."""
-    q = (census[0] - census[2]) ** 2 + (census[1] - census[3]) ** 2
-    return Dyadic(q, n)
+    return Dyadic(_census_quadratic(census), n)
 
 
 def full_space_measure(n: int) -> Dyadic:
@@ -80,23 +84,29 @@ def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def interference(state: DecoherenceState, i: int, j: int) -> tuple[Dyadic, Interference]:
-    """Interference term of a pair of distinct paths and its classification."""
+def _pair_relation(state: DecoherenceState, i: int, j: int) -> Interference:
+    """Classification of a pair of paths, after checking that both are in
+    range and that they are distinct."""
     if i == j:
         raise ValueError("interference needs two distinct paths")
     state.space.check_index(i)
     state.space.check_index(j)
-    n = state.space.n
-    if (i ^ j) & 1:
-        return Dyadic(0), Interference.NO_INTERFERENCE
-    if state.residue(i) == state.residue(j):
-        return Dyadic(1, n - 1), Interference.CONSTRUCTIVE
-    return Dyadic(-1, n - 1), Interference.DESTRUCTIVE
+    # the residue parity is the end site, so this also sees different sites
+    return _relation_of_residues(change_residue(i), change_residue(j))
+
+
+def interference(state: DecoherenceState, i: int, j: int) -> tuple[Dyadic, Interference]:
+    """Interference term of a pair of distinct paths and its classification."""
+    kind = _pair_relation(state, i, j)
+    if kind is Interference.NO_INTERFERENCE:
+        return Dyadic(0), kind
+    sign = 1 if kind is Interference.CONSTRUCTIVE else -1
+    return Dyadic(sign, state.space.n - 1), kind
 
 
 def pair_measure(state: DecoherenceState, i: int, j: int) -> Dyadic:
     """Measure of a doubleton, from the interference trichotomy."""
-    _, kind = interference(state, i, j)
+    kind = _pair_relation(state, i, j)
     n = state.space.n
     if kind is Interference.NO_INTERFERENCE:
         return Dyadic(1, n - 1)
@@ -162,35 +172,33 @@ def interference_composition_check(state: DecoherenceState) -> bool:
 
 
 def grade2_check(state: DecoherenceState, a: Event, b: Event, c: Event) -> bool:
-    """Exact grade-2 additivity identity for three mutually disjoint events."""
+    """Exact grade-2 additivity identity for three mutually disjoint events.
+
+    Every measure at one horizon has the denominator 2**n, so the identity
+    is compared on the integer census quadratics of the seven events.
+    """
     if not (a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)):
         raise ValueError("grade-2 identity needs mutually disjoint events")
-    lhs = mu(state, a.union(b).union(c))
-    rhs = (
-        mu(state, a.union(b))
-        + mu(state, a.union(c))
-        + mu(state, b.union(c))
-        - mu(state, a)
-        - mu(state, b)
-        - mu(state, c)
+    ab, ac, bc = a.union(b), a.union(c), b.union(c)
+    q_abc, q_ab, q_ac, q_bc, q_a, q_b, q_c = (
+        _census_quadratic(state.census(e)) for e in (ab.union(c), ab, ac, bc, a, b, c)
     )
-    return lhs == rhs
+    return q_abc == q_ab + q_ac + q_bc - q_a - q_b - q_c
 
 
 def regularity_check(state: DecoherenceState, a: Event, b: Event) -> bool:
     """Both regularity clauses, vacuously true when their hypotheses fail.
 
     For disjoint a, b: a null event drops out of unions, and a null union
-    forces its two halves to share a measure.
+    forces its two halves to share a measure.  The measures are compared as
+    their integer census quadratics over the common denominator 2**n.
     """
     if not a.isdisjoint(b):
         raise ValueError("regularity check needs disjoint events")
-    mu_a = mu(state, a)
-    mu_b = mu(state, b)
-    mu_ab = mu(state, a.union(b))
-    if mu_a.is_zero() and mu_ab != mu_b:
+    q_a, q_b, q_ab = (_census_quadratic(state.census(e)) for e in (a, b, a.union(b)))
+    if q_a == 0 and q_ab != q_b:
         return False
-    if mu_ab.is_zero() and mu_a != mu_b:
+    if q_ab == 0 and q_a != q_b:
         return False
     return True
 

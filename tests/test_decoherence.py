@@ -254,6 +254,42 @@ def test_eigen_equation_exact(n):
     assert state(n).eigen_equation_holds()
 
 
+@pytest.mark.parametrize("n", (2, 3, 6, 10))
+def test_eigen_equation_rejects_corrupted_vectors(monkeypatch, n):
+    st = state(n)
+    exact = st.eigenvector_exact
+
+    def patched(corrupt, target):
+        def eigenvector(parity):
+            vec = exact(parity)
+            return corrupt(vec) if parity == target else vec
+
+        monkeypatch.setattr(st, "eigenvector_exact", eigenvector)
+
+    def flip_one(vec):
+        j = max(k for k, entry in enumerate(vec) if entry != (0, 0))
+        vec[j] = (-vec[j][0], -vec[j][1])
+        return vec
+
+    def stray_on_other_site(vec):
+        j = next(k for k, entry in enumerate(vec) if entry == (0, 0))
+        vec[j] = (1, 0)
+        return vec
+
+    def times_i(vec):
+        return [(-im, re) for re, im in vec]
+
+    # the even-site eigenvector is real and the odd-site one imaginary, so
+    # corrupting each in turn tests both components
+    for target in (0, 1):
+        patched(flip_one, target)
+        assert not st.eigen_equation_holds()
+        patched(stray_on_other_site, target)
+        assert not st.eigen_equation_holds()
+        patched(times_i, target)
+        assert st.eigen_equation_holds()
+
+
 def test_eigen_equation_cap():
     with pytest.raises(ResourceLimitError):
         state(11).eigen_equation_holds()

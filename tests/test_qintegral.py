@@ -6,6 +6,7 @@ import pytest
 
 from oracles import changes_table, entry_sign_oracle, layered_integral_oracle
 
+from qwalk import qintegral
 from qwalk.decoherence import DecoherenceState, Event
 from qwalk.errors import ResourceLimitError
 from qwalk.paths import PathSpace
@@ -253,6 +254,16 @@ def test_fast_routes_match_layered_oracle(n):
             assert integral(st, f, strategy) == want, (kind, strategy)
 
 
+@pytest.mark.parametrize("n", (8, 10, 12))
+def test_definition_route_matches_layered_oracle(n):
+    # the double sum is the reference for the fast routes, so it is checked
+    # against the oracle on its own, up to its dense cutoff
+    st = state(n)
+    for kind, f, values in seeded_variables(n, random.Random(59 + n)):
+        want = layered_integral_oracle(n, values)
+        assert integral(st, f, IntegralStrategy.DEFINITION) == want, kind
+
+
 @pytest.mark.parametrize("n", (16, 20))
 def test_indicator_integral_is_measure_large_n(n):
     st = state(n)
@@ -434,6 +445,38 @@ def test_disjoint_support_identities_random():
                     values[j] = Fraction(rng.randint(-5, 5), rng.choice((1, 2)))
             variables.append(rv(n, values))
         assert disjoint_support_grade2_check(st, *variables)
+
+
+def test_disjoint_support_rows_match_min_matrix_entries(monkeypatch):
+    # every row the entrywise identity compares is the min-matrix row of
+    # one of its seven vectors; check each against the entry oracle
+    built = []
+
+    def recording_row(vec, i):
+        row = real_row(vec, i)
+        built.append((tuple(vec), i, row))
+        return row
+
+    real_row = qintegral._min_hat_row
+    monkeypatch.setattr(qintegral, "_min_hat_row", recording_row)
+    rng = random.Random(19)
+    for n in (2, 4, 6):
+        st = state(n)
+        size = 1 << n
+        for _ in range(3):
+            owner = [rng.randrange(3) for _ in range(size)]
+            variables = [
+                rv(n, [rng.randint(-6, 6) if owner[j] == part else 0 for j in range(size)])
+                for part in range(3)
+            ]
+            assert disjoint_support_grade2_check(st, *variables)
+    signs = set()
+    for vec, i, row in built:
+        f = RandomVariable(PathSpace(len(vec).bit_length() - 1), vec)
+        assert f.numerators == vec
+        assert row == [min_matrix_entry(f, i, j) for j in range(len(vec))]
+        signs.add((vec[i] > 0) - (vec[i] < 0))
+    assert signs == {-1, 0, 1}
 
 
 def test_disjoint_support_with_zero_function():

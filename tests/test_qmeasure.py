@@ -167,6 +167,14 @@ def test_interference_rejects_equal_indices():
         interference(state(3), 2, 2)
 
 
+@pytest.mark.parametrize("pair", [(0, 8), (8, 0), (-1, 2), (3, -2)])
+def test_pair_oracles_reject_out_of_range_indices(pair):
+    with pytest.raises(ValueError):
+        interference(state(3), *pair)
+    with pytest.raises(ValueError):
+        pair_measure(state(3), *pair)
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_interference_matches_measure_definition(n):
     st = state(n)
@@ -296,6 +304,69 @@ def test_grade2_random_triples_n6():
         assert grade2_check(
             st, Event(st.space, a), Event(st.space, b), Event(st.space, c)
         )
+
+
+def pairwise_mu(st: DecoherenceState, ev: Event) -> Dyadic:
+    return mu(st, ev, Strategy.PAIRWISE) if ev.mask else Dyadic(0)
+
+
+def pairwise_grade2(st, a, b, c) -> bool:
+    ab, ac, bc = a.union(b), a.union(c), b.union(c)
+    rhs = pairwise_mu(st, ab) + pairwise_mu(st, ac) + pairwise_mu(st, bc)
+    rhs = rhs - pairwise_mu(st, a) - pairwise_mu(st, b) - pairwise_mu(st, c)
+    return pairwise_mu(st, ab.union(c)) == rhs
+
+
+def pairwise_regularity(st, a, b) -> bool:
+    mu_a, mu_b, mu_ab = (pairwise_mu(st, e) for e in (a, b, a.union(b)))
+    if mu_a.is_zero() and mu_ab != mu_b:
+        return False
+    return not (mu_ab.is_zero() and mu_a != mu_b)
+
+
+def seeded_disjoint_events(st: DecoherenceState, rng: random.Random, count: int):
+    """Three disjoint small events: destructive pairs make null events and
+    null unions common, so both regularity clauses are exercised."""
+    size = st.space.size
+    members = rng.sample(range(size), 3 * count)
+    return [
+        Event.from_indices(st.space, members[k::3][: rng.randint(0, count)])
+        for k in range(3)
+    ]
+
+
+@pytest.mark.parametrize("n", (6, 10))
+def test_integer_checks_agree_with_pairwise_measures(n):
+    st = state(n)
+    rng = random.Random(322 + n)
+    null_a = null_union = 0  # nonempty events of measure zero, per clause
+    for _ in range(300):
+        a, b, c = seeded_disjoint_events(st, rng, 4)
+        assert grade2_check(st, a, b, c) == pairwise_grade2(st, a, b, c)
+        assert regularity_check(st, a, b) == pairwise_regularity(st, a, b)
+        null_a += bool(a.mask) and pairwise_mu(st, a).is_zero()
+        ab = a.union(b)
+        null_union += bool(ab.mask) and pairwise_mu(st, ab).is_zero()
+    assert null_a >= 10 and null_union >= 10
+
+
+@pytest.mark.parametrize(
+    "censuses",
+    [
+        # a null, but the union's measure is not b's
+        ((0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0)),
+        # a null union whose halves have different measures
+        ((1, 0, 0, 0), (2, 0, 0, 0), (0, 0, 0, 0)),
+    ],
+)
+def test_regularity_rejects_a_census_that_breaks_a_clause(monkeypatch, censuses):
+    # the walk's measure is always regular, so only a forged census can
+    # show that each clause is enforced
+    st = state(3)
+    a, b = event(3, [0]), event(3, [1])
+    forged = dict(zip((a.mask, b.mask, a.union(b).mask), censuses))
+    monkeypatch.setattr(st, "census", lambda ev: forged[ev.mask])
+    assert not regularity_check(st, a, b)
 
 
 def test_regularity_published_instance():
