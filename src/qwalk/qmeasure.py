@@ -1,25 +1,26 @@
-"""The truncated q-measure, interference classification and preclusion search.
+"""The truncated q-measure, interference classification and preclusion.
 
 The measure of an event is the diagonal of the decoherence functional.  It is
-nonnegative and grade-2 additive but not additive; events of measure exactly
-zero ("precluded" events) are what the exhaustive search here enumerates, and
-zero is always decided by integer comparison.
+nonnegative and grade-2 additive but not additive, and zero is always decided
+by integer comparison.  An event has measure exactly zero ("precluded") iff
+its census has c0 = c2 and c1 = c3, so the precluded events are counted in
+closed form and listed by choosing equally many paths from residue classes 0
+and 2 and from classes 1 and 3; no subset is searched.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations
+from math import comb
 
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic
-from .paths import PathSpace, change_residue, change_residue_counts
+from .paths import VECTOR_MAX_STEPS, PathSpace, change_residue, change_residue_counts
 
 COMPOSITION_MAX_STEPS = 8
-FULL_ENUMERATION_MAX_STEPS = 4
-BOUNDED_ENUMERATION_MAX_STEPS = 6
-BOUNDED_ENUMERATION_MAX_CARD = 4
+PRECLUSION_MAX_EVENTS = 100_000  # above the 88 876 null events of n = 6 up to 4 members
 
 
 class Strategy(Enum):
@@ -203,63 +204,75 @@ def regularity_check(state: DecoherenceState, a: Event, b: Event) -> bool:
     return True
 
 
-def _precluded_masks_by_gray_walk(n: int) -> list[int]:
-    """Scan every subset of the space, one toggled path per step."""
-    size = 1 << n
-    residue = [change_residue(j) for j in range(size)]
-    counts = [0, 0, 0, 0]
-    found = []
-    prev = 0
-    for t in range(1, 1 << size):
-        g = t ^ (t >> 1)
-        flipped = g ^ prev
-        j = flipped.bit_length() - 1
-        counts[residue[j]] += 1 if g & flipped else -1
-        prev = g
-        if (counts[0] - counts[2]) ** 2 + (counts[1] - counts[3]) ** 2 == 0:
-            found.append(g)
-    return found
+def _balanced_sizes(n: int, max_cardinality: int):
+    """(k, l, event count) for the null events with k paths from each of
+    residue classes 0 and 2, l from each of 1 and 3, 1 <= 2k + 2l <= max_cardinality."""
+    if max_cardinality < 0:
+        raise ValueError("max_cardinality must be nonnegative")
+    n0, n1, n2, n3 = change_residue_counts(n)
+    half = max_cardinality // 2
+    for k in range(min(n0, n2, half) + 1):
+        even = comb(n0, k) * comb(n2, k)
+        for l in range(min(n1, n3, half - k) + 1):
+            if k or l:
+                yield k, l, even * comb(n1, l) * comb(n3, l)
+
+
+def preclusion_count(n: int, max_cardinality: int | None = None) -> int:
+    """How many nonempty events of the n-path space have measure zero.
+
+    Without a cap this is C(N0+N2, N0) * C(N1+N3, N1) - 1 by Vandermonde's
+    identity over the class sizes of change_residue_counts: a number about
+    2**n bits wide, refused past VECTOR_MAX_STEPS like a 2**n-entry table.
+    """
+    PathSpace(n)  # range check
+    if max_cardinality is not None:
+        return sum(ways for *_, ways in _balanced_sizes(n, max_cardinality))
+    if n > VECTOR_MAX_STEPS:
+        raise ResourceLimitError(
+            f"uncapped preclusion count is 2**n bits wide, capped at n <= {VECTOR_MAX_STEPS}; "
+            "pass max_cardinality"
+        )
+    n0, n1, n2, n3 = change_residue_counts(n)
+    return comb(n0 + n2, n0) * comb(n1 + n3, n1) - 1
+
+
+def _balanced_masks(low: list[int], high: list[int], k: int) -> list[int]:
+    """Every mask of k paths from low and k from high."""
+    lows, highs = ([sum(1 << j for j in c) for c in combinations(side, k)] for side in (low, high))
+    return [a | b for a in lows for b in highs]
 
 
 def enumerate_precluded(
     state: DecoherenceState, max_cardinality: int | None = None
 ) -> list[Event]:
-    """Every nonempty event of measure exactly zero, canonically ordered.
+    """Every nonempty event of measure zero, canonically ordered.
 
-    A full sweep of all 2**(2**n) subsets is bounded to n <= 4; with a
-    cardinality cap of at most 4 the search runs up to n <= 6 by direct
-    combination enumeration.
+    The null events are generated as the balanced census choices, so a
+    listing costs its output; preclusion_count gives its size, and past
+    PRECLUSION_MAX_EVENTS events it is refused before any event is built.
+    The order is by cardinality, then by the sorted member tuple.
     """
     n = state.space.n
-    if max_cardinality is not None and max_cardinality < 0:
-        raise ValueError("max_cardinality must be nonnegative")
+    cap = state.space.size if max_cardinality is None else max_cardinality
+    sizes, total = [], 0
+    for k, l, ways in _balanced_sizes(n, cap):
+        total += ways
+        if total > PRECLUSION_MAX_EVENTS:
+            raise ResourceLimitError(
+                f"preclusion listing at n={n} exceeds {PRECLUSION_MAX_EVENTS} events; "
+                "preclusion_count gives its size"
+            )
+        sizes.append((k, l))
+    if not sizes:
+        return []  # and no path of a large space is visited
+    classes: tuple[list[int], ...] = ([], [], [], [])
+    for j in state.space.indices():
+        classes[change_residue(j)].append(j)
     masks: list[int] = []
-    if n <= FULL_ENUMERATION_MAX_STEPS:
-        masks = _precluded_masks_by_gray_walk(n)
-        if max_cardinality is not None:
-            masks = [m for m in masks if m.bit_count() <= max_cardinality]
-    elif (
-        max_cardinality is not None
-        and n <= BOUNDED_ENUMERATION_MAX_STEPS
-        and max_cardinality <= BOUNDED_ENUMERATION_MAX_CARD
-    ):
-        size = 1 << n
-        residue = [change_residue(j) for j in range(size)]
-        for card in range(1, max_cardinality + 1):
-            for combo in combinations(range(size), card):
-                counts = [0, 0, 0, 0]
-                for j in combo:
-                    counts[residue[j]] += 1
-                if (counts[0] - counts[2]) ** 2 + (counts[1] - counts[3]) ** 2 == 0:
-                    mask = 0
-                    for j in combo:
-                        mask |= 1 << j
-                    masks.append(mask)
-    else:
-        raise ResourceLimitError(
-            "preclusion search is bounded to n <= 4 for a full sweep, or "
-            "n <= 6 with max_cardinality <= 4"
-        )
+    for k, l in sizes:
+        odd = _balanced_masks(classes[1], classes[3], l)
+        masks.extend(e | o for e in _balanced_masks(classes[0], classes[2], k) for o in odd)
     events = [Event(state.space, m) for m in masks]
     events.sort(key=lambda ev: (ev.cardinality, ev.to_tuple()))
     return events

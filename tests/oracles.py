@@ -91,3 +91,26 @@ def layered_integral_oracle(n: int, values) -> Fraction:
             reach = [a + b for a, b in zip(reach, at_level[level])]
             total += sign * (level - lower) * census_mu_oracle(reach, n)
     return total
+
+
+@cache
+def precluded_masks_by_gray_walk(n: int) -> tuple[int, ...]:
+    """Masks of every nonempty null event of the n-path space, in Gray order.
+
+    Walks all 2**(2**n) subsets, toggling one path per step, and keeps the
+    census of string-scanned change counts mod 4 up to date.
+    """
+    size = 1 << n
+    residue = [changes % 4 for changes in changes_table(n)]
+    counts = [0, 0, 0, 0]
+    found = []
+    prev = 0
+    for t in range(1, 1 << size):
+        g = t ^ (t >> 1)
+        flipped = g ^ prev
+        j = flipped.bit_length() - 1
+        counts[residue[j]] += 1 if g & flipped else -1
+        prev = g
+        if (counts[0] - counts[2]) ** 2 + (counts[1] - counts[3]) ** 2 == 0:
+            found.append(g)
+    return tuple(found)

@@ -239,8 +239,8 @@ def test_criterion_10_property_suites_and_runtime():
     start = time.perf_counter()
     results = verify_module.run_checks()
     elapsed = time.perf_counter() - start
-    failures = [r.name for r in results if not r.passed]
-    assert not failures, f"verification failures: {failures}"
+    failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
+    assert not failures, "verification failures:\n" + "\n".join(failures)
     assert elapsed < 60.0, f"full verification took {elapsed:.1f} s"
     report(
         "criterion-10 property suites green, full verification under 60 s",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -122,6 +123,28 @@ def test_preclusion_table(capsys):
     code, out, _ = run_cli(capsys, "preclusion", "--n", "3", "--format", "csv")
     rows = csv_rows(out)
     assert [tuple(map(int, r["indices"].split())) for r in rows] == events
+
+
+# sha256 of the stdout as recorded before the subset searches were replaced
+# by direct generation; a listing must keep every byte
+PRECLUSION_CSV_SHA256 = {
+    ("--n", "4"): "ae9ee70dbd98a5d6205753bab9083f9ed3d414754e44337c5cc08be778553653",
+    ("--n", "6", "--max-card", "4"): (
+        "4544d01a5574bb98a37e7219345bff7ed8460e8e8dd7eac0d3d6397665bd0019"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", list(PRECLUSION_CSV_SHA256))
+def test_preclusion_csv_is_byte_identical(capsys, argv):
+    code, out, _ = run_cli(capsys, "preclusion", *argv, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PRECLUSION_CSV_SHA256[argv]
+
+
+def test_preclusion_past_the_bound_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "preclusion", "--n", "5")
+    assert (code, out) == (3, "") and "resource bound" in err
 
 
 def test_limit_csv_round_trip(capsys):

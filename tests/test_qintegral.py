@@ -294,18 +294,6 @@ def test_integral_space_mismatch():
 # -- linearity properties ----------------------------------------------------------
 
 
-def test_indicator_measures_exhaustive():
-    for n in (1, 2, 3, 4):
-        st = state(n)
-        size = 1 << n
-        for mask in range(1 << size):
-            ev = Event(st.space, mask)
-            f = RandomVariable.indicator(ev)
-            want = mu(st, ev).as_fraction()
-            assert integral(st, f) == want
-            assert integral(st, f, IntegralStrategy.EIGEN) == want
-
-
 def test_homogeneity_both_signs():
     rng = random.Random(13)
     st = state(5)

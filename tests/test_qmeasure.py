@@ -9,6 +9,7 @@ from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace
 from qwalk.qmeasure import (
+    PRECLUSION_MAX_EVENTS,
     Interference,
     Strategy,
     embed_right_pad,
@@ -20,11 +21,12 @@ from qwalk.qmeasure import (
     mu,
     mu_from_census,
     pair_measure,
+    preclusion_count,
     regularity_check,
     scaling_check,
 )
 
-from oracles import mu_oracle
+from oracles import mu_oracle, precluded_masks_by_gray_walk
 
 
 def state(n: int) -> DecoherenceState:
@@ -414,40 +416,32 @@ def precluded_oracle(n: int) -> set[tuple[int, ...]]:
     return out
 
 
-@pytest.mark.parametrize("n", (1, 2, 3))
+def canonical(masks) -> list[int]:
+    """Masks in the listing order: by cardinality, then by sorted members."""
+    def members(m: int) -> list[int]:
+        return [j for j in range(m.bit_length()) if m >> j & 1]
+
+    return sorted(masks, key=lambda m: (m.bit_count(), members(m)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_enumeration_matches_brute_force(n):
-    found = {ev.to_tuple() for ev in enumerate_precluded(state(n))}
-    assert found == precluded_oracle(n)
-
-
-def test_preclusion_census_n3():
-    found = enumerate_precluded(state(3))
-    doubles = {ev.to_tuple() for ev in found if ev.cardinality == 2}
-    assert doubles == {(0, 2), (0, 4), (0, 6), (1, 5), (3, 5), (5, 7)}
-    quads = {ev.to_tuple() for ev in found if ev.cardinality == 4}
-    listed = [
-        (0, 2, 1, 5), (0, 2, 3, 5), (0, 2, 5, 7),
-        (0, 4, 1, 5), (0, 4, 3, 5), (0, 4, 5, 7),
-        (0, 6, 1, 5), (0, 6, 3, 5), (0, 6, 5, 7),
-    ]
-    assert quads == {tuple(sorted(q)) for q in listed}
-    assert {ev.cardinality for ev in found} == {2, 4}
+    st = state(n)
+    walk = canonical(precluded_masks_by_gray_walk(n))
+    assert [ev.mask for ev in enumerate_precluded(st)] == walk
+    assert preclusion_count(n) == len(walk)
+    for cap in range((1 << n) + 1):
+        want = [m for m in walk if m.bit_count() <= cap]
+        assert [ev.mask for ev in enumerate_precluded(st, max_cardinality=cap)] == want
+        assert preclusion_count(n, cap) == len(want)
+    if n <= 3:
+        assert {ev.to_tuple() for ev in enumerate_precluded(st)} == precluded_oracle(n)
 
 
 def test_preclusion_n2_only_one():
     found = enumerate_precluded(state(2))
     assert [ev.to_tuple() for ev in found] == [(0, 2)]
     assert enumerate_precluded(state(1)) == []
-
-
-def test_preclusion_members_n4():
-    found = {ev.to_tuple() for ev in enumerate_precluded(state(4))}
-    for want in [(0, 2), (0, 4), (2, 10), (4, 10), (0, 2, 4, 10)]:
-        assert tuple(sorted(want)) in found
-    st = state(4)
-    assert mu(st, event(4, [0, 10])).as_fraction() == Fraction(1, 4)
-    assert mu(st, event(4, [2, 4])).as_fraction() == Fraction(1, 4)
-    assert all(len(t) % 2 == 0 for t in found)
 
 
 def test_preclusion_refined_pair_member_n4():
@@ -473,15 +467,69 @@ def test_preclusion_bounded_n5_matches_pair_scan():
     assert {t for t in found if len(t) == 2} == want
 
 
+def test_preclusion_count_matches_listing():
+    # every (n, cap) with n <= 9 and cap <= 6 whose listing is within the bound
+    listable = [
+        (n, cap)
+        for n in range(1, 10)
+        for cap in range(7)
+        if preclusion_count(n, cap) <= PRECLUSION_MAX_EVENTS
+    ]
+    assert (6, 5) in listable and (9, 3) in listable and (6, 6) not in listable
+    nonempty = [(n, cap) for n, cap in listable if preclusion_count(n, cap)]
+    seeded = set(random.Random(7100).sample(nonempty, 5)) | {(9, 3)}
+    for n, cap in listable:
+        st = state(n)
+        found = enumerate_precluded(st, cap)
+        assert len(found) == preclusion_count(n, cap)
+        if (n, cap) in seeded:
+            # each listed event is null by its census and by mu, and listed once
+            assert len({ev.mask for ev in found}) == len(found)
+            for ev in found:
+                c0, c1, c2, c3 = st.census(ev)
+                assert (c0, c1) == (c2, c3)
+                assert mu(st, ev).is_zero()
+
+
+def test_preclusion_count_uncapped_is_the_capped_sum():
+    # Vandermonde's identity against the term-by-term sum at the top cap
+    for n in range(1, 9):
+        assert preclusion_count(n) == preclusion_count(n, 1 << n)
+
+
 def test_preclusion_resource_bounds():
     with pytest.raises(ResourceLimitError):
         enumerate_precluded(state(5))
-    with pytest.raises(ResourceLimitError):
-        enumerate_precluded(state(7), max_cardinality=2)
-    with pytest.raises(ResourceLimitError):
-        enumerate_precluded(state(6), max_cardinality=5)
     with pytest.raises(ValueError):
         enumerate_precluded(state(3), max_cardinality=-1)
+    # served since the listing costs only its output
+    st7 = state(7)
+    pairs = {
+        (i, j)
+        for i in range(128)
+        for j in range(i + 1, 128)
+        if pair_measure(st7, i, j).is_zero()
+    }
+    assert [ev.to_tuple() for ev in enumerate_precluded(st7, 2)] == sorted(pairs)
+    assert len(pairs) == 2016
+    assert enumerate_precluded(state(6), 5) == enumerate_precluded(state(6), 4)
+    # refused just past the bound, before any event is built
+    assert preclusion_count(10, 2) == 130_816 > PRECLUSION_MAX_EVENTS
+    assert preclusion_count(6, 6) == 7_319_516
+    for n, cap in ((10, 2), (6, 6), (63, None)):
+        with pytest.raises(ResourceLimitError):
+            enumerate_precluded(state(n), cap)
+
+
+def test_preclusion_count_bounds():
+    with pytest.raises(ResourceLimitError):
+        preclusion_count(21)
+    with pytest.raises(ValueError):
+        preclusion_count(3, -1)
+    for n in (0, 64):
+        with pytest.raises(ValueError):
+            preclusion_count(n, 2)
+    assert preclusion_count(63, 1) == 0
 
 
 def test_preclusion_canonical_order():
@@ -525,8 +573,3 @@ def test_scaling_random():
 def test_scaling_rejects_backwards():
     with pytest.raises(ValueError):
         scaling_check(state(3), state(2), event(3, [0]))
-
-
-@pytest.mark.parametrize("n", (1, 2, 3, 4))
-def test_no_odd_cardinality_precluded(n):
-    assert all(ev.cardinality % 2 == 0 for ev in enumerate_precluded(state(n)))
