@@ -7,7 +7,9 @@ identical invocations are byte-identical.  Dyadic numbers serialize as {"num", "
 general rationals as {"num", "den", "decimal"}.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-bound exceeded.
+bound exceeded, 4 internal error.  User input is validated here, before the
+library sees it, and raises UsageError; any other exception from the
+library is a bug and exits 4 with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import io
 import json
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .cylinder import (
@@ -33,7 +36,7 @@ from .cylinder import (
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic
-from .paths import PathSpace
+from .paths import MAX_STEPS, PathSpace
 from .qintegral import IntegralStrategy, RandomVariable, integral
 from .qmeasure import Strategy, enumerate_precluded, interference, mu
 from .quadratic import (
@@ -48,6 +51,7 @@ from .verify import run_checks
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
+INTERNAL_ERROR = 4
 
 # default horizon caps per subcommand; --force lifts them up to the hard cap
 # (preclusion bounds live in the library, whose message carries the guidance)
@@ -103,11 +107,44 @@ def _emit_csv(command: str, params: dict, header: list[str], rows: list[list]) -
     sys.stdout.write(out.getvalue())
 
 
-def _parse_event_indices(raw: str) -> list[int]:
+def _parse_horizon(n: int) -> PathSpace:
+    if not 1 <= n <= MAX_STEPS:
+        raise UsageError(f"need 1 <= n <= {MAX_STEPS}, got {n}")
+    return PathSpace(n)
+
+
+def _parse_event_indices(raw: str, n: int) -> list[int]:
     try:
-        return sorted({int(tok) for tok in raw.split(",") if tok.strip() != ""})
+        indices = sorted({int(tok) for tok in raw.split(",") if tok.strip() != ""})
     except ValueError as exc:
         raise UsageError(f"bad event list {raw!r}: {exc}") from None
+    if indices and (indices[0] < 0 or indices[-1] >> n):
+        raise UsageError(f"event list {raw!r} has paths outside 0..{(1 << n) - 1}")
+    return indices
+
+
+def _parse_values_file(path: str, space: PathSpace) -> list[Fraction]:
+    try:
+        tokens = open(path, "r", encoding="utf-8").read().split()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from None
+    if len(tokens) != space.size:
+        raise UsageError(f"variable file must hold {space.size} values, got {len(tokens)}")
+    try:
+        return [Fraction(tok) for tok in tokens]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(f"bad value in {path!r}: {exc}") from None
+
+
+def _parse_system(path: str):
+    try:
+        text = open(path, "r", encoding="utf-8").read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {path!r}: {exc}") from None
+    try:
+        return parse_system_file(text)
+    except ValueError as exc:
+        raise UsageError(f"bad system file {path!r}: {exc}") from None
 
 
 def _parse_limit_event(raw: str):
@@ -135,7 +172,8 @@ def _parse_limit_event(raw: str):
 
 def cmd_matrix(args) -> None:
     _check_cap("matrix", args.n, args.force, f"4**{args.n} entries")
-    state = DecoherenceState(PathSpace(args.n))
+    space = _parse_horizon(args.n)
+    state = DecoherenceState(space)
     size = 1 << args.n
     signs = state.dense_signs()
     params = {"n": args.n, "format": args.format}
@@ -160,10 +198,13 @@ def cmd_matrix(args) -> None:
 
 def cmd_measure(args) -> None:
     _check_cap("measure", args.n, False, "")
-    state = DecoherenceState(PathSpace(args.n))
-    indices = _parse_event_indices(args.event)
+    space = _parse_horizon(args.n)
+    state = DecoherenceState(space)
+    indices = _parse_event_indices(args.event, args.n)
     event = Event.from_indices(state.space, indices)
     strategy = Strategy(args.strategy)
+    if strategy is Strategy.PAIRWISE and not indices:
+        raise UsageError("the pairwise strategy needs a nonempty event")
     value = mu(state, event, strategy)
     doc = _dyadic_doc(value)
     doc["exact"] = f"{value.numerator_at(args.n)}/{1 << args.n}"
@@ -177,7 +218,8 @@ def cmd_measure(args) -> None:
 
 def cmd_interference(args) -> None:
     _check_cap("interference", args.n, args.force, f"~4**{args.n}/2 pairs")
-    state = DecoherenceState(PathSpace(args.n))
+    space = _parse_horizon(args.n)
+    state = DecoherenceState(space)
     size = 1 << args.n
     rows = []
     for i in range(size):
@@ -199,7 +241,9 @@ def cmd_interference(args) -> None:
 
 
 def cmd_preclusion(args) -> None:
-    state = DecoherenceState(PathSpace(args.n))
+    state = DecoherenceState(_parse_horizon(args.n))
+    if args.max_card is not None and args.max_card < 0:
+        raise UsageError("max-card must be nonnegative")
     events = enumerate_precluded(state, args.max_card)
     params = {"n": args.n, "max_card": args.max_card, "format": args.format}
     if args.format == "json":
@@ -217,6 +261,8 @@ def cmd_preclusion(args) -> None:
 
 def cmd_limit(args) -> None:
     event = _parse_limit_event(args.event)
+    if not 2 <= args.window <= args.n_max:
+        raise UsageError("need n-max >= window >= 2")
     report = limit_mu_hat(event, args.n_max, window=args.window, tol=args.tol)
     rows = [
         [n, exact.num, exact.log2_den, repr(decimal)]
@@ -316,11 +362,7 @@ def cmd_quadratic(args) -> None:
     elif args.builtin:
         raise UsageError(f"unknown builtin {args.builtin!r}")
     else:
-        try:
-            text = open(args.file, "r", encoding="utf-8").read()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.file!r}: {exc}") from None
-        system = parse_system_file(text)
+        system = _parse_system(args.file)
         if args.check_measure:
             raise UsageError("--check-measure needs a builtin system (it carries the values)")
     ok, witness = is_quadratic_algebra(system)
@@ -351,21 +393,14 @@ def cmd_quadratic(args) -> None:
 
 def cmd_integral(args) -> None:
     _check_cap("integral", args.n, False, "")
-    state = DecoherenceState(PathSpace(args.n))
+    space = _parse_horizon(args.n)
+    state = DecoherenceState(space)
     if args.variable == "ones":
         rv = RandomVariable.ones(state.space)
     elif args.variable == "changes":
         rv = RandomVariable.changes(state.space)
     else:
-        try:
-            lines = open(args.variable, "r", encoding="utf-8").read().split()
-        except OSError as exc:
-            raise UsageError(f"cannot read {args.variable!r}: {exc}") from None
-        if len(lines) != state.space.size:
-            raise UsageError(
-                f"variable file must hold {state.space.size} values, got {len(lines)}"
-            )
-        rv = RandomVariable.from_values(state.space, [Fraction(tok) for tok in lines])
+        rv = RandomVariable.from_values(state.space, _parse_values_file(args.variable, space))
     strategy = {
         "def": IntegralStrategy.DEFINITION,
         "trace": IntegralStrategy.TRACE,
@@ -381,7 +416,8 @@ def cmd_integral(args) -> None:
 
 def cmd_eigen(args) -> None:
     _check_cap("eigen", args.n, args.force, f"2**{args.n} entries per vector")
-    state = DecoherenceState(PathSpace(args.n))
+    space = _parse_horizon(args.n)
+    state = DecoherenceState(space)
     even = state.eigenvector_exact(0)
     odd = state.eigenvector_exact(1)
     verified = state.eigen_equation_holds() if args.n <= 10 else None
@@ -510,9 +546,10 @@ def main(argv=None) -> int:
     except ResourceLimitError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    except Exception:  # a library bug, not bad input: report it as one
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc(file=sys.stderr)
+        return INTERNAL_ERROR
     elapsed = time.perf_counter() - started
     print(f"elapsed: {elapsed:.3f}s", file=sys.stderr)
     return code

@@ -116,7 +116,8 @@ class Event:
         return bool((self.mask >> j) & 1) if 0 <= j < self.space.size else False
 
     def _check_same_space(self, other: "Event") -> None:
-        if self.space != other.space:
+        # identity settles the common case; equal spaces built apart pass
+        if self.space is not other.space and self.space != other.space:
             raise ValueError("events live over different path spaces")
 
     def union(self, other: "Event") -> "Event":
@@ -200,11 +201,17 @@ def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
 
 
 class DecoherenceState:
-    """Entry oracle, event sums and rank-two factorization for one horizon."""
+    """Entry oracle, event sums and rank-two factorization for one horizon.
+
+    The residue-class masks that every census reads are taken from the
+    per-horizon cache on the state's first census and held on the state
+    from then on, so a state that never takes a census never fetches them.
+    """
 
     def __init__(self, space: PathSpace):
         self.space = space
         self._dense: array | None = None
+        self._masks: tuple[int, int, int, int] | None = None
 
     # -- entries -----------------------------------------------------------
 
@@ -215,11 +222,15 @@ class DecoherenceState:
 
     def entry_sign(self, j: int, k: int) -> int:
         """Sign of the (j, k) matrix entry: 0, +1 or -1."""
-        self.space.check_index(j)
-        self.space.check_index(k)
+        # one test for both ranges: a negative index makes the OR negative,
+        # and a negative number shifts to -1, never to 0
+        if (j | k) >> self.space.n:
+            self.space.check_index(j)  # one of the two raises
+            self.space.check_index(k)
         if (j ^ k) & 1:
             return 0
-        return 1 if change_residue(j) == change_residue(k) else -1
+        # same end site: the change counts agree mod 4 or differ by 2
+        return 1 if ((j ^ (j >> 1)).bit_count() - (k ^ (k >> 1)).bit_count()) & 3 == 0 else -1
 
     def entry(self, j: int, k: int) -> GaussianScaled:
         """Matrix entry (j, k): sign / 2**n, exactly."""
@@ -248,18 +259,23 @@ class DecoherenceState:
     # -- event sums ---------------------------------------------------------
 
     def _check_event(self, event: Event) -> None:
-        if event.space != self.space:
+        # identity settles the common case; an equal space built apart passes
+        if event.space is not self.space and event.space != self.space:
             raise ValueError("event lives over a different path space")
 
     def census(self, event: Event) -> tuple[int, int, int, int]:
         """Counts of the event's members by change count mod 4.
 
-        Four popcounts of the event's mask against the cached residue-class
-        masks of this horizon; no member is visited.
+        Four popcounts of the event's mask against the residue-class masks
+        of this horizon, held on the state from its first census; no member
+        is visited.
         """
         self._check_event(event)
+        masks = self._masks
+        if masks is None:
+            masks = self._masks = _residue_masks(self.space.n)
         mask = event.mask
-        m0, m1, m2, m3 = _residue_masks(self.space.n)
+        m0, m1, m2, m3 = masks
         return (
             (mask & m0).bit_count(),
             (mask & m1).bit_count(),

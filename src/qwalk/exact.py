@@ -6,6 +6,10 @@ Three value types cover every number this library produces:
 * ``GaussianScaled`` -- (a + b*i) / 2**k, matrix entries and event sums
 * ``RootTwoScaled``  -- (a + b*sqrt(2)) / 2**k, closed forms with cos(m*pi/4)
 
+Every value is kept in lowest terms on construction by one shift of its
+parts.  An integer or a value with an odd part, the common case, is stored
+as given after one test.
+
 Nothing here touches floats except the explicit ``float()`` conversions, so
 zero tests (preclusion decisions in particular) are always settled by integer
 comparison, never by tolerance.
@@ -18,24 +22,19 @@ from fractions import Fraction
 from functools import total_ordering
 
 
-def _reduce(parts: list[int], log2_den: int) -> tuple[list[int], int]:
-    """Strip common factors of two from numerators and denominator exponent.
+def _common_shift(acc: int, log2_den: int) -> int:
+    """How far parts whose bitwise OR is acc reduce over 2**log2_den.
 
-    The parts share as many trailing zero bits as their bitwise OR has, so
-    one shift by that count (capped at log2_den) reduces them.  All-zero
-    parts reduce to denominator exponent 0.
+    The parts share as many trailing zero bits as acc has, so one shift by
+    that count, capped at log2_den, puts them in lowest terms; all-zero
+    parts reduce to denominator exponent 0.  The common cases, an integer
+    (log2_den 0) and an odd part, return 0 after one test.
     """
     if log2_den < 0:
         raise ValueError("denominator exponent must be nonnegative")
-    if not log2_den:
-        return parts, 0
-    acc = 0
-    for p in parts:
-        acc |= p
-    if acc & 1:
-        return parts, log2_den
-    shift = min((acc & -acc).bit_length() - 1, log2_den) if acc else log2_den
-    return [p >> shift for p in parts], log2_den - shift
+    if not log2_den or acc & 1:
+        return 0
+    return min((acc & -acc).bit_length() - 1, log2_den) if acc else log2_den
 
 
 @total_ordering
@@ -47,9 +46,10 @@ class Dyadic:
     log2_den: int = 0
 
     def __post_init__(self) -> None:
-        (num,), den = _reduce([self.num], self.log2_den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "log2_den", den)
+        shift = _common_shift(self.num, self.log2_den)
+        if shift:
+            object.__setattr__(self, "num", self.num >> shift)
+            object.__setattr__(self, "log2_den", self.log2_den - shift)
 
     @classmethod
     def from_fraction(cls, value) -> "Dyadic":
@@ -143,10 +143,11 @@ class GaussianScaled:
     log2_den: int = 0
 
     def __post_init__(self) -> None:
-        (re, im), den = _reduce([self.re, self.im], self.log2_den)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "log2_den", den)
+        shift = _common_shift(self.re | self.im, self.log2_den)
+        if shift:
+            object.__setattr__(self, "re", self.re >> shift)
+            object.__setattr__(self, "im", self.im >> shift)
+            object.__setattr__(self, "log2_den", self.log2_den - shift)
 
     @classmethod
     def unit_power(cls, k: int, log2_den: int = 0) -> "GaussianScaled":
@@ -237,10 +238,11 @@ class RootTwoScaled:
     log2_den: int = 0
 
     def __post_init__(self) -> None:
-        (a, b), den = _reduce([self.int_part, self.root_part], self.log2_den)
-        object.__setattr__(self, "int_part", a)
-        object.__setattr__(self, "root_part", b)
-        object.__setattr__(self, "log2_den", den)
+        shift = _common_shift(self.int_part | self.root_part, self.log2_den)
+        if shift:
+            object.__setattr__(self, "int_part", self.int_part >> shift)
+            object.__setattr__(self, "root_part", self.root_part >> shift)
+            object.__setattr__(self, "log2_den", self.log2_den - shift)
 
     @classmethod
     def from_int(cls, value: int) -> "RootTwoScaled":

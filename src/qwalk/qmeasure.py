@@ -11,6 +11,7 @@ and 2 and from classes 1 and 3; no subset is searched.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 from itertools import combinations
 from math import comb
 
@@ -85,41 +86,49 @@ def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _pair_relation(state: DecoherenceState, i: int, j: int) -> Interference:
-    """Classification of a pair of paths, after checking that both are in
-    range and that they are distinct."""
-    if i == j:
-        raise ValueError("interference needs two distinct paths")
-    state.space.check_index(i)
-    state.space.check_index(j)
+@cache
+def _pair_values(n: int) -> tuple[tuple, tuple]:
+    """Per-horizon tables of pair measures and of (interference term, class),
+    indexed by the difference of the two change counts mod 4.
+
+    An odd difference puts the paths on different sites (no interference);
+    0 is constructive and 2 destructive.  The constructive pair measure
+    1/2**(n-2) is built only for n >= 2: at n = 1 the two paths end on
+    different sites, so no pair reads that entry.
+    """
+    half, zero = Dyadic(1, n - 1), Dyadic(0)
+    measures = (Dyadic(1, n - 2) if n >= 2 else None, half, zero, half)
+    terms = (
+        (half, Interference.CONSTRUCTIVE),
+        (zero, Interference.NO_INTERFERENCE),
+        (Dyadic(-1, n - 1), Interference.DESTRUCTIVE),
+        (zero, Interference.NO_INTERFERENCE),
+    )
+    return measures, terms
+
+
+def _pair_value(state: DecoherenceState, i: int, j: int, table: int):
+    """Entry of the horizon's pair table (0: measures, 1: interference) for
+    a pair of paths, after checking that both are in range and distinct."""
+    n = state.space.n
+    # a negative index makes the OR negative, which never shifts to 0
+    if i == j or (i | j) >> n:
+        if i == j:
+            raise ValueError("interference needs two distinct paths")
+        state.space.check_index(i)  # one of the two raises
+        state.space.check_index(j)
     # the residue parity is the end site, so this also sees different sites
-    return _relation_of_residues(change_residue(i), change_residue(j))
+    return _pair_values(n)[table][((i ^ (i >> 1)).bit_count() - (j ^ (j >> 1)).bit_count()) & 3]
 
 
 def interference(state: DecoherenceState, i: int, j: int) -> tuple[Dyadic, Interference]:
     """Interference term of a pair of distinct paths and its classification."""
-    kind = _pair_relation(state, i, j)
-    if kind is Interference.NO_INTERFERENCE:
-        return Dyadic(0), kind
-    sign = 1 if kind is Interference.CONSTRUCTIVE else -1
-    return Dyadic(sign, state.space.n - 1), kind
+    return _pair_value(state, i, j, 1)
 
 
 def pair_measure(state: DecoherenceState, i: int, j: int) -> Dyadic:
     """Measure of a doubleton, from the interference trichotomy."""
-    kind = _pair_relation(state, i, j)
-    n = state.space.n
-    if kind is Interference.NO_INTERFERENCE:
-        return Dyadic(1, n - 1)
-    if kind is Interference.CONSTRUCTIVE:
-        return Dyadic(1, n - 2)
-    return Dyadic(0)
-
-
-def _relation_of_residues(r: int, s: int) -> Interference:
-    if (r ^ s) & 1:
-        return Interference.NO_INTERFERENCE
-    return Interference.CONSTRUCTIVE if r == s else Interference.DESTRUCTIVE
+    return _pair_value(state, i, j, 0)
 
 
 def interference_composition_check(state: DecoherenceState) -> bool:
@@ -146,6 +155,7 @@ def interference_composition_check(state: DecoherenceState) -> bool:
         Interference.CONSTRUCTIVE,
         Interference.DESTRUCTIVE,
     )
+    kinds = [kind for _, kind in _pair_values(n)[1]]  # by residue difference
     for r1 in range(4):
         for r2 in range(4):
             for r3 in range(4):
@@ -154,9 +164,9 @@ def interference_composition_check(state: DecoherenceState) -> bool:
                     need[r] += 1
                 if any(need[r] > counts[r] for r in range(4)):
                     continue  # no distinct paths realize this residue triple
-                first_mid = _relation_of_residues(r1, r2)
-                mid_last = _relation_of_residues(r2, r3)
-                first_last = _relation_of_residues(r1, r3)
+                first_mid = kinds[(r1 - r2) & 3]
+                mid_last = kinds[(r2 - r3) & 3]
+                first_last = kinds[(r1 - r3) & 3]
                 if first_mid is N and mid_last is N:
                     if first_last is N:
                         return False
@@ -251,7 +261,8 @@ def enumerate_precluded(
     The null events are generated as the balanced census choices, so a
     listing costs its output; preclusion_count gives its size, and past
     PRECLUSION_MAX_EVENTS events it is refused before any event is built.
-    The order is by cardinality, then by the sorted member tuple.
+    The order is by cardinality, then by the sorted member tuple, and is
+    sorted on the masks before any event is built.
     """
     n = state.space.n
     cap = state.space.size if max_cardinality is None else max_cardinality
@@ -273,9 +284,12 @@ def enumerate_precluded(
     for k, l in sizes:
         odd = _balanced_masks(classes[1], classes[3], l)
         masks.extend(e | o for e in _balanced_masks(classes[0], classes[2], k) for o in odd)
-    events = [Event(state.space, m) for m in masks]
-    events.sort(key=lambda ev: (ev.cardinality, ev.to_tuple()))
-    return events
+    # Of two member tuples of one length, the smaller holds the lowest path
+    # of their symmetric difference: there its complement's bit string,
+    # read from path 0 up, has the smaller digit.
+    size, full = state.space.size, (1 << state.space.size) - 1
+    masks.sort(key=lambda m: (m.bit_count(), format(m ^ full, f"0{size}b")[::-1]))
+    return [Event(state.space, m) for m in masks]
 
 
 def embed_right_pad(event: Event, target: PathSpace) -> Event:

@@ -114,3 +114,16 @@ def precluded_masks_by_gray_walk(n: int) -> tuple[int, ...]:
         if (counts[0] - counts[2]) ** 2 + (counts[1] - counts[3]) ** 2 == 0:
             found.append(g)
     return tuple(found)
+
+
+def refined_mask_by_members(mask: int, level: int, to_level: int) -> int:
+    """The level-`to_level` base of the cylinder with the level-`level` base
+    `mask`: each member j becomes the block of 2**extra paths j << extra
+    onwards, ORed in one member at a time."""
+    extra = to_level - level
+    block = (1 << (1 << extra)) - 1
+    out = 0
+    for j in range(1 << level):
+        if mask >> j & 1:
+            out |= block << (j << extra)
+    return out

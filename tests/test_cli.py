@@ -278,6 +278,62 @@ def test_usage_error_unknown_subcommand(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("measure", "--n", "2", "--event", "0,4"),
+        ("measure", "--n", "2", "--event", "-1"),
+        ("measure", "--n", "2", "--event", "", "--strategy", "pairwise"),
+        ("matrix", "--n", "0"),
+        ("eigen", "--n", "-3"),
+        ("interference", "--n", "0"),
+        ("preclusion", "--n", "64"),
+        ("preclusion", "--n", "3", "--max-card", "-1"),
+        ("limit", "--event", "at-most-ones:1", "--n-max", "10", "--window", "1"),
+        ("limit", "--event", "at-most-ones:1", "--n-max", "4", "--window", "5"),
+        ("integral", "--n", "0", "--variable", "ones"),
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        ("integral", "0\n1/0\n2\n3\n"),
+        ("integral", "0\nx\n2\n3\n"),
+        ("quadratic", "four\n0,1\n"),
+        ("quadratic", "4\n0,9\n"),
+    ],
+)
+def test_bad_input_file_is_a_usage_error(tmp_path, capsys, command, text):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    if command == "integral":
+        argv = ("integral", "--n", "2", "--variable", str(path))
+    else:
+        argv = ("quadratic", "--file", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "usage error" in err
+
+
+def test_library_value_error_is_an_internal_error(capsys, monkeypatch):
+    # a ValueError from inside the library on valid input is a bug, not a
+    # usage error: it exits 4 with its traceback, never 2
+    import qwalk.cli as cli_module
+
+    def broken(*args, **kwargs):
+        raise ValueError("deliberate library fault")
+
+    monkeypatch.setattr(cli_module, "mu", broken)
+    code, out, err = run_cli(capsys, "measure", "--n", "2", "--event", "0,2")
+    assert code == cli_module.INTERNAL_ERROR != 2
+    assert out == "" and "usage error" not in err
+    assert "internal error" in err and "deliberate library fault" in err
+
+
 def test_resource_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "preclusion", "--n", "7")
     assert code == 3 and "resource bound" in err

@@ -9,11 +9,13 @@ from oracles import (
     census_mu_oracle,
     changes_oracle,
     mu_oracle,
+    refined_mask_by_members,
     site_string,
 )
 
 from qwalk.cylinder import (
     ALL_ZEROS,
+    APPROXIMANT_MAX_LEVEL,
     COMBINATION_CAP,
     AtMostKOnes,
     ComplementOfFinitePathSet,
@@ -43,9 +45,10 @@ from qwalk.cylinder import (
     _finite_prefix_indices,
     _limit_censuses,
 )
+from qwalk.decoherence import Event
 from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic
-from qwalk.paths import change_residue_counts
+from qwalk.paths import PathSpace, change_residue_counts
 
 
 # -- cylinder events ------------------------------------------------------------
@@ -56,6 +59,27 @@ def test_refine_published_examples():
     assert refine(start, 3).base.to_tuple() == (0, 1, 4, 5)
     assert refine(start, 4).base.to_tuple() == tuple(sorted([0, 8, 2, 10, 1, 9, 3, 11]))
     assert refine(start, 2) == start
+
+
+def test_refine_matches_member_loop_seeded():
+    rng = random.Random(1515)
+    cases = []
+    for level in range(1, 11):
+        for to_level in range(level, min(level + 5, 16) + 1):
+            cases.append((level, to_level, rng.getrandbits(1 << level)))  # dense
+    for _ in range(12):
+        # a few members lifted as high as explicit bases go
+        level = rng.randint(1, 12)
+        to_level = rng.randint(level, APPROXIMANT_MAX_LEVEL)
+        members = rng.sample(range(1 << level), min(4, 1 << level))
+        cases.append((level, to_level, sum(1 << j for j in members)))
+    cases.append((1, APPROXIMANT_MAX_LEVEL, 0b10))
+    cases.append((3, 3, 0))
+    for level, to_level, mask in cases:
+        base = CylinderEvent(level, Event(PathSpace(level), mask))
+        fine = refine(base, to_level)
+        assert fine.level == to_level and fine.base.space.n == to_level
+        assert fine.base.mask == refined_mask_by_members(mask, level, to_level)
 
 
 def test_refine_rejects_coarsening():

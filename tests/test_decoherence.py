@@ -124,6 +124,26 @@ def test_entry_out_of_range():
         st.entry(0, 8)
 
 
+@pytest.mark.parametrize("n", [20, 40, 63])
+def test_entry_sign_matches_string_oracle_seeded(n):
+    st = state(n)
+    size = 1 << n
+    rng = random.Random(800 + n)
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
+    pairs += [(0, 0), (size - 1, size - 1), (0, size - 2), (1, size - 1), (0, size - 1)]
+    for j, k in pairs:
+        assert st.entry_sign(j, k) == entry_sign_oracle(n, j, k)
+
+
+@pytest.mark.parametrize("n", [1, 3, 20, 63])
+def test_entry_sign_keeps_its_errors(n):
+    st = state(n)
+    top = (1 << n) - 1
+    for pair in [(-1, 0), (0, -1), (top + 1, 0), (0, top + 1), (-1, top + 1), (1 << 70, 1)]:
+        with pytest.raises(ValueError):
+            st.entry_sign(*pair)
+
+
 def test_dense_signs_agree_with_oracle():
     for n in (1, 2, 3, 4, 5):
         st = state(n)
@@ -166,10 +186,14 @@ def test_residue_masks_are_cached():
     st = state(9)
     ev = Event.full(st.space)
     st.census(ev)
-    hits = _residue_masks.cache_info().hits
+    info = _residue_masks.cache_info()
+    # the state holds the masks after its first census: no second lookup
     st.census(ev)
+    assert _residue_masks.cache_info() == info
+    # a fresh state fetches them from the per-horizon cache, never rebuilds
     state(9).census(ev)
-    assert _residue_masks.cache_info().hits == hits + 2
+    after = _residue_masks.cache_info()
+    assert (after.hits, after.misses) == (info.hits + 1, info.misses)
 
 
 def census_oracle(n: int, members) -> tuple[int, int, int, int]:
@@ -186,6 +210,26 @@ def test_census_matches_string_oracle_seeded(n):
     for _ in range(25):
         members = rng.sample(range(1 << n), rng.randint(1, 64))
         assert st.census(event(n, members)) == census_oracle(n, members)
+
+
+def test_census_accepts_an_equal_space_built_apart():
+    st = state(7)
+    members = [0, 3, 5, 64, 127]
+    apart = event(7, members)  # over its own PathSpace(7)
+    assert apart.space is not st.space
+    assert st.census(apart) == st.census(Event.from_indices(st.space, members))
+    assert st.census(apart) == census_oracle(7, members)
+    assert st.vector_measure(apart) == st.vector_measure(Event(st.space, apart.mask))
+
+
+@pytest.mark.parametrize("other", [6, 8])
+def test_census_rejects_another_horizon(other):
+    st = state(7)
+    with pytest.raises(ValueError):
+        st.census(event(other, [0, 1]))
+    st.census(Event.full(st.space))  # after the masks are held, too
+    with pytest.raises(ValueError):
+        st.census(event(other, [0, 1]))
 
 
 def test_census_matches_index_loop_dense_n12():

@@ -26,7 +26,7 @@ from qwalk.qmeasure import (
     scaling_check,
 )
 
-from oracles import mu_oracle, precluded_masks_by_gray_walk
+from oracles import entry_sign_oracle, mu_oracle, precluded_masks_by_gray_walk
 
 
 def state(n: int) -> DecoherenceState:
@@ -175,6 +175,52 @@ def test_pair_oracles_reject_out_of_range_indices(pair):
         interference(state(3), *pair)
     with pytest.raises(ValueError):
         pair_measure(state(3), *pair)
+
+
+def _pairs_for(n: int):
+    """Every ordered pair of distinct paths at n <= 6; seeded pairs above."""
+    size = 1 << n
+    if n <= 6:
+        return [(i, j) for i in range(size) for j in range(size) if i != j]
+    rng = random.Random(700 + n)
+    pairs = [(rng.randrange(size), rng.randrange(size)) for _ in range(300)]
+    pairs = [(i, j) for i, j in pairs if i != j]
+    # the extreme paths and a same-site pair of each end site
+    pairs += [(0, size - 1), (size - 1, 0), (0, size - 2), (1, size - 1)]
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 20, 40, 63])
+def test_pair_tables_match_string_oracle(n):
+    # the pair measure is (2 + 2s) / 2**n and the interference term 2s / 2**n
+    # for the string-scanned entry sign s of the pair
+    st = state(n)
+    kinds = {
+        0: Interference.NO_INTERFERENCE,
+        1: Interference.CONSTRUCTIVE,
+        -1: Interference.DESTRUCTIVE,
+    }
+    for i, j in _pairs_for(n):
+        sign = entry_sign_oracle(n, i, j)
+        assert pair_measure(st, i, j).as_fraction() == Fraction(2 + 2 * sign, 1 << n)
+        value, kind = interference(st, i, j)
+        assert value.as_fraction() == Fraction(2 * sign, 1 << n)
+        assert kind is kinds[sign]
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 20, 63])
+def test_pair_tables_keep_their_errors(n):
+    st = state(n)
+    top = (1 << n) - 1
+    bad = [(0, 0), (top, top), (-1, 0), (0, -1), (-1, -1), (top + 1, 0), (0, top + 1)]
+    bad += [(1 << 70, 0), (-(1 << 70), top)]
+    for pair in bad:
+        with pytest.raises(ValueError):
+            pair_measure(st, *pair)
+        with pytest.raises(ValueError):
+            interference(st, *pair)
+    with pytest.raises(ValueError, match="distinct"):
+        pair_measure(st, top + 1, top + 1)  # equal indices are named first
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -536,6 +582,13 @@ def test_preclusion_canonical_order():
     found = enumerate_precluded(state(3))
     keys = [(ev.cardinality, ev.to_tuple()) for ev in found]
     assert keys == sorted(keys)
+
+
+def test_preclusion_mask_order_is_the_member_order_n5():
+    # the listing is sorted on masks; the member-tuple order must come out
+    masks = [ev.mask for ev in enumerate_precluded(state(5), max_cardinality=4)]
+    assert len(masks) == preclusion_count(5, 4)
+    assert masks == canonical(masks)
 
 
 # -- scaling ------------------------------------------------------------------------

@@ -1,0 +1,215 @@
+#!/usr/bin/env python3
+"""Nanoseconds per call of qwalk's small query primitives.
+
+    python3 tools/bench_percall.py
+    python3 tools/bench_percall.py --src ../other-checkout/src
+    python3 tools/bench_percall.py --baseline ../parent/src > BENCH_percall.json
+
+Each primitive runs over a fixed, seeded batch of inputs; a call's cost is
+the fastest of REPEAT timed batches divided by the batch size, with the
+garbage collector off while a batch runs.  At the small sizes the
+reproduction suite uses, these costs are per-call overhead (argument
+checks, object construction, cache lookups), not arithmetic, so they are
+timed here one primitive at a time rather than inside the end-to-end
+benchmark in ``perfbench/``.
+
+With ``--baseline`` the library there and this one (or ``--src``) are
+measured in turn, each in a fresh interpreter, alternating for TURNS turns
+per side; every primitive keeps its fastest batch per side.  Both sides
+must produce identical results, checked by a digest of each batch's
+outputs, or the run fails.  The table goes to stderr and the JSON record
+to stdout.  Only the standard library is used.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import hashlib
+import json
+import os
+import platform
+import random
+import subprocess
+import sys
+from pathlib import Path
+from time import perf_counter_ns
+
+ROOT = Path(__file__).resolve().parent.parent
+SEED = 20261018
+REPEAT = 5
+TURNS = 3
+
+
+def _pairs(rng: random.Random, n: int, count: int) -> list[tuple[int, int]]:
+    out = []
+    while len(out) < count:
+        i, j = rng.getrandbits(n), rng.getrandbits(n)
+        if i != j:
+            out.append((i, j))
+    return out
+
+
+def build_ops(qw) -> list[tuple[str, list, object, object]]:
+    """(name, inputs, call, project): call(*input) is timed once per input;
+    project maps its result to plain data for the digest."""
+    rng = random.Random(SEED)
+    ops = []
+
+    def dyadic_parts(d):
+        return d.num, d.log2_den
+
+    for n in (10, 20):
+        state = qw.DecoherenceState(qw.PathSpace(n))
+        pairs = _pairs(rng, n, 20000)
+        ops.append((
+            f"pair_measure n={n}",
+            [(state, i, j) for i, j in pairs],
+            qw.pair_measure,
+            dyadic_parts,
+        ))
+        ops.append((
+            f"entry_sign n={n}",
+            pairs,
+            state.entry_sign,
+            int,
+        ))
+    for n, count in ((10, 5000), (20, 20)):
+        state = qw.DecoherenceState(qw.PathSpace(n))
+        events = [(qw.Event(state.space, rng.getrandbits(1 << n)),) for _ in range(count)]
+        ops.append((f"census n={n}", events, state.census, tuple))
+    ops.append((
+        "Dyadic(odd, k)",
+        [(2 * rng.getrandbits(30) + 1, rng.randint(1, 40)) for _ in range(20000)],
+        qw.Dyadic,
+        dyadic_parts,
+    ))
+    bases = [
+        (qw.CylinderEvent(14, qw.Event(qw.PathSpace(14), rng.getrandbits(1 << 14))), 15)
+        for _ in range(4)
+    ]
+    bases += [
+        (qw.CylinderEvent(8, qw.Event(qw.PathSpace(8), rng.getrandbits(1 << 8))), 15)
+        for _ in range(4)
+    ]
+    ops.append((
+        "refine to level 15",
+        bases,
+        qw.refine,
+        lambda cyl: (cyl.level, hex(cyl.base.mask)),
+    ))
+    ops.append((
+        "enumerate_precluded(6, 4)",
+        [(qw.DecoherenceState(qw.PathSpace(6)), 4)],
+        qw.enumerate_precluded,
+        lambda events: [ev.mask for ev in events],
+    ))
+    return ops
+
+
+def time_op(inputs: list, call) -> tuple[float, list]:
+    """Fastest of REPEAT batches, in ns per call, and the last results."""
+    best = None
+    for _ in range(REPEAT):
+        gc.collect()
+        gc.disable()
+        try:
+            start = perf_counter_ns()
+            results = [call(*args) for args in inputs]
+            elapsed = perf_counter_ns() - start
+        finally:
+            gc.enable()
+        best = elapsed if best is None else min(best, elapsed)
+    return best / len(inputs), results
+
+
+def measure(src: Path) -> dict:
+    sys.path.insert(0, str(src))
+    import qwalk
+
+    calls = {}
+    for name, inputs, call, project in build_ops(qwalk):
+        ns, results = time_op(inputs, call)
+        digest = hashlib.sha256(repr([project(r) for r in results]).encode()).hexdigest()
+        calls[name] = {"ns_per_call": round(ns, 1), "batch": len(inputs), "digest": digest[:16]}
+    return {"host": host(), "src": str(src), "repeat": REPEAT, "calls": calls}
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as f:
+            for line in f:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def host() -> dict:
+    return {
+        "cpu": cpu_model(),
+        "cpus": os.cpu_count(),
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+    }
+
+
+def run_side(src: Path) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--src", str(src)],
+        check=True, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    ).stdout
+    return json.loads(out)
+
+
+def compare(baseline: Path, change: Path) -> dict:
+    best: dict[str, dict] = {"baseline": {}, "change": {}}
+    for turn in range(TURNS):
+        # alternate which side goes first, so a slow phase hits both
+        order = [("baseline", baseline), ("change", change)]
+        for side, src in order if turn % 2 == 0 else order[::-1]:
+            for name, rec in run_side(src)["calls"].items():
+                kept = best[side].get(name)
+                if kept is None or rec["ns_per_call"] < kept["ns_per_call"]:
+                    best[side][name] = rec
+    calls = {}
+    for name, base in best["baseline"].items():
+        new = best["change"][name]
+        if new["digest"] != base["digest"]:
+            raise SystemExit(f"{name}: results differ between the two libraries")
+        calls[name] = {
+            "batch": base["batch"],
+            "baseline_ns": base["ns_per_call"],
+            "change_ns": new["ns_per_call"],
+            "speedup": round(base["ns_per_call"] / new["ns_per_call"], 2),
+        }
+    return {
+        "host": host(),
+        "method": f"fastest of {REPEAT} batches x {TURNS} alternating fresh-process turns per side",
+        "calls": calls,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="library to measure")
+    parser.add_argument("--baseline", type=Path, help="second library to compare against")
+    args = parser.parse_args(argv)
+    if args.baseline is not None:
+        record = compare(args.baseline.resolve(), args.src.resolve())
+        for name, rec in record["calls"].items():
+            print(f"{name:28s} {rec['baseline_ns']:>14.1f} -> {rec['change_ns']:>12.1f} ns/call"
+                  f"  x{rec['speedup']}", file=sys.stderr)
+    else:
+        record = measure(args.src.resolve())
+        for name, rec in record["calls"].items():
+            print(f"{name:28s} {rec['ns_per_call']:>14.1f} ns/call", file=sys.stderr)
+    print(json.dumps(record, indent=2, sort_keys=True))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
