@@ -20,12 +20,7 @@ from typing import Union
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic, RootTwoScaled
-from .paths import (
-    PathSpace,
-    change_residue,
-    change_residue_count_levels,
-    change_residue_counts,
-)
+from .paths import PathSpace, change_residue_count_levels
 from .qmeasure import Strategy, mu, mu_from_census
 
 APPROXIMANT_MAX_LEVEL = 24
@@ -212,14 +207,6 @@ def _at_most_indices(n: int, k: int):
             for b in positions:
                 j |= 1 << b
             yield j
-
-
-def _census_of_indices(indices) -> tuple[int, int, int, int]:
-    """Census of explicit member indices: the reference route."""
-    counts = [0, 0, 0, 0]
-    for j in indices:
-        counts[change_residue(j)] += 1
-    return tuple(counts)
 
 
 def _at_most_censuses(k: int, n_max: int):
@@ -510,13 +497,10 @@ def variation_lower_bound(n: int) -> int:
     return int((total * total).to_dyadic().as_fraction())
 
 
-def change_residue_profile(n: int) -> tuple[int, int, int, int]:
-    """Residue profile of change counts mod 4 over the whole level-n space."""
-    return change_residue_counts(n)
-
-
 def change_residue_profile_closed_form(n: int) -> tuple[int, int, int, int]:
-    """The same profile from its closed form, evaluated exactly in Z[sqrt(2)].
+    """paths.change_residue_counts(n), the residue profile of change counts
+    mod 4 over the whole level-n space, from its closed form, evaluated
+    exactly in Z[sqrt(2)].
 
     Each class holds 2**(n-2) + 2**(n/2 - 1) * cos((n - 2j) * pi / 4) paths;
     the root-two parts always cancel, leaving an integer.

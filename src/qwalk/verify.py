@@ -25,7 +25,6 @@ from .cylinder import (
     InfinitelyManyOnes,
     LimitVerdict,
     approximant,
-    change_residue_profile,
     change_residue_profile_closed_form,
     complement_of_constant_closed_form,
     limit_mu_hat,
@@ -185,7 +184,7 @@ def check_residue_profile() -> None:
         )
     for n in range(1, 41):
         check(
-            change_residue_profile(n) == change_residue_profile_closed_form(n),
+            change_residue_counts(n) == change_residue_profile_closed_form(n),
             f"profile closed form disagrees at n={n}",
         )
 

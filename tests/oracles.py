@@ -3,7 +3,9 @@
 Everything here recomputes walk quantities from the literal site strings,
 character by character, or, where the strings are too many to list, by
 counting them in closed form, so agreement with the library is a genuine
-cross-check rather than the same arithmetic twice.
+cross-check rather than the same arithmetic twice.  The set-system
+references at the end walk member triples by index, or decide the grade-2
+identity on a power set through the Moebius inverse.
 """
 
 from fractions import Fraction
@@ -51,6 +53,14 @@ def at_most_census_oracle(n: int, k: int) -> tuple[int, int, int, int]:
             ways = comb(t - 1, r - 1)
             counts[(2 * r - 1) % 4] += ways * comb(n - t, r - 1)
             counts[(2 * r) % 4] += ways * comb(n - t, r)
+    return tuple(counts)
+
+
+def census_of_indices_oracle(n: int, indices) -> tuple[int, int, int, int]:
+    """Census of explicit member indices, by string-scanned change counts."""
+    counts = [0, 0, 0, 0]
+    for j in indices:
+        counts[changes_oracle(n, j) % 4] += 1
     return tuple(counts)
 
 
@@ -127,3 +137,37 @@ def refined_mask_by_members(mask: int, level: int, to_level: int) -> int:
         if mask >> j & 1:
             out |= block << (j << extra)
     return out
+
+
+def qualifying_triples_by_member_loop(members) -> list[tuple[int, int, int]]:
+    """Triples a < b < c of nonempty members, mutually disjoint with all three
+    pairwise unions members, by nested index loops over the sorted members."""
+    member_set = set(members)
+    nonempty = sorted(m for m in member_set if m)
+    out = []
+    for ai, a in enumerate(nonempty):
+        for bi in range(ai + 1, len(nonempty)):
+            b = nonempty[bi]
+            if a & b or (a | b) not in member_set:
+                continue
+            for c in nonempty[bi + 1:]:
+                if not c & (a | b) and (a | c) in member_set and (b | c) in member_set:
+                    out.append((a, b, c))
+    return out
+
+
+def grade2_by_moebius(universe_size: int, values) -> bool:
+    """Whether a set function on the whole power set (values[mask]) is a
+    grade-2 measure: it vanishes on the empty set and its Moebius inverse
+    vanishes on every set of three or more elements (Sorkin, Mod. Phys.
+    Lett. A 9 (1994) 3119).  The inverse comes from the subset-sum
+    transform, one pass per element."""
+    inverse = list(values)
+    for e in range(universe_size):
+        bit = 1 << e
+        for mask in range(1 << universe_size):
+            if mask & bit:
+                inverse[mask] -= inverse[mask ^ bit]
+    return inverse[0] == 0 and all(
+        not v for mask, v in enumerate(inverse) if mask.bit_count() >= 3
+    )

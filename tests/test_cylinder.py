@@ -7,6 +7,7 @@ import pytest
 from oracles import (
     at_most_census_oracle,
     census_mu_oracle,
+    census_of_indices_oracle,
     changes_oracle,
     mu_oracle,
     refined_mask_by_members,
@@ -27,7 +28,6 @@ from qwalk.cylinder import (
     LimitVerdict,
     approximant,
     approximant_indices,
-    change_residue_profile,
     change_residue_profile_closed_form,
     classify_sequence,
     complement_of_constant_closed_form,
@@ -41,7 +41,6 @@ from qwalk.cylinder import (
     variation_lower_bound,
     _at_most_censuses,
     _at_most_indices,
-    _census_of_indices,
     _finite_prefix_indices,
     _limit_censuses,
 )
@@ -343,7 +342,7 @@ def test_at_most_sweep_matches_enumeration():
     for k in range(5):
         table = sweep(AtMostKOnes(k), 20)
         for n in range(1, 21):
-            members = _census_of_indices(_at_most_indices(n, k))
+            members = census_of_indices_oracle(n, _at_most_indices(n, k))
             assert table[n - 1] == members == at_most_census_oracle(n, k)
 
 
@@ -407,7 +406,7 @@ def test_prefix_sweeps_match_indices():
         inner = sweep(FinitePathSet(paths), 64)
         outer = sweep(ComplementOfFinitePathSet(paths), 64)
         for n in range(1, 65):
-            census = _census_of_indices(_finite_prefix_indices(paths, n))
+            census = census_of_indices_oracle(n, _finite_prefix_indices(paths, n))
             assert inner[n - 1] == census
             full = change_residue_counts(n)
             assert outer[n - 1] == tuple(f - c for f, c in zip(full, census))
@@ -512,14 +511,7 @@ def test_direct_histogram_self_consistent():
 
 @pytest.mark.parametrize("n", list(range(1, 15)) + [20, 24])
 def test_residue_profile_matches_direct_count(n):
-    assert change_residue_profile(n) == residue_histogram_direct(n)
-
-
-def test_residue_profile_closed_form():
-    for n in range(1, 41):
-        assert change_residue_profile(n) == change_residue_profile_closed_form(n)
-    assert change_residue_profile(1) == (1, 1, 0, 0)
-    assert change_residue_profile(3) == (1, 3, 3, 1)
+    assert change_residue_counts(n) == residue_histogram_direct(n)
 
 
 def test_profile_validation():

@@ -9,7 +9,6 @@ from qwalk.paths import (
     changes_count,
     changes_vector,
     ones_count,
-    ones_vector,
     path_string,
     same_parity,
 )
@@ -29,23 +28,6 @@ def test_space_validation():
         space.check_index(32)
     with pytest.raises(ValueError):
         space.check_index(-1)
-
-
-# frozen published vectors
-CHANGES_N3 = (0, 1, 2, 1, 2, 3, 2, 1)
-CHANGES_N4 = (0, 1, 2, 1, 2, 3, 2, 1, 2, 3, 4, 3, 2, 3, 2, 1)
-ONES_N3 = (0, 1, 1, 2, 1, 2, 2, 3)
-ONES_N4 = (0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4)
-
-
-@pytest.mark.parametrize("n,expected", [(3, CHANGES_N3), (4, CHANGES_N4)])
-def test_changes_published_vectors(n, expected):
-    assert tuple(changes_vector(PathSpace(n))) == expected
-
-
-@pytest.mark.parametrize("n,expected", [(3, ONES_N3), (4, ONES_N4)])
-def test_ones_published_vectors(n, expected):
-    assert tuple(ones_vector(PathSpace(n))) == expected
 
 
 def test_trivial_values():

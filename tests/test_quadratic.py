@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import grade2_by_moebius, qualifying_triples_by_member_loop
+
+from qwalk import quadratic
 from qwalk.cylinder import (
     ALL_ZEROS,
     AtMostKOnes,
@@ -14,6 +17,7 @@ from qwalk.cylinder import (
 from qwalk.quadratic import (
     QMeasureTable,
     SetSystem,
+    _qualifying_triples,
     cardinality_squared_table,
     is_q_measure,
     is_quadratic_algebra,
@@ -266,40 +270,162 @@ def test_odd_count_validation():
         odd_count_system(3, -1)
 
 
-# -- squared cardinality on random quadratic algebras -------------------------------------
+# -- partner-list walk against the index loop ---------------------------------------
 
 
-def close_under_quadratic(universe: int, seeds: set[int]) -> SetSystem:
-    members = set(seeds) | {0, (1 << universe) - 1}
-    changed = True
-    while changed:
-        changed = False
-        pool = sorted(members)
-        for ai, a in enumerate(pool):
-            for bi in range(ai + 1, len(pool)):
-                b = pool[bi]
-                if a & b or (a | b) not in members:
-                    continue
-                for ci in range(bi + 1, len(pool)):
-                    c = pool[ci]
-                    if c & (a | b):
-                        continue
-                    if (a | c) in members and (b | c) in members and (a | b | c) not in members:
-                        members.add(a | b | c)
-                        changed = True
-    return SetSystem(universe, tuple(members))
+def oracle_algebra(system: SetSystem):
+    """is_quadratic_algebra's verdict and witness, from the index loop."""
+    members = set(system.members)
+    for a, b, c in qualifying_triples_by_member_loop(system.members):
+        if (a | b | c) not in members:
+            return False, (a, b, c)
+    return system.has_empty() and system.has_universe(), None
 
 
-def test_squared_cardinality_on_random_closures():
-    rng = random.Random(2024)
-    for _ in range(100):
-        universe = rng.randint(2, 8)
-        seeds = {rng.getrandbits(universe) for _ in range(rng.randint(1, 6))}
-        system = close_under_quadratic(universe, seeds)
-        ok, _ = is_quadratic_algebra(system)
-        assert ok
-        ok, _ = is_q_measure(system, cardinality_squared_table(system))
-        assert ok
+def oracle_q_measure(system: SetSystem, table: QMeasureTable):
+    """is_q_measure's verdict and witness from the index loop, or None where
+    it must raise ValueError."""
+    if not oracle_algebra(system)[0]:
+        return None
+    if table[0] != 0:
+        return False, (0, 0, 0)
+    for a, b, c in qualifying_triples_by_member_loop(system.members):
+        lhs = table[a | b | c]
+        rhs = (
+            table[a | b] + table[a | c] + table[b | c]
+            - table[a] - table[b] - table[c]
+        )
+        if lhs != rhs:
+            return False, (a, b, c)
+    return True, None
+
+
+def assert_walk_matches_loop(system: SetSystem, table: QMeasureTable) -> None:
+    assert list(_qualifying_triples(system)) == qualifying_triples_by_member_loop(system.members)
+    assert is_quadratic_algebra(system) == oracle_algebra(system)
+    want = oracle_q_measure(system, table)
+    if want is None:
+        with pytest.raises(ValueError):
+            is_q_measure(system, table)
+    else:
+        assert is_q_measure(system, table) == want
+
+
+def broken_variants(system: SetSystem, rng: random.Random):
+    """The system, and the system with one random member dropped, each with
+    the squared-cardinality table and a copy bumped at one random member."""
+    variants = [system]
+    if system.members:
+        dropped = rng.choice(system.members)
+        variants.append(SetSystem(
+            system.universe_size, tuple(m for m in system.members if m != dropped)
+        ))
+    for variant in variants:
+        table = cardinality_squared_table(variant)
+        yield variant, table
+        if variant.members:
+            bumped = dict(table.values)
+            bumped[rng.choice(variant.members)] += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            yield variant, QMeasureTable(variant, bumped)
+
+
+def random_systems(seed: int, count: int):
+    """Systems over at most ten elements: random unions of the blocks of a
+    random partition, which are rich in partner pairs, plus a few stray
+    masks, mostly with the empty set and the universe."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(1, 10)
+        blocks = [0] * rng.randint(min(size, 3), min(size, 6))
+        for e in range(size):
+            blocks[rng.randrange(len(blocks))] |= 1 << e
+        keep = rng.uniform(0.4, 1.0)
+        members = {
+            sum(block for i, block in enumerate(blocks) if choice >> i & 1)
+            for choice in range(1 << len(blocks))
+            if rng.random() < keep
+        }
+        members.update(rng.getrandbits(size) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.8:
+            members |= {0, (1 << size) - 1}
+        yield SetSystem(size, tuple(members))
+
+
+def test_walk_matches_loop_on_worked_systems():
+    rng = random.Random(12)
+    system, table = three_type_system()
+    assert_walk_matches_loop(system, table)
+    for odd in (odd_count_system(3, 2), odd_count_system(5, 3)):
+        for variant, table in broken_variants(odd, rng):
+            assert_walk_matches_loop(variant, table)
+    for variant, table in broken_variants(system, rng):
+        assert_walk_matches_loop(variant, table)
+
+
+@pytest.mark.parametrize("size", range(1, 9))
+def test_walk_matches_loop_on_power_sets(size):
+    rng = random.Random(size)
+    for variant, table in broken_variants(SetSystem(size, tuple(range(1 << size))), rng):
+        assert_walk_matches_loop(variant, table)
+
+
+def test_walk_matches_loop_on_random_systems():
+    rng = random.Random(20261018)
+    for system in random_systems(20261018, 240):
+        for variant, table in broken_variants(system, rng):
+            assert_walk_matches_loop(variant, table)
+
+
+def degree_two_values(size: int, rng: random.Random) -> list[Fraction]:
+    """A nonnegative set function on the power set with no Moebius mass above
+    pairs: element weights plus pair weights."""
+    def weight():
+        return Fraction(rng.randint(0, 9), rng.randint(1, 4))
+
+    single = [weight() for _ in range(size)]
+    pair = [[weight() for _ in range(size)] for _ in range(size)]
+    values = []
+    for mask in range(1 << size):
+        held = [e for e in range(size) if mask >> e & 1]
+        values.append(
+            sum((single[e] for e in held), Fraction(0))
+            + sum((pair[e][f] for i, e in enumerate(held) for f in held[i + 1:]), Fraction(0))
+        )
+    return values
+
+
+@pytest.mark.parametrize("size", (1, 2, 3, 4, 5, 6, 7, 8, 10))
+def test_q_measure_matches_moebius_on_power_sets(size):
+    rng = random.Random(1994 + size)
+    system = SetSystem(size, tuple(range(1 << size)))
+    for _ in range(2 if size == 10 else 6):
+        values = degree_two_values(size, rng)
+        perturbed = list(values)
+        perturbed[rng.randrange(1 << size)] += Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        # every set has a superset of three elements once size >= 3
+        assert grade2_by_moebius(size, values)
+        assert grade2_by_moebius(size, perturbed) == (size < 3 and perturbed[0] == 0)
+        for vals in (values, perturbed):
+            ok, witness = is_q_measure(system, QMeasureTable(system, dict(enumerate(vals))))
+            assert ok == grade2_by_moebius(size, vals) == (witness is None)
+
+
+def test_q_measure_does_not_call_is_quadratic_algebra(monkeypatch):
+    def refuse(system):
+        raise AssertionError("is_q_measure rescanned the system")
+
+    monkeypatch.setattr(quadratic, "is_quadratic_algebra", refuse)
+    system, table = three_type_system()
+    assert is_q_measure(system, table) == (True, None)
+    power = SetSystem(3, tuple(range(8)))
+    values = {m: Fraction(m.bit_count() ** 2) for m in power.members}
+    values[0b111] = Fraction(100)
+    assert is_q_measure(power, QMeasureTable(power, values)) == (False, (1, 2, 4))
+    no_union = SetSystem.from_index_lists(
+        4, [[], [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2, 3]]
+    )
+    with pytest.raises(ValueError):
+        is_q_measure(no_union, cardinality_squared_table(no_union))
 
 
 # -- file format -----------------------------------------------------------------------

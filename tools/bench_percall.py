@@ -104,6 +104,14 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.enumerate_precluded,
         lambda events: [ev.mask for ev in events],
     ))
+    power = qw.SetSystem(10, tuple(range(1 << 10)))
+    ops.append(("is_quadratic_algebra(2**10)", [(power,)], qw.is_quadratic_algebra, tuple))
+    ops.append((
+        "is_q_measure(2**10)",
+        [(power, qw.cardinality_squared_table(power))],
+        qw.is_q_measure,
+        tuple,
+    ))
     return ops
 
 
