@@ -27,16 +27,13 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .exact import Dyadic, GaussianScaled
-from .paths import PathSpace, change_residue, change_residue_counts
+from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts
 
 DENSE_MAX_STEPS = 12  # 4**12 one-byte signs, ~17 MB
 EVENT_MAX_STEPS = 24  # membership masks beyond 2**24 bits are not materialized
 EIGEN_MAX_STEPS = 20
 EIGEN_CHECK_MAX_STEPS = 10
 GRAM_MAX_EVENTS = 12
-
-# _SAME_RESIDUE[r] translates a residue byte to 1 if it equals r, else to 0
-_SAME_RESIDUE = tuple(bytes(int(b == r) for b in range(256)) for r in range(4))
 
 
 @cache
@@ -70,12 +67,13 @@ class Event:
     mask: int
 
     def __post_init__(self) -> None:
-        if self.space.n > EVENT_MAX_STEPS:
+        n = self.space.n
+        if n > EVENT_MAX_STEPS:
             raise ResourceLimitError(
                 f"explicit events are capped at n <= {EVENT_MAX_STEPS}; "
                 "larger horizons are served by residue-census generators"
             )
-        if self.mask < 0 or self.mask.bit_length() > self.space.size:
+        if self.mask < 0 or self.mask >> (1 << n):
             raise ValueError("event mask addresses paths outside the space")
 
     @classmethod

@@ -113,9 +113,10 @@ class Dyadic:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not Dyadic:
+            other = self._coerced(other)
+            if other is None:
+                return NotImplemented
         return self.num == other.num and self.log2_den == other.log2_den
 
     def __hash__(self):
@@ -128,7 +129,8 @@ class Dyadic:
         return (self.num << other.log2_den) < (other.num << self.log2_den)
 
     def __float__(self) -> float:
-        return float(self.as_fraction())
+        # int / int is correctly rounded, as in Fraction.__float__
+        return self.num / (1 << self.log2_den)
 
     def __str__(self) -> str:
         return str(self.as_fraction())
@@ -209,9 +211,10 @@ class GaussianScaled:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not GaussianScaled:
+            other = self._coerced(other)
+            if other is None:
+                return NotImplemented
         return (self.re, self.im, self.log2_den) == (other.re, other.im, other.log2_den)
 
     def __hash__(self):

@@ -55,6 +55,8 @@ def change_residue(j: int) -> int:
 
 
 _PLUS_TWO = bytes((r + 2) & 3 for r in range(256))
+# _SAME_RESIDUE[r] translates a residue byte to 1 if it equals r, else to 0
+_SAME_RESIDUE = tuple(bytes(int(b == r) for b in range(256)) for r in range(4))
 
 
 @cache
@@ -79,6 +81,21 @@ def change_residues(n: int) -> bytes:
     prev = change_residues(n - 1)
     half = len(prev) >> 1  # shorter paths below this start on site 0
     return prev + prev[:half].translate(_PLUS_TWO) + prev[half:]
+
+
+@cache
+def _residue_selectors(n: int) -> tuple[bytes, bytes, bytes, bytes]:
+    """For each change residue r, one byte per path ending on site r & 1, in
+    index order: 1 if its change count is congruent to r mod 4, else 0.
+
+    A path's change-count parity is its end site, so residues r and r + 2
+    split the paths of site r & 1, the stride-2 slice of indices starting
+    at r & 1.  Made for itertools.compress over that slice; 2 * 2**n bytes
+    per horizon, each table one translate of change_residues(n), which
+    checks n.
+    """
+    res = change_residues(n)
+    return tuple(res[r & 1 :: 2].translate(_SAME_RESIDUE[r]) for r in range(4))
 
 
 def ones_count(space: PathSpace, j: int) -> int:

@@ -7,7 +7,9 @@ separate:
 * DEFINITION -- the literal double sum of pairwise minima against entries,
                 pair by pair: entries between paths on different end sites
                 are zero, so each end site's support is summed on its own,
-                each unordered pair once and doubled, the diagonal once
+                split into its two change-residue classes (p and p + 2 on
+                site p); pairs within a class add their minimum and pairs
+                across the classes subtract it
 * TRACE      -- the layered sum over super-level sets: each slab of values
                 contributes its thickness times the measure of the set of
                 paths reaching it (the trace identity), so the min matrix is
@@ -16,25 +18,32 @@ separate:
                 same layering restricted to one end-site parity
 
 The measure of a set of paths depends only on its census of change-count
-residues mod 4, so both fast routes read one census per call: how many
-paths carry each (value, residue) pair.  Signed variables split canonically
-into positive and negative parts before any route runs: the keys above and
-below zero.  All values are exact rationals throughout.
+residues mod 4, so both fast routes read one set of class counts per call:
+for each residue r, how many paths of residue r carry each nonzero
+numerator.  Zeros are never counted.  Signed variables split canonically
+into positive and negative parts before any route runs: the levels above
+and below zero.  All values are exact rationals throughout.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from collections import Counter
+from collections import _count_elements
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 from math import gcd, lcm
 
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
-from .paths import PathSpace, change_residue, change_residues, changes_vector, ones_vector
+from .paths import (
+    PathSpace,
+    _residue_selectors,
+    change_residue,
+    changes_vector,
+    ones_vector,
+)
 
 VARIABLE_MAX_STEPS = 20
 DEFINITION_MAX_STEPS = 12  # the dense cutoff; the double sum is 4**n
@@ -149,29 +158,70 @@ class RandomVariable:
         )
 
 
-def _definition_part(vals: list[int]) -> int:
-    """Literal double sum of min(v_j, v_k) * sign(j, k) over the support.
+def _site_sum(low: list[int], high: list[int]) -> int:
+    """Literal double sum of min(v_j, v_k) * sign(j, k) over one end site's
+    support of one part, given as its two change-residue classes.
 
-    Paths ending on different sites have sign 0, so the sum runs over each
-    end site's support on its own.  Within a site both the minimum and the
-    sign (+1 for equal change residues, -1 otherwise) are symmetric in the
-    pair, so each unordered pair of distinct paths is taken once and counted
-    twice, and each diagonal term (sign +1) once.
+    Site p holds the residues p and p + 2: the sign is +1 for a pair within
+    a class and -1 for a pair across them.  Both the minimum and the sign
+    are symmetric in the pair, so each unordered pair of distinct paths is
+    taken once and counted twice, and each diagonal term (sign +1) once.
     """
     diagonal = off_diagonal = 0
-    for site in (0, 1):
-        support = [
-            (v, change_residue(j)) for j in range(site, len(vals), 2) if (v := vals[j])
-        ]
-        while support:
-            vj, rj = support.pop()
-            diagonal += vj
-            for vk, rk in support:
-                if rj == rk:
-                    off_diagonal += vj if vj < vk else vk
-                else:
-                    off_diagonal -= vj if vj < vk else vk
+    while low:
+        x = low.pop()
+        diagonal += x
+        for y in low:
+            off_diagonal += x if x < y else y
+        for y in high:
+            off_diagonal -= x if x < y else y
+    while high:
+        x = high.pop()
+        diagonal += x
+        for y in high:
+            off_diagonal += x if x < y else y
     return diagonal + 2 * off_diagonal
+
+
+def _definition(vals) -> int:
+    """The DEFINITION route's integer sum: positive part less negative part.
+
+    Paths ending on different sites have sign 0, so each end site's support
+    is summed on its own, split by part and by change residue (p or p + 2
+    on site p).  Pair by pair, independent of the class counts and level
+    tables the other two routes read.
+    """
+    total = 0
+    for site in (0, 1):
+        # positive part at residues p, p + 2; negative part at p, p + 2
+        classes: tuple[list[int], ...] = ([], [], [], [])
+        for j in range(site, len(vals), 2):
+            if v := vals[j]:
+                if v > 0:
+                    classes[change_residue(j) >> 1].append(v)
+                else:
+                    classes[2 + (change_residue(j) >> 1)].append(-v)
+        total += _site_sum(classes[0], classes[1]) - _site_sum(classes[2], classes[3])
+    return total
+
+
+def _class_counts(vals, n: int) -> list[dict[int, int]]:
+    """For each change residue r, how many paths of residue r carry each
+    nonzero numerator.
+
+    Residue r lives on site r & 1, so its selector picks from that site's
+    stride-2 slice.  Zeros are filtered out in C before any counting, and no
+    (value, residue) tuple is built.  The counts go into plain dicts through
+    the C loop that fills a Counter, without Counter's per-call type checks:
+    four Counters cost more than the whole count at the suite's tiny n.
+    """
+    sites = (vals[0::2], vals[1::2])
+    out = []
+    for r, selector in enumerate(_residue_selectors(n)):
+        counts: dict[int, int] = {}
+        _count_elements(counts, filter(None, compress(sites[r & 1], selector)))
+        out.append(counts)
+    return out
 
 
 def _slabs(levels) -> list[tuple[int, int]]:
@@ -180,42 +230,53 @@ def _slabs(levels) -> list[tuple[int, int]]:
     return [(v, v - lower) for v, lower in zip(desc, desc[1:] + [0])]
 
 
-def _trace_part(census: Counter, sign: int) -> int:
-    """Layered evaluation of one part (sign +1 or -1): slab thickness times
-    the squared census sums of the paths whose value reaches the slab."""
-    levels: dict[int, list[int]] = {}
-    for (v, r), count in census.items():
-        v *= sign
-        if v > 0:
-            levels.setdefault(v, [0, 0, 0, 0])[r] += count
-    reach = [0, 0, 0, 0]
+def _trace(class_counts: list[dict[int, int]]) -> int:
+    """Layered evaluation of both parts: slab thickness times the squared
+    census sums (c0 - c2, c1 - c3) of the paths whose value reaches the
+    slab, the negative part's layers subtracted from the positive part's.
+    One pass over the class counts fills both parts' level tables."""
+    parts: tuple[dict, dict] = ({}, {})  # level -> its paths' census sums
+    for r, counts in enumerate(class_counts):
+        k, unit = r & 1, 1 if r < 2 else -1
+        for v, count in counts.items():
+            if v > 0:
+                parts[0].setdefault(v, [0, 0])[k] += unit * count
+            else:
+                parts[1].setdefault(-v, [0, 0])[k] += unit * count
     total = 0
-    for v, thickness in _slabs(levels):
-        for r, count in enumerate(levels[v]):
-            reach[r] += count
-        total += thickness * ((reach[0] - reach[2]) ** 2 + (reach[1] - reach[3]) ** 2)
+    for sign, levels in zip((1, -1), parts):
+        even = odd = 0
+        for v, thickness in _slabs(levels):
+            step_even, step_odd = levels[v]
+            even += step_even
+            odd += step_odd
+            total += sign * thickness * (even * even + odd * odd)
     return total
 
 
-def _eigen_part(census: Counter, sign: int) -> int:
+def _eigen(class_counts: list[dict[int, int]]) -> int:
     """Per-parity layered quadratic forms of the two eigenvectors.
 
     Residue parity is the end site, so parity p owns residues p and p + 2,
     and each parity has its own level structure.  The running unit-power sum
     of a parity is real for even endings and purely imaginary for odd ones,
-    so one signed accumulator per parity gives its squared magnitude.
+    so one signed accumulator per parity gives its squared magnitude.  One
+    pass over a parity's two class counts fills both parts' level tables.
     """
     total = 0
     for parity in (0, 1):
-        levels: dict[int, int] = {}
-        for (v, r), count in census.items():
-            v *= sign
-            if v > 0 and r & 1 == parity:
-                levels[v] = levels.get(v, 0) + (count if r == parity else -count)
-        amplitude = 0
-        for v, thickness in _slabs(levels):
-            amplitude += levels[v]
-            total += thickness * amplitude**2
+        parts: tuple[dict, dict] = ({}, {})  # level -> its paths' unit-power sum
+        for counts, unit in ((class_counts[parity], 1), (class_counts[parity + 2], -1)):
+            for v, count in counts.items():
+                if v > 0:
+                    parts[0][v] = parts[0].get(v, 0) + unit * count
+                else:
+                    parts[1][-v] = parts[1].get(-v, 0) + unit * count
+        for sign, levels in zip((1, -1), parts):
+            amplitude = 0
+            for v, thickness in _slabs(levels):
+                amplitude += levels[v]
+                total += sign * thickness * amplitude * amplitude
     return total
 
 
@@ -235,13 +296,10 @@ def integral(
                 f"definition-route integral capped at n <= {DEFINITION_MAX_STEPS}; "
                 "use the trace or eigen route"
             )
-        pos = [v if v > 0 else 0 for v in vals]
-        neg = [-v if v < 0 else 0 for v in vals]
-        raw = _definition_part(pos) - _definition_part(neg)
+        raw = _definition(vals)
     elif strategy is IntegralStrategy.TRACE or strategy is IntegralStrategy.EIGEN:
-        census = Counter(zip(vals, change_residues(n)))
-        part = _trace_part if strategy is IntegralStrategy.TRACE else _eigen_part
-        raw = part(census, 1) - part(census, -1)
+        route = _trace if strategy is IntegralStrategy.TRACE else _eigen
+        raw = route(_class_counts(vals, n))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return Fraction(raw, variable.denominator << n)

@@ -1,9 +1,9 @@
 """Independent brute-force oracles shared by the test modules.
 
 Everything here recomputes walk quantities from the literal site strings,
-character by character, or, where the strings are too many to list, by
-counting them in closed form, so agreement with the library is a genuine
-cross-check rather than the same arithmetic twice.  The set-system
+by counting characters and substrings in them, or, where the strings are
+too many to list, by counting them in closed form, so agreement with the
+library is a genuine cross-check rather than the same arithmetic twice.  The set-system
 references at the end walk member triples by index, or decide the grade-2
 identity on a power set through the Moebius inverse.
 """
@@ -18,8 +18,10 @@ def site_string(n: int, j: int) -> str:
 
 
 def changes_oracle(n: int, j: int) -> int:
+    """Adjacent unequal site pairs of the site string: each is an "01" or a
+    "10", and neither pattern can overlap itself, so str.count finds all."""
     s = site_string(n, j)
-    return sum(a != b for a, b in zip(s, s[1:]))
+    return s.count("01") + s.count("10")
 
 
 def ones_oracle(n: int, j: int) -> int:

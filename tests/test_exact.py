@@ -26,6 +26,32 @@ def test_dyadic_arithmetic():
     assert float(Dyadic(5, 2)) == 1.25
 
 
+def test_dyadic_float_is_the_fraction_float():
+    # both divide the integer parts once, so they round alike, ties included
+    rng = random.Random(11)
+    cases = [(1, 0), (-3, 1), (1, 1074), (1, 1075), (3, 1076), ((1 << 53) + 1, 53)]
+    for _ in range(2000):
+        bits = rng.randint(1, 1200)  # a quotient below 2**1000 stays finite
+        num = rng.getrandbits(bits) * rng.choice((1, -1))
+        cases.append((num, rng.randint(max(0, bits - 1000), 1300)))
+    for num, k in cases:
+        d = Dyadic(num, k)
+        assert float(d).hex() == float(d.as_fraction()).hex(), (num, k)
+    with pytest.raises(OverflowError):
+        float(Dyadic(1 << 1100))
+    with pytest.raises(OverflowError):
+        float(Fraction(1 << 1100))
+
+
+def test_equality_with_same_class_ints_and_strangers():
+    assert Dyadic(6, 1) == Dyadic(3) and Dyadic(3) == 3 and 3 == Dyadic(3)
+    assert Dyadic(3, 1) != Dyadic(3) and Dyadic(1, 1) != 1
+    assert Dyadic(1) != "1" and Dyadic(1) != 1.0 and Dyadic(1) != None  # noqa: E711
+    assert GaussianScaled(2, 4, 1) == GaussianScaled(1, 2) and GaussianScaled(3, 0) == 3
+    assert GaussianScaled(3, 1) != 3 and GaussianScaled(1, 0) != Dyadic(1)
+    assert GaussianScaled(1, 0) != "1"
+
+
 def test_dyadic_fraction_round_trip():
     for frac in (Fraction(5, 8), Fraction(-7, 16), Fraction(3), Fraction(0)):
         assert Dyadic.from_fraction(frac).as_fraction() == frac

@@ -3,6 +3,7 @@ import pytest
 from qwalk.errors import ResourceLimitError
 from qwalk.paths import (
     PathSpace,
+    _residue_selectors,
     change_residue_count_levels,
     change_residue_counts,
     change_residues,
@@ -14,7 +15,7 @@ from qwalk.paths import (
 )
 
 
-from oracles import changes_oracle, ones_oracle
+from oracles import changes_oracle, ones_oracle, site_string
 
 
 def test_space_validation():
@@ -41,6 +42,15 @@ def test_counters_match_string_oracle(n):
     for j in space.indices():
         assert changes_count(space, j) == changes_oracle(n, j)
         assert ones_count(space, j) == ones_oracle(n, j)
+
+
+def test_changes_oracle_matches_pairwise_scan():
+    # the oracle counts "01" and "10" substrings; the scan compares every
+    # adjacent pair of characters of the same site string
+    for n in range(1, 13):
+        for j in range(1 << n):
+            s = site_string(n, j)
+            assert changes_oracle(n, j) == sum(a != b for a, b in zip(s, s[1:])), (n, j)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -124,6 +134,19 @@ def test_change_residue_table_matches_strings():
         table = change_residues(n)
         assert tuple(table.count(r) for r in range(4)) == change_residue_counts(n)
         assert change_residues(n) is table  # cached per horizon
+
+
+def test_residue_selectors_pick_each_class_from_its_site():
+    for n in range(1, 13):
+        selectors = _residue_selectors(n)
+        for r, selector in enumerate(selectors):
+            site = range(r & 1, 1 << n, 2)
+            assert list(selector) == [int(changes_oracle(n, j) % 4 == r) for j in site]
+        assert _residue_selectors(n) is selectors  # cached per horizon
+    with pytest.raises(ValueError):
+        _residue_selectors(0)
+    with pytest.raises(ResourceLimitError):
+        _residue_selectors(21)
 
 
 def test_change_residue_table_range():

@@ -243,10 +243,10 @@ def test_layered_oracle_matches_double_sum_oracle():
             assert layered_integral_oracle(n, values) == integral_oracle_simple(n, values)
 
 
-@pytest.mark.parametrize("n", (12, 16, 20))
+@pytest.mark.parametrize("n", (6, 10, 12, 16, 20))
 def test_fast_routes_match_layered_oracle(n):
-    # past the definition cutoff TRACE and EIGEN read the same census, so
-    # their agreement alone proves nothing; each must match the oracle
+    # TRACE and EIGEN read the same class counts, so their agreement alone
+    # proves nothing; each must match the oracle
     st = state(n)
     for kind, f, values in seeded_variables(n, random.Random(57 + n)):
         want = layered_integral_oracle(n, values)
@@ -254,7 +254,7 @@ def test_fast_routes_match_layered_oracle(n):
             assert integral(st, f, strategy) == want, (kind, strategy)
 
 
-@pytest.mark.parametrize("n", (8, 10, 12))
+@pytest.mark.parametrize("n", (6, 8, 10, 12))
 def test_definition_route_matches_layered_oracle(n):
     # the double sum is the reference for the fast routes, so it is checked
     # against the oracle on its own, up to its dense cutoff
@@ -262,6 +262,81 @@ def test_definition_route_matches_layered_oracle(n):
     for kind, f, values in seeded_variables(n, random.Random(59 + n)):
         want = layered_integral_oracle(n, values)
         assert integral(st, f, IntegralStrategy.DEFINITION) == want, kind
+
+
+def test_class_counts_are_string_scanned_censuses():
+    # per residue class, the nonzero numerators and how many paths carry
+    # each: no zero level, every class on the site its parity names
+    rng = random.Random(61)
+    for n in (1, 2, 5, 9):
+        residues = [changes % 4 for changes in changes_table(n)]
+        for _ in range(10):
+            vals = tuple(rng.choice((0, 0, -2, 1, 3)) for _ in range(1 << n))
+            want = [{} for _ in range(4)]
+            for v, r in zip(vals, residues):
+                if v:
+                    want[r][v] = want[r].get(v, 0) + 1
+            assert qintegral._class_counts(vals, n) == want
+
+
+def all_routes(n: int, values) -> dict:
+    st = state(n)
+    f = rv(n, values)
+    return {s: integral(st, f, s) for s in IntegralStrategy}
+
+
+def test_routes_at_n1_with_two_empty_classes():
+    # at n = 1 path 0 has residue 0 and path 1 residue 1: classes 2 and 3
+    # are empty, and each site holds one path
+    for pair in product(range(-3, 4), (-2, -1, 0, 1, 2)):
+        want = layered_integral_oracle(1, pair)
+        assert set(all_routes(1, pair).values()) == {want}, pair
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 10))
+def test_routes_on_all_zero_variable(n):
+    assert set(all_routes(n, [0] * (1 << n)).values()) == {0}
+
+
+@pytest.mark.parametrize("n", (2, 3, 6, 10))
+def test_routes_on_only_negative_variable(n):
+    rng = random.Random(62 + n)
+    values = [Fraction(-rng.randint(1, 9), rng.choice((1, 2))) for _ in range(1 << n)]
+    want = layered_integral_oracle(n, values)
+    assert want < 0
+    assert set(all_routes(n, values).values()) == {want}
+    # and with most paths at zero
+    values = [v if rng.random() < 0.2 else 0 for v in values]
+    assert set(all_routes(n, values).values()) == {layered_integral_oracle(n, values)}
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 7, 10))
+@pytest.mark.parametrize("site", (0, 1))
+def test_routes_on_one_end_site(n, site):
+    rng = random.Random(64 + 2 * n + site)
+    values = [
+        Fraction(rng.randint(-6, 6), rng.choice((1, 3))) if j & 1 == site else 0
+        for j in range(1 << n)
+    ]
+    assert set(all_routes(n, values).values()) == {layered_integral_oracle(n, values)}
+
+
+@pytest.mark.parametrize("n", (2, 3, 6, 10))
+def test_routes_on_equal_values_across_classes(n):
+    # one value on paths of every residue class, then the same value on
+    # one path of each class only: ties meet across classes and sites
+    residues = [changes % 4 for changes in changes_table(n)]
+    for value in (Fraction(5, 2), -3):
+        values = [value] * (1 << n)
+        assert set(all_routes(n, values).values()) == {layered_integral_oracle(n, values)}
+        values = [0] * (1 << n)
+        for r in range(4):
+            if r in residues:
+                values[residues.index(r)] = value
+        assert set(all_routes(n, values).values()) == {layered_integral_oracle(n, values)}
+        # the same value on every path of residues 0 and 1, its negation on 2 and 3
+        values = [value if r < 2 else -value for r in residues]
+        assert set(all_routes(n, values).values()) == {layered_integral_oracle(n, values)}
 
 
 @pytest.mark.parametrize("n", (16, 20))

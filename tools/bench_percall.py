@@ -27,6 +27,7 @@ import argparse
 import gc
 import hashlib
 import json
+import operator
 import os
 import platform
 import random
@@ -47,6 +48,27 @@ def _pairs(rng: random.Random, n: int, count: int) -> list[tuple[int, int]]:
         i, j = rng.getrandbits(n), rng.getrandbits(n)
         if i != j:
             out.append((i, j))
+    return out
+
+
+def _variables(qw, rng: random.Random, space, count: int) -> list:
+    """count seeded variables in turn of three kinds: signed rationals over
+    one denominator, sparse supports of up to 64 paths, event indicators."""
+    RV = qw.RandomVariable
+    size = space.size
+    out = []
+    for i in range(count):
+        kind = i % 3
+        if kind == 0:
+            nums = tuple(rng.randint(-24, 24) for _ in range(size))
+            out.append(RV(space, nums, rng.randint(1, 4)))
+        elif kind == 1:
+            nums = [0] * size
+            for j in rng.sample(range(size), min(64, size)):
+                nums[j] = rng.randint(-9, 9)
+            out.append(RV(space, tuple(nums), 2))
+        else:
+            out.append(RV.indicator(qw.Event(space, rng.getrandbits(size))))
     return out
 
 
@@ -112,6 +134,33 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.is_q_measure,
         tuple,
     ))
+    dyadics = [qw.Dyadic(rng.getrandbits(60) - (1 << 59), rng.randint(0, 70)) for _ in range(20000)]
+    ops.append(("float(Dyadic)", [(d,) for d in dyadics], float, float.hex))
+    # odd pairs equal but built apart, even ones a value and its neighbour
+    compared = [
+        (d, qw.Dyadic(d.num, d.log2_den) if i % 2 else dyadics[i - 1])
+        for i, d in enumerate(dyadics)
+    ]
+    ops.append(("Dyadic ==", compared, operator.eq, bool))
+
+    def fraction_parts(f):
+        return f.numerator, f.denominator
+
+    strategies = qw.IntegralStrategy
+    for n, count, routes in (
+        (2, 3000, (strategies.TRACE, strategies.EIGEN)),
+        (10, 6, (strategies.DEFINITION,)),
+        (16, 6, (strategies.TRACE, strategies.EIGEN)),
+    ):
+        state = qw.DecoherenceState(qw.PathSpace(n))
+        variables = _variables(qw, rng, state.space, count)
+        for route in routes:
+            ops.append((
+                f"integral {route.value} n={n}",
+                [(state, v, route) for v in variables],
+                qw.integral,
+                fraction_parts,
+            ))
     return ops
 
 
