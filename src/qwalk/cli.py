@@ -33,7 +33,7 @@ from .cylinder import (
     repeated_block_verdict,
     variation_lower_bound,
 )
-from .decoherence import DecoherenceState, Event
+from .decoherence import EIGEN_CHECK_MAX_STEPS, DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic
 from .paths import MAX_STEPS, PathSpace
@@ -420,7 +420,7 @@ def cmd_eigen(args) -> None:
     state = DecoherenceState(space)
     even = state.eigenvector_exact(0)
     odd = state.eigenvector_exact(1)
-    verified = state.eigen_equation_holds() if args.n <= 10 else None
+    verified = state.eigen_equation_holds() if args.n <= EIGEN_CHECK_MAX_STEPS else None
     _emit_json(
         "eigen",
         {"n": args.n},

@@ -21,11 +21,18 @@ from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic, RootTwoScaled
 from .paths import PathSpace, change_residue_count_levels
-from .qmeasure import Strategy, mu, mu_from_census
+from .qmeasure import mu, mu_from_census
 
 APPROXIMANT_MAX_LEVEL = 24
 COMBINATION_CAP = 1_000_000
 LIMIT_MAX_LEVEL = 512
+# limit-classifier rule (see classify_sequence); a limit table may set its
+# own window and tol
+LIMIT_WINDOW = 5
+LIMIT_TOL = 1e-9
+BLOW_UP = 1e6
+GROWTH_RUN = 10
+BLOCK_DIRECT_TERMS = 4  # block products computed from their bases
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,15 +359,11 @@ class LimitReport:
 
 
 def classify_sequence(
-    values: list[float],
-    window: int,
-    tol: float,
-    blow_up: float = 1e6,
-    growth_run: int = 10,
+    values: list[float], window: int, tol: float
 ) -> tuple[LimitVerdict, float | None, int | None]:
     """Shared verdict rule for measure sequences indexed 1, 2, 3, ...
 
-    Diverged: some value exceeds `blow_up` after `growth_run` consecutive
+    Diverged: some value exceeds BLOW_UP after GROWTH_RUN consecutive
     increases.  Converged: the trailing run of consecutive differences below
     `tol` spans at least `window` values; the estimate is the final value and
     the attachment point is where that window is first complete.
@@ -370,7 +373,7 @@ def classify_sequence(
     increases = 0
     for t in range(1, len(values)):
         increases = increases + 1 if values[t] > values[t - 1] else 0
-        if values[t] > blow_up and increases >= growth_run:
+        if values[t] > BLOW_UP and increases >= GROWTH_RUN:
             return LimitVerdict.DIVERGED, None, t + 1
     run_start = len(values) - 1
     while run_start > 0 and abs(values[run_start] - values[run_start - 1]) < tol:
@@ -382,12 +385,7 @@ def classify_sequence(
 
 
 def limit_mu_hat(
-    event: SymbolicEvent,
-    n_max: int,
-    window: int = 5,
-    tol: float = 1e-9,
-    blow_up: float = 1e6,
-    growth_run: int = 10,
+    event: SymbolicEvent, n_max: int, window: int = LIMIT_WINDOW, tol: float = LIMIT_TOL
 ) -> LimitReport:
     """Tabulate the event's measure sequence and classify its limit.
 
@@ -403,9 +401,7 @@ def limit_mu_hat(
     for n, census in enumerate(_limit_censuses(event, n_max), start=1):
         exact = mu_from_census(census, n)
         rows.append((n, exact, float(exact)))
-    verdict, estimate, at_n = classify_sequence(
-        [r[2] for r in rows], window, tol, blow_up, growth_run
-    )
+    verdict, estimate, at_n = classify_sequence([r[2] for r in rows], window, tol)
     kind = (
         "increasing-complements"
         if isinstance(event, ComplementOfFinitePathSet)
@@ -442,48 +438,37 @@ def _block_product_indices(i: int) -> list[int]:
     return members
 
 
-def repeated_block_measures(i_max: int, direct_limit: int = 4) -> list[BlockMeasure]:
+def repeated_block_measures(i_max: int) -> list[BlockMeasure]:
     """Measures of the nested block-product cylinders, which grow as (9/8)**i.
 
-    Terms up to `direct_limit` are computed directly from the level-3i base
-    (entry sums at small levels, residue censuses at level 12); later terms
-    extrapolate the verified ratio and are labeled as such.
+    The first BLOCK_DIRECT_TERMS terms are computed from the level-3i base's
+    residue census and checked against the ratio; later terms extrapolate the
+    verified ratio and are labeled as such.
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
     ratio = Fraction(9, 8)
     out = []
-    for i in range(1, min(i_max, direct_limit) + 1):
+    direct = min(i_max, BLOCK_DIRECT_TERMS)
+    for i in range(1, direct + 1):
         level = 3 * i
-        members = _block_product_indices(i)
         space = PathSpace(level)
-        state = DecoherenceState(space)
-        event = Event.from_indices(space, members)
-        if level <= 9:
-            exact = mu(state, event, Strategy.DENSE)
-        else:
-            exact = mu(state, event, Strategy.RANK2)
-        value = exact.as_fraction()
+        event = Event.from_indices(space, _block_product_indices(i))
+        value = mu(DecoherenceState(space), event).as_fraction()
         if value != ratio ** i:
             raise RuntimeError(
                 f"block-product measure at level {level} broke the expected ratio"
             )
         out.append(BlockMeasure(i, value, "direct"))
-    for i in range(min(i_max, direct_limit) + 1, i_max + 1):
+    for i in range(direct + 1, i_max + 1):
         out.append(BlockMeasure(i, ratio ** i, "extrapolated"))
     return out
 
 
-def repeated_block_verdict(
-    i_max: int = 130,
-    window: int = 5,
-    tol: float = 1e-9,
-    blow_up: float = 1e6,
-    growth_run: int = 10,
-) -> LimitVerdict:
+def repeated_block_verdict(i_max: int = 130) -> LimitVerdict:
     """Verdict of the limit classifier on the block-product measure sequence."""
     series = [float(term.value) for term in repeated_block_measures(i_max)]
-    verdict, _, _ = classify_sequence(series, window, tol, blow_up, growth_run)
+    verdict, _, _ = classify_sequence(series, LIMIT_WINDOW, LIMIT_TOL)
     return verdict
 
 

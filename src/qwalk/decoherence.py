@@ -13,7 +13,9 @@ an event are
     even residues:  (census[0] - census[2])        (real part)
     odd residues:   (census[1] - census[3]) * i    (imaginary part)
 
-and all functionals are inner products of such pairs over 2**n.
+and all functionals are inner products of such pairs over 2**n.  The
+imaginary unit meets its own conjugate there, so every entry, functional and
+inner product is real, and one value type, ``Dyadic``, holds them all.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .exact import Dyadic, GaussianScaled
+from .exact import Dyadic
 from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts
 
 DENSE_MAX_STEPS = 12  # 4**12 one-byte signs, ~17 MB
@@ -148,18 +150,19 @@ class VectorMeasureValue:
     The true vector is (even + 0i, 0 + odd*i) / 2**(steps/2); the integer
     components are stored so inner products stay exact.  With the pairing
     <x, y> = sum x_t * conj(y_t), inner(self, other) reproduces the
-    decoherence functional of the two events; this convention was fixed by
-    cross-checking against the dense entry sums, not assumed.
+    decoherence functional of the two events, a real ``Dyadic``; this
+    convention was fixed by cross-checking against the dense entry sums, not
+    assumed.
     """
 
     even: int
     odd: int
     steps: int
 
-    def inner(self, other: "VectorMeasureValue") -> GaussianScaled:
+    def inner(self, other: "VectorMeasureValue") -> Dyadic:
         if self.steps != other.steps:
             raise ValueError("vector measures from different horizons")
-        return GaussianScaled(self.even * other.even + self.odd * other.odd, 0, self.steps)
+        return Dyadic(self.even * other.even + self.odd * other.odd, self.steps)
 
     def __add__(self, other: "VectorMeasureValue") -> "VectorMeasureValue":
         if self.steps != other.steps:
@@ -230,9 +233,9 @@ class DecoherenceState:
         # same end site: the change counts agree mod 4 or differ by 2
         return 1 if ((j ^ (j >> 1)).bit_count() - (k ^ (k >> 1)).bit_count()) & 3 == 0 else -1
 
-    def entry(self, j: int, k: int) -> GaussianScaled:
+    def entry(self, j: int, k: int) -> Dyadic:
         """Matrix entry (j, k): sign / 2**n, exactly."""
-        return GaussianScaled(self.entry_sign(j, k), 0, self.space.n)
+        return Dyadic(self.entry_sign(j, k), self.space.n)
 
     def dense_signs(self) -> array:
         """Row-major signed-byte sign grid; materialized lazily, n <= 12 only."""
@@ -281,13 +284,13 @@ class DecoherenceState:
             (mask & m3).bit_count(),
         )
 
-    def functional(self, a: Event, b: Event) -> GaussianScaled:
+    def functional(self, a: Event, b: Event) -> Dyadic:
         """Decoherence functional of the event pair, via the rank-two censuses."""
         ca, cb = self.census(a), self.census(b)
         value = (ca[0] - ca[2]) * (cb[0] - cb[2]) + (ca[1] - ca[3]) * (cb[1] - cb[3])
-        return GaussianScaled(value, 0, self.space.n)
+        return Dyadic(value, self.space.n)
 
-    def functional_by_entries(self, a: Event, b: Event) -> GaussianScaled:
+    def functional_by_entries(self, a: Event, b: Event) -> Dyadic:
         """Reference route: literal sum of matrix entries over a x b."""
         self._check_event(a)
         self._check_event(b)
@@ -299,7 +302,7 @@ class DecoherenceState:
                 if (j ^ k) & 1:
                     continue
                 total += 1 if rj == rk else -1
-        return GaussianScaled(total, 0, self.space.n)
+        return Dyadic(total, self.space.n)
 
     def entry_total(self) -> Dyadic:
         """Sum of all 4**n entries, computed from the residue profile alone."""

@@ -1,10 +1,10 @@
 """Exact scaled-integer arithmetic.
 
-Three value types cover every number this library produces:
+Two value types cover every number this library produces:
 
-* ``Dyadic``         -- p / 2**k, the value class of all truncated measures
-* ``GaussianScaled`` -- (a + b*i) / 2**k, matrix entries and event sums
-* ``RootTwoScaled``  -- (a + b*sqrt(2)) / 2**k, closed forms with cos(m*pi/4)
+* ``Dyadic``        -- p / 2**k: truncated measures, matrix entries and the
+  decoherence functional, which is real
+* ``RootTwoScaled`` -- (a + b*sqrt(2)) / 2**k, closed forms with cos(m*pi/4)
 
 Every value is kept in lowest terms on construction by one shift of its
 parts.  An integer or a value with an odd part, the common case, is stored
@@ -61,6 +61,15 @@ class Dyadic:
 
     def is_zero(self) -> bool:
         return self.num == 0
+
+    # the real-number protocol of int, Fraction and float
+    @property
+    def real(self) -> "Dyadic":
+        return self
+
+    @property
+    def imag(self) -> "Dyadic":
+        return Dyadic(0)
 
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.log2_den)
@@ -134,98 +143,6 @@ class Dyadic:
 
     def __str__(self) -> str:
         return str(self.as_fraction())
-
-
-@dataclass(frozen=True, eq=False)
-class GaussianScaled:
-    """Gaussian integer over a power of two: (re + im*i) / 2**log2_den."""
-
-    re: int
-    im: int
-    log2_den: int = 0
-
-    def __post_init__(self) -> None:
-        shift = _common_shift(self.re | self.im, self.log2_den)
-        if shift:
-            object.__setattr__(self, "re", self.re >> shift)
-            object.__setattr__(self, "im", self.im >> shift)
-            object.__setattr__(self, "log2_den", self.log2_den - shift)
-
-    @classmethod
-    def unit_power(cls, k: int, log2_den: int = 0) -> "GaussianScaled":
-        """i**k over 2**log2_den."""
-        re, im = ((1, 0), (0, 1), (-1, 0), (0, -1))[k & 3]
-        return cls(re, im, log2_den)
-
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
-
-    def conjugate(self) -> "GaussianScaled":
-        return GaussianScaled(self.re, -self.im, self.log2_den)
-
-    @property
-    def real(self) -> Dyadic:
-        return Dyadic(self.re, self.log2_den)
-
-    @property
-    def imag(self) -> Dyadic:
-        return Dyadic(self.im, self.log2_den)
-
-    def abs_squared(self) -> Dyadic:
-        return Dyadic(self.re * self.re + self.im * self.im, 2 * self.log2_den)
-
-    def _coerced(self, other):
-        if isinstance(other, GaussianScaled):
-            return other
-        if isinstance(other, int):
-            return GaussianScaled(other, 0)
-        return None
-
-    def __add__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        den = max(self.log2_den, other.log2_den)
-        s, o = den - self.log2_den, den - other.log2_den
-        return GaussianScaled((self.re << s) + (other.re << o), (self.im << s) + (other.im << o), den)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "GaussianScaled":
-        return GaussianScaled(-self.re, -self.im, self.log2_den)
-
-    def __sub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        re = self.re * other.re - self.im * other.im
-        im = self.re * other.im + self.im * other.re
-        return GaussianScaled(re, im, self.log2_den + other.log2_den)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if type(other) is not GaussianScaled:
-            other = self._coerced(other)
-            if other is None:
-                return NotImplemented
-        return (self.re, self.im, self.log2_den) == (other.re, other.im, other.log2_den)
-
-    def __hash__(self):
-        return hash((self.re, self.im, self.log2_den))
-
-    def as_complex(self) -> complex:
-        scale = 1 << self.log2_den
-        return complex(self.re / scale, self.im / scale)
-
-    def __str__(self) -> str:
-        return f"({self.real}) + ({self.imag})i"
 
 
 # cos(m*pi/4) for m = 0..7, as (int_part, root_part) over denominator 2

@@ -61,8 +61,7 @@ def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK
     if strategy is Strategy.RANK2:
         return mu_from_census(state.census(event), n)
     if strategy is Strategy.DENSE:
-        value = state.functional_by_entries(event, event)
-        return value.real
+        return state.functional_by_entries(event, event)
     if strategy is Strategy.PAIRWISE:
         members = event.to_tuple()
         m = len(members)

@@ -198,7 +198,7 @@ def check_matrix_n1() -> None:
     for j in range(2):
         for k in range(2):
             want = Dyadic(1 if j == k else 0, 1)
-            check(state.entry(j, k).real == want, f"entry ({j},{k}) at n=1 wrong")
+            check(state.entry(j, k) == want, f"entry ({j},{k}) at n=1 wrong")
 
 
 _SIGNS_N2 = [
@@ -252,7 +252,7 @@ def check_entry_sum_unit() -> None:
         state = _state(n)
         full = Event.full(state.space)
         check(
-            state.functional_by_entries(full, full).real == Dyadic(1),
+            state.functional_by_entries(full, full) == Dyadic(1),
             f"literal entry sum at n={n} is not 1",
         )
 
@@ -260,9 +260,9 @@ def check_entry_sum_unit() -> None:
 def check_functional_values() -> None:
     state = _state(2)
     full = Event.full(state.space)
-    check(state.functional(full, full).real == Dyadic(1), "functional on the whole space")
+    check(state.functional(full, full) == Dyadic(1), "functional on the whole space")
     a, b = _event(2, [0]), _event(2, [2])
-    check(state.functional(a, b).real == Dyadic(-1, 2), "cross term {0},{2} at n=2")
+    check(state.functional(a, b) == Dyadic(-1, 2), "cross term {0},{2} at n=2")
     empty = Event.empty(state.space)
     check(state.functional(empty, full).is_zero(), "functional against empty event")
 
@@ -360,7 +360,7 @@ def check_vector_measure() -> None:
     state2 = _state(2)
     a, b = _event(2, [0]), _event(2, [2])
     check(
-        state2.vector_measure(a).inner(state2.vector_measure(b)).real == Dyadic(-1, 2),
+        state2.vector_measure(a).inner(state2.vector_measure(b)) == Dyadic(-1, 2),
         "vector-measure inner product misses the functional at n=2",
     )
     empty = state2.vector_measure(Event.empty(state2.space))
@@ -370,7 +370,7 @@ def check_vector_measure() -> None:
         size = 1 << n
         full = Event.full(state.space)
         vm_full = state.vector_measure(full)
-        check(vm_full.inner(vm_full).real == Dyadic(1), f"norm of the full event at n={n}")
+        check(vm_full.inner(vm_full) == Dyadic(1), f"norm of the full event at n={n}")
         pairs = 1000
         for _ in range(pairs):
             x = Event(state.space, rng.getrandbits(size))

@@ -108,9 +108,7 @@ def test_criterion_02_three_step_matrix():
     st = state(3)
     for j in range(8):
         for k in range(8):
-            got = st.entry(j, k)
-            assert got.real.as_fraction() == Fraction(signs[j][k], 8)
-            assert got.imag.is_zero()
+            assert st.entry(j, k).as_fraction() == Fraction(signs[j][k], 8)
     report("criterion-02 three-step matrix entries, entrywise exact")
 
 

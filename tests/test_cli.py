@@ -250,6 +250,14 @@ def test_eigen_output(capsys):
     assert doc["result"]["odd_vector"][1] == [0, 1]
 
 
+def test_eigen_verified_up_to_the_check_cap(capsys):
+    # the exact eigen-equation check stops at EIGEN_CHECK_MAX_STEPS = 10
+    assert run_json(capsys, "eigen", "--n", "10")["result"]["verified_exact"] is True
+    doc = run_json(capsys, "eigen", "--n", "11", "--force")
+    assert doc["result"]["verified_exact"] is None
+    assert len(doc["result"]["even_vector"]) == 1 << 11
+
+
 # -- error paths ------------------------------------------------------------------------
 
 

@@ -10,8 +10,9 @@ from qwalk.decoherence import (
     psd_by_ldl,
 )
 from qwalk.errors import ResourceLimitError
-from qwalk.exact import Dyadic, GaussianScaled
+from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace, change_residue_counts
+from qwalk.qmeasure import mu
 
 
 from oracles import changes_oracle, entry_sign_oracle
@@ -76,18 +77,18 @@ def test_entry_published_n2():
     for j in range(4):
         for k in range(4):
             got = st.entry(j, k)
-            assert got == GaussianScaled(PUBLISHED_N2[j][k], 0, 2)
+            assert type(got) is Dyadic and got == Dyadic(PUBLISHED_N2[j][k], 2)
 
 
 def test_entry_diagonal_and_hermitian():
+    # the entries are real, so Hermitian means symmetric
     for n in (1, 2, 3, 5):
         st = state(n)
         size = 1 << n
         for j in range(size):
-            assert st.entry(j, j) == GaussianScaled(1, 0, n)
-        for j in range(min(size, 8)):
-            for k in range(min(size, 8)):
-                assert st.entry(j, k) == st.entry(k, j).conjugate()
+            assert st.entry(j, j) == Dyadic(1, n)
+            for k in range(j):
+                assert st.entry(j, k) == st.entry(k, j)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -260,8 +261,7 @@ def test_functional_matches_oracle_random(n):
         a = rng.sample(range(size), rng.randint(0, size))
         b = rng.sample(range(size), rng.randint(0, size))
         got = st.functional(event(n, a), event(n, b))
-        assert got.imag.is_zero()
-        assert got.real.as_fraction() == functional_oracle(n, a, b)
+        assert got.as_fraction() == functional_oracle(n, a, b)
         by_entries = st.functional_by_entries(event(n, a), event(n, b))
         assert by_entries == got
 
@@ -269,9 +269,30 @@ def test_functional_matches_oracle_random(n):
 def test_functional_published_values():
     st = state(2)
     full = Event.full(st.space)
-    assert st.functional(full, full).real == Dyadic(1)
-    assert st.functional(event(2, [0]), event(2, [2])).real == Dyadic(-1, 2)
+    assert st.functional(full, full) == Dyadic(1)
+    assert st.functional(event(2, [0]), event(2, [2])) == Dyadic(-1, 2)
     assert st.functional(Event.empty(st.space), full).is_zero()
+
+
+def test_functional_values_are_dyadic_and_the_diagonal_is_mu():
+    rng = random.Random(20261018)
+    for n in range(1, 11):
+        st = state(n)
+        size = 1 << n
+        j, k = rng.randrange(size), rng.randrange(size)
+        assert type(st.entry(j, k)) is Dyadic
+        for _ in range(20):
+            a = Event(st.space, rng.getrandbits(size))
+            b = Event(st.space, rng.getrandbits(size))
+            diagonal = st.functional(a, a)
+            assert type(diagonal) is Dyadic and diagonal == mu(st, a)
+            cross = st.functional(a, b)
+            inner = st.vector_measure(a).inner(st.vector_measure(b))
+            assert type(cross) is Dyadic and type(inner) is Dyadic and inner == cross
+        # the literal double sum, once per horizon: quadratic in the event size
+        by_entries = st.functional_by_entries(a, a)
+        assert type(by_entries) is Dyadic and by_entries == mu(st, a)
+        assert type(st.functional_by_entries(a, b)) is Dyadic
 
 
 def test_functional_space_mismatch():
@@ -424,9 +445,9 @@ def test_vector_measure_published():
     empty = st.vector_measure(Event.empty(st.space))
     assert (empty.even, empty.odd) == (0, 0)
     full = st.vector_measure(Event.full(st.space))
-    assert full.inner(full).real == Dyadic(1)
+    assert full.inner(full) == Dyadic(1)
     a, b = st.vector_measure(event(2, [0])), st.vector_measure(event(2, [2]))
-    assert a.inner(b).real == Dyadic(-1, 2)
+    assert a.inner(b) == Dyadic(-1, 2)
     pair = st.vector_measure(event(2, [1]))
     z0, z1 = pair.as_complex_pair()
     assert z0 == 0 and abs(z1) == pytest.approx(0.5)

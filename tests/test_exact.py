@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qwalk.exact import Dyadic, GaussianScaled, RootTwoScaled
+from qwalk.exact import Dyadic, RootTwoScaled
 
 
 def test_dyadic_normalization():
@@ -47,9 +47,13 @@ def test_equality_with_same_class_ints_and_strangers():
     assert Dyadic(6, 1) == Dyadic(3) and Dyadic(3) == 3 and 3 == Dyadic(3)
     assert Dyadic(3, 1) != Dyadic(3) and Dyadic(1, 1) != 1
     assert Dyadic(1) != "1" and Dyadic(1) != 1.0 and Dyadic(1) != None  # noqa: E711
-    assert GaussianScaled(2, 4, 1) == GaussianScaled(1, 2) and GaussianScaled(3, 0) == 3
-    assert GaussianScaled(3, 1) != 3 and GaussianScaled(1, 0) != Dyadic(1)
-    assert GaussianScaled(1, 0) != "1"
+    # .real and .imag as on int, Fraction and float: the value, and zero
+    for value in (Dyadic(3, 2), Dyadic(-5), Dyadic(0, 9), Dyadic(7, 40)):
+        frac = value.as_fraction()
+        assert type(value.real) is Dyadic and value.real == value
+        assert value.real.as_fraction() == frac.real
+        assert type(value.imag) is Dyadic and value.imag == Dyadic(0) == 0
+        assert value.imag.as_fraction() == frac.imag
 
 
 def test_dyadic_fraction_round_trip():
@@ -65,31 +69,6 @@ def test_dyadic_numerator_at():
     assert v.numerator_at(2) == 3
     with pytest.raises(ValueError):
         v.numerator_at(1)
-
-
-def test_gaussian_arithmetic():
-    x = GaussianScaled(1, 2, 1)  # (1+2i)/2
-    y = GaussianScaled(3, -1, 2)  # (3-i)/4
-    assert (x * y) == GaussianScaled(5, 5, 3)
-    assert (x + y) == GaussianScaled(5, 3, 2)
-    assert x.conjugate() == GaussianScaled(1, -2, 1)
-    assert x.abs_squared() == Dyadic(5, 2)
-    assert x.real == Dyadic(1, 1)
-    assert x.imag == Dyadic(1, 0)
-    assert GaussianScaled(0, 0, 5).is_zero()
-    assert x.as_complex() == complex(0.5, 1.0)
-
-
-def test_gaussian_unit_powers():
-    powers = [GaussianScaled.unit_power(k) for k in range(4)]
-    assert powers == [
-        GaussianScaled(1, 0),
-        GaussianScaled(0, 1),
-        GaussianScaled(-1, 0),
-        GaussianScaled(0, -1),
-    ]
-    assert GaussianScaled.unit_power(6) == GaussianScaled(-1, 0)
-    assert GaussianScaled.unit_power(-1) == GaussianScaled(0, -1)
 
 
 def test_root_two_pow_half():
@@ -137,12 +116,10 @@ def _reduce_bit_by_bit(parts, log2_den):
 def _parts(value):
     if isinstance(value, Dyadic):
         return (value.num,)
-    if isinstance(value, GaussianScaled):
-        return (value.re, value.im)
     return (value.int_part, value.root_part)
 
 
-@pytest.mark.parametrize("cls", [Dyadic, GaussianScaled, RootTwoScaled])
+@pytest.mark.parametrize("cls", [Dyadic, RootTwoScaled])
 def test_reduce_zero_drops_the_denominator(cls):
     arity = 1 if cls is Dyadic else 2
     for den in (0, 1, 7, 64):
@@ -155,8 +132,8 @@ def test_reduce_zero_drops_the_denominator(cls):
     [
         (Dyadic(-12, 5), (-3,), 3),
         (Dyadic(-1, 4), (-1,), 4),
-        (GaussianScaled(-4, 8, 3), (-1, 2), 1),
-        (GaussianScaled(12, -20, 6), (3, -5), 4),
+        (RootTwoScaled(-4, 8, 3), (-1, 2), 1),
+        (RootTwoScaled(12, -20, 6), (3, -5), 4),
         (RootTwoScaled(-8, -4, 4), (-2, -1), 2),
         (RootTwoScaled(0, -48, 5), (0, -3), 1),
     ],
@@ -170,8 +147,8 @@ def test_reduce_negative_numerators(value, parts, den):
     [
         (Dyadic(64, 2), (16,)),
         (Dyadic(-1 << 40, 3), (-(1 << 37),)),
-        (GaussianScaled(32, -64, 3), (4, -8)),
-        (GaussianScaled(0, 1 << 20, 5), (0, 1 << 15)),
+        (RootTwoScaled(32, -64, 3), (4, -8)),
+        (RootTwoScaled(0, 1 << 20, 5), (0, 1 << 15)),
         (RootTwoScaled(0, 48, 2), (0, 12)),
         (RootTwoScaled(-256, 512, 7), (-2, 4)),
     ],
@@ -185,8 +162,8 @@ def test_reduce_stops_at_integer(value, parts):
     "value, parts, den",
     [
         (Dyadic(-3, 4), (-3,), 4),
-        (GaussianScaled(2, 1, 3), (2, 1), 3),
-        (GaussianScaled(-3, 4, 2), (-3, 4), 2),
+        (RootTwoScaled(2, 1, 3), (2, 1), 3),
+        (RootTwoScaled(-3, 4, 2), (-3, 4), 2),
         (RootTwoScaled(1, 2, 2), (1, 2), 2),
         (RootTwoScaled(8, -5, 6), (8, -5), 6),
     ],
@@ -195,7 +172,7 @@ def test_reduce_keeps_mixed_parity(value, parts, den):
     assert _parts(value) == parts and value.log2_den == den
 
 
-@pytest.mark.parametrize("cls", [Dyadic, GaussianScaled, RootTwoScaled])
+@pytest.mark.parametrize("cls", [Dyadic, RootTwoScaled])
 def test_reduce_rejects_negative_exponent(cls):
     arity = 1 if cls is Dyadic else 2
     for parts in ([0] * arity, [4] * arity, [-3] * arity):
@@ -210,7 +187,7 @@ def test_reduce_matches_bit_by_bit_reference():
         shift = rng.randint(0, 70)
         parts = [rng.randint(-(1 << 12), 1 << 12) << shift for _ in range(arity)]
         den = rng.randint(0, 80)
-        cls = Dyadic if arity == 1 else rng.choice((GaussianScaled, RootTwoScaled))
+        cls = Dyadic if arity == 1 else RootTwoScaled
         want_parts, want_den = _reduce_bit_by_bit(parts, den)
         value = cls(*parts, den)
         assert _parts(value) == tuple(want_parts) and value.log2_den == want_den

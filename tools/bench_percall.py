@@ -161,6 +161,15 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
                 qw.integral,
                 fraction_parts,
             ))
+    state = qw.DecoherenceState(qw.PathSpace(10))
+    events = [qw.Event(state.space, rng.getrandbits(1 << 10)) for _ in range(2001)]
+    ops.append((
+        "functional n=10",
+        list(zip(events, events[1:])),
+        state.functional,
+        # .real and .imag read the same on a real value and a complex one
+        lambda v: (dyadic_parts(v.real), dyadic_parts(v.imag)),
+    ))
     return ops
 
 
