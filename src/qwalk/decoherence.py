@@ -21,14 +21,13 @@ inner product is real, and one value type, ``Dyadic``, holds them all.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
-from .exact import Dyadic
+from .exact import Dyadic, _Frozen, _new
 from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts
 
 DENSE_MAX_STEPS = 12  # 4**12 one-byte signs, ~17 MB
@@ -61,22 +60,37 @@ def _residue_masks(n: int) -> tuple[int, int, int, int]:
     )
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(_Frozen):
     """Subset of the n-path space as a membership mask (bit j <=> path j)."""
 
-    space: PathSpace
-    mask: int
+    __slots__ = ("space", "mask")
 
-    def __post_init__(self) -> None:
-        n = self.space.n
+    def __new__(cls, space: PathSpace, mask: int) -> "Event":
+        n = space.n
         if n > EVENT_MAX_STEPS:
             raise ResourceLimitError(
                 f"explicit events are capped at n <= {EVENT_MAX_STEPS}; "
                 "larger horizons are served by residue-census generators"
             )
-        if self.mask < 0 or self.mask >> (1 << n):
+        if mask < 0 or mask >> (1 << n):
             raise ValueError("event mask addresses paths outside the space")
+        self = _new(cls)
+        _set_space(self, space)
+        _set_mask(self, mask)
+        return self
+
+    def __eq__(self, other):
+        if type(other) is not Event:
+            return NotImplemented
+        return self.mask == other.mask and (
+            self.space is other.space or self.space == other.space
+        )
+
+    def __hash__(self):
+        return hash((self.space, self.mask))
+
+    def __reduce__(self):
+        return Event, (self.space, self.mask)
 
     @classmethod
     def from_indices(cls, space: PathSpace, indices) -> "Event":
@@ -124,10 +138,6 @@ class Event:
         self._check_same_space(other)
         return Event(self.space, self.mask | other.mask)
 
-    def intersection(self, other: "Event") -> "Event":
-        self._check_same_space(other)
-        return Event(self.space, self.mask & other.mask)
-
     def difference(self, other: "Event") -> "Event":
         self._check_same_space(other)
         return Event(self.space, self.mask & ~other.mask)
@@ -143,8 +153,7 @@ class Event:
         return f"Event(n={self.space.n}, {{{', '.join(map(str, self.indices()))}}})"
 
 
-@dataclass(frozen=True)
-class VectorMeasureValue:
+class VectorMeasureValue(_Frozen):
     """Value of the two-component vector measure of an event.
 
     The true vector is (even + 0i, 0 + odd*i) / 2**(steps/2); the integer
@@ -155,9 +164,28 @@ class VectorMeasureValue:
     assumed.
     """
 
-    even: int
-    odd: int
-    steps: int
+    __slots__ = ("even", "odd", "steps")
+
+    def __new__(cls, even: int, odd: int, steps: int) -> "VectorMeasureValue":
+        self = _new(cls)
+        _set_even(self, even)
+        _set_odd(self, odd)
+        _set_steps(self, steps)
+        return self
+
+    def __eq__(self, other):
+        if type(other) is not VectorMeasureValue:
+            return NotImplemented
+        return self.even == other.even and self.odd == other.odd and self.steps == other.steps
+
+    def __hash__(self):
+        return hash((self.even, self.odd, self.steps))
+
+    def __reduce__(self):
+        return VectorMeasureValue, (self.even, self.odd, self.steps)
+
+    def __repr__(self) -> str:
+        return f"VectorMeasureValue(even={self.even!r}, odd={self.odd!r}, steps={self.steps!r})"
 
     def inner(self, other: "VectorMeasureValue") -> Dyadic:
         if self.steps != other.steps:
@@ -169,9 +197,12 @@ class VectorMeasureValue:
             raise ValueError("vector measures from different horizons")
         return VectorMeasureValue(self.even + other.even, self.odd + other.odd, self.steps)
 
-    def as_complex_pair(self) -> tuple[complex, complex]:
-        scale = 2.0 ** (self.steps / 2.0)
-        return (complex(self.even / scale, 0.0), complex(0.0, self.odd / scale))
+
+_set_space = Event.space.__set__
+_set_mask = Event.mask.__set__
+_set_even = VectorMeasureValue.even.__set__
+_set_odd = VectorMeasureValue.odd.__set__
+_set_steps = VectorMeasureValue.steps.__set__
 
 
 def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
@@ -271,7 +302,9 @@ class DecoherenceState:
         of this horizon, held on the state from its first census; no member
         is visited.
         """
-        self._check_event(event)
+        # _check_event's test, inline on this hot path
+        if event.space is not self.space and event.space != self.space:
+            raise ValueError("event lives over a different path space")
         masks = self._masks
         if masks is None:
             masks = self._masks = _residue_masks(self.space.n)
@@ -352,9 +385,12 @@ class DecoherenceState:
         of the sign matrix is zero off its own end site and, on it, +1 at
         the columns sharing j's change residue and -1 elsewhere, so each
         component of row j times the vector is twice its sum over the
-        same-residue columns minus its sum over the whole site.  Every row
-        of both sites is checked against every column of its site, so a
-        stray nonzero entry on the wrong site fails its own row.
+        same-residue columns minus its sum over the whole site.  A row is
+        thus fixed by its site and residue, and its value is computed once
+        per (site, component, residue) and compared with every row of that
+        residue.  Every row of both sites is checked against every column of
+        its site, so a stray nonzero entry on the wrong site fails its own
+        row.
         """
         n = self.space.n
         if n > EIGEN_CHECK_MAX_STEPS:
@@ -372,9 +408,9 @@ class DecoherenceState:
                 for component in zip(*vec):
                     col = component[site::2]
                     col_total = sum(col)
-                    for r, want in zip(site_res, col):
-                        if sum(compress(col, same[r])) * 2 - col_total != half * want:
-                            return False
+                    by_residue = [sum(compress(col, same[r])) * 2 - col_total for r in range(4)]
+                    if list(map(by_residue.__getitem__, site_res)) != [half * w for w in col]:
+                        return False
         return True
 
     # -- vector measure and strong positivity --------------------------------

@@ -6,9 +6,11 @@ Two value types cover every number this library produces:
   decoherence functional, which is real
 * ``RootTwoScaled`` -- (a + b*sqrt(2)) / 2**k, closed forms with cos(m*pi/4)
 
-Every value is kept in lowest terms on construction by one shift of its
-parts.  An integer or a value with an odd part, the common case, is stored
-as given after one test.
+Both are slotted immutable classes: each field is written once, through
+its slot, while the value is built, and assigning or deleting one raises
+AttributeError.  Every value is kept in lowest terms on construction by one
+shift of its parts, reduced on the plain ints before the object exists; an
+integer or a value with an odd part, the common case, is stored as given.
 
 Nothing here touches floats except the explicit ``float()`` conversions, so
 zero tests (preclusion decisions in particular) are always settled by integer
@@ -17,47 +19,62 @@ comparison, never by tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 
 
 def _common_shift(acc: int, log2_den: int) -> int:
-    """How far parts whose bitwise OR is acc reduce over 2**log2_den.
+    """How far parts whose bitwise OR is acc reduce over 2**log2_den, for
+    log2_den >= 1 and an even acc.
 
     The parts share as many trailing zero bits as acc has, so one shift by
     that count, capped at log2_den, puts them in lowest terms; all-zero
-    parts reduce to denominator exponent 0.  The common cases, an integer
-    (log2_den 0) and an odd part, return 0 after one test.
+    parts reduce to denominator exponent 0.
     """
-    if log2_den < 0:
-        raise ValueError("denominator exponent must be nonnegative")
-    if not log2_den or acc & 1:
-        return 0
     return min((acc & -acc).bit_length() - 1, log2_den) if acc else log2_den
 
 
+class _Frozen:
+    """Immutability for the slotted value types: every field is written
+    once, through its slot descriptor, while the value is built."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+_new = object.__new__
+
+
 @total_ordering
-@dataclass(frozen=True, eq=False)
-class Dyadic:
+class Dyadic(_Frozen):
     """Exact dyadic rational num / 2**log2_den, kept in lowest terms."""
 
-    num: int
-    log2_den: int = 0
+    __slots__ = ("num", "log2_den")
 
-    def __post_init__(self) -> None:
-        shift = _common_shift(self.num, self.log2_den)
-        if shift:
-            object.__setattr__(self, "num", self.num >> shift)
-            object.__setattr__(self, "log2_den", self.log2_den - shift)
+    def __new__(cls, num: int, log2_den: int = 0) -> "Dyadic":
+        # an integer or an odd numerator is already in lowest terms
+        if log2_den > 0:
+            if not num & 1:
+                shift = _common_shift(num, log2_den)
+                num >>= shift
+                log2_den -= shift
+        elif log2_den:
+            raise ValueError("denominator exponent must be nonnegative")
+        self = _new(cls)
+        _set_num(self, num)
+        _set_dyadic_den(self, log2_den)
+        return self
 
-    @classmethod
-    def from_fraction(cls, value) -> "Dyadic":
-        frac = Fraction(value)
-        k = frac.denominator.bit_length() - 1
-        if 1 << k != frac.denominator:
-            raise ValueError(f"{value!r} is not a dyadic rational")
-        return cls(frac.numerator, k)
+    def __reduce__(self):
+        return Dyadic, (self.num, self.log2_den)
+
+    def __repr__(self) -> str:
+        return f"Dyadic(num={self.num!r}, log2_den={self.log2_den!r})"
 
     def is_zero(self) -> bool:
         return self.num == 0
@@ -145,24 +162,42 @@ class Dyadic:
         return str(self.as_fraction())
 
 
+_set_num = Dyadic.num.__set__
+_set_dyadic_den = Dyadic.log2_den.__set__
+
 # cos(m*pi/4) for m = 0..7, as (int_part, root_part) over denominator 2
 _COS_EIGHTH = ((2, 0), (0, 1), (0, 0), (0, -1), (-2, 0), (0, -1), (0, 0), (0, 1))
 
 
-@dataclass(frozen=True, eq=False)
-class RootTwoScaled:
+class RootTwoScaled(_Frozen):
     """Element of Z[sqrt(2)] over a power of two: (a + b*sqrt(2)) / 2**log2_den."""
 
-    int_part: int
-    root_part: int
-    log2_den: int = 0
+    __slots__ = ("int_part", "root_part", "log2_den")
 
-    def __post_init__(self) -> None:
-        shift = _common_shift(self.int_part | self.root_part, self.log2_den)
-        if shift:
-            object.__setattr__(self, "int_part", self.int_part >> shift)
-            object.__setattr__(self, "root_part", self.root_part >> shift)
-            object.__setattr__(self, "log2_den", self.log2_den - shift)
+    def __new__(cls, int_part: int, root_part: int, log2_den: int = 0) -> "RootTwoScaled":
+        if log2_den > 0:
+            acc = int_part | root_part
+            if not acc & 1:
+                shift = _common_shift(acc, log2_den)
+                int_part >>= shift
+                root_part >>= shift
+                log2_den -= shift
+        elif log2_den:
+            raise ValueError("denominator exponent must be nonnegative")
+        self = _new(cls)
+        _set_int_part(self, int_part)
+        _set_root_part(self, root_part)
+        _set_root_two_den(self, log2_den)
+        return self
+
+    def __reduce__(self):
+        return RootTwoScaled, (self.int_part, self.root_part, self.log2_den)
+
+    def __repr__(self) -> str:
+        return (
+            f"RootTwoScaled(int_part={self.int_part!r}, root_part={self.root_part!r}, "
+            f"log2_den={self.log2_den!r})"
+        )
 
     @classmethod
     def from_int(cls, value: int) -> "RootTwoScaled":
@@ -255,3 +290,8 @@ class RootTwoScaled:
 
     def __str__(self) -> str:
         return f"({self.int_part} + {self.root_part}*sqrt(2)) / 2**{self.log2_den}"
+
+
+_set_int_part = RootTwoScaled.int_part.__set__
+_set_root_part = RootTwoScaled.root_part.__set__
+_set_root_two_den = RootTwoScaled.log2_den.__set__

@@ -27,12 +27,12 @@ and below zero.  All values are exact rationals throughout.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect, insort
 from collections import _count_elements
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, product
+from itertools import compress, pairwise, product
 from math import gcd, lcm
 
 from .decoherence import DecoherenceState, Event
@@ -224,33 +224,41 @@ def _class_counts(vals, n: int) -> list[dict[int, int]]:
     return out
 
 
-def _slabs(levels) -> list[tuple[int, int]]:
-    """(level, thickness down to the next lower level or to zero), descending."""
-    desc = sorted(levels, reverse=True)
-    return [(v, v - lower) for v, lower in zip(desc, desc[1:] + [0])]
+def _levels(keys: set[int]) -> tuple[list[int], list[int]]:
+    """The nonzero levels of both parts, each in decreasing magnitude and
+    ending in 0: the positive numerators descending, then the negative
+    ones ascending.  One sort of the key set, split at zero."""
+    neg = sorted(keys)
+    split = bisect(neg, 0)
+    pos = neg[split:]
+    pos.reverse()
+    del neg[split:]
+    pos.append(0)
+    neg.append(0)
+    return pos, neg
+
+
+# A slab from level v down to the next level w toward zero adds
+# (v - w) * q, where q is 2**n times the measure of the paths reaching v:
+# for the positive part v - w is its thickness, and for the negative part
+# it is minus the thickness of the negated slab, the part's sign.  Zero is
+# never a class-count key, so the closing 0 level adds nothing.
 
 
 def _trace(class_counts: list[dict[int, int]]) -> int:
     """Layered evaluation of both parts: slab thickness times the squared
     census sums (c0 - c2, c1 - c3) of the paths whose value reaches the
     slab, the negative part's layers subtracted from the positive part's.
-    One pass over the class counts fills both parts' level tables."""
-    parts: tuple[dict, dict] = ({}, {})  # level -> its paths' census sums
-    for r, counts in enumerate(class_counts):
-        k, unit = r & 1, 1 if r < 2 else -1
-        for v, count in counts.items():
-            if v > 0:
-                parts[0].setdefault(v, [0, 0])[k] += unit * count
-            else:
-                parts[1].setdefault(-v, [0, 0])[k] += unit * count
+    The levels are the keys of the four class counts, read with dict.get."""
+    c0, c1, c2, c3 = class_counts
+    g0, g1, g2, g3 = c0.get, c1.get, c2.get, c3.get
     total = 0
-    for sign, levels in zip((1, -1), parts):
+    for levels in _levels({*c0, *c1, *c2, *c3}):
         even = odd = 0
-        for v, thickness in _slabs(levels):
-            step_even, step_odd = levels[v]
-            even += step_even
-            odd += step_odd
-            total += sign * thickness * (even * even + odd * odd)
+        for v, lower in pairwise(levels):
+            even += g0(v, 0) - g2(v, 0)
+            odd += g1(v, 0) - g3(v, 0)
+            total += (v - lower) * (even * even + odd * odd)
     return total
 
 
@@ -260,23 +268,19 @@ def _eigen(class_counts: list[dict[int, int]]) -> int:
     Residue parity is the end site, so parity p owns residues p and p + 2,
     and each parity has its own level structure.  The running unit-power sum
     of a parity is real for even endings and purely imaginary for odd ones,
-    so one signed accumulator per parity gives its squared magnitude.  One
-    pass over a parity's two class counts fills both parts' level tables.
+    so one signed accumulator per parity gives its squared magnitude.  The
+    levels are the keys of the parity's two class counts, read with
+    dict.get.
     """
     total = 0
     for parity in (0, 1):
-        parts: tuple[dict, dict] = ({}, {})  # level -> its paths' unit-power sum
-        for counts, unit in ((class_counts[parity], 1), (class_counts[parity + 2], -1)):
-            for v, count in counts.items():
-                if v > 0:
-                    parts[0][v] = parts[0].get(v, 0) + unit * count
-                else:
-                    parts[1][-v] = parts[1].get(-v, 0) + unit * count
-        for sign, levels in zip((1, -1), parts):
+        low, high = class_counts[parity], class_counts[parity + 2]
+        get_low, get_high = low.get, high.get
+        for levels in _levels({*low, *high}):
             amplitude = 0
-            for v, thickness in _slabs(levels):
-                amplitude += levels[v]
-                total += sign * thickness * amplitude * amplitude
+            for v, lower in pairwise(levels):
+                amplitude += get_low(v, 0) - get_high(v, 0)
+                total += (v - lower) * amplitude * amplitude
     return total
 
 
@@ -286,7 +290,7 @@ def integral(
     strategy: IntegralStrategy = IntegralStrategy.TRACE,
 ) -> Fraction:
     """The quantum integral of the variable, by the requested route."""
-    if variable.space != state.space:
+    if variable.space is not state.space and variable.space != state.space:
         raise ValueError("variable lives over a different path space")
     n = state.space.n
     vals = variable.numerators

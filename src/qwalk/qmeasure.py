@@ -55,7 +55,7 @@ def full_space_measure(n: int) -> Dyadic:
 
 def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK2) -> Dyadic:
     """The q-measure of the event, by the requested strategy."""
-    if event.space != state.space:
+    if event.space is not state.space and event.space != state.space:
         raise ValueError("event lives over a different path space")
     n = state.space.n
     if strategy is Strategy.RANK2:
@@ -106,28 +106,31 @@ def _pair_values(n: int) -> tuple[tuple, tuple]:
     return measures, terms
 
 
-def _pair_value(state: DecoherenceState, i: int, j: int, table: int):
-    """Entry of the horizon's pair table (0: measures, 1: interference) for
-    a pair of paths, after checking that both are in range and distinct."""
-    n = state.space.n
-    # a negative index makes the OR negative, which never shifts to 0
-    if i == j or (i | j) >> n:
-        if i == j:
-            raise ValueError("interference needs two distinct paths")
-        state.space.check_index(i)  # one of the two raises
-        state.space.check_index(j)
-    # the residue parity is the end site, so this also sees different sites
-    return _pair_values(n)[table][((i ^ (i >> 1)).bit_count() - (j ^ (j >> 1)).bit_count()) & 3]
+def _reject_pair(state: DecoherenceState, i: int, j: int) -> None:
+    """Raise for a pair of paths that is out of range or not distinct."""
+    if i == j:
+        raise ValueError("interference needs two distinct paths")
+    state.space.check_index(i)  # one of the two raises
+    state.space.check_index(j)
 
 
 def interference(state: DecoherenceState, i: int, j: int) -> tuple[Dyadic, Interference]:
     """Interference term of a pair of distinct paths and its classification."""
-    return _pair_value(state, i, j, 1)
+    n = state.space.n
+    # one test for both ranges: a negative index makes the OR negative,
+    # which never shifts to 0
+    if i == j or (i | j) >> n:
+        _reject_pair(state, i, j)
+    # the residue parity is the end site, so this also sees different sites
+    return _pair_values(n)[1][((i ^ (i >> 1)).bit_count() - (j ^ (j >> 1)).bit_count()) & 3]
 
 
 def pair_measure(state: DecoherenceState, i: int, j: int) -> Dyadic:
     """Measure of a doubleton, from the interference trichotomy."""
-    return _pair_value(state, i, j, 0)
+    n = state.space.n
+    if i == j or (i | j) >> n:
+        _reject_pair(state, i, j)
+    return _pair_values(n)[0][((i ^ (i >> 1)).bit_count() - (j ^ (j >> 1)).bit_count()) & 3]
 
 
 def interference_composition_check(state: DecoherenceState) -> bool:

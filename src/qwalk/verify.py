@@ -12,6 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable
 
 from .cylinder import (
@@ -291,21 +292,22 @@ def check_eigen_reconstruction() -> None:
     # entry sign * 2**n equals the rank-two outer-product sum, entrywise
     for n in range(1, 9):
         state = _state(n)
-        even = state.eigenvector_exact(0)
-        odd = state.eigenvector_exact(1)
         size = 1 << n
-        for j in range(size):
-            for k in range(size):
-                acc_re = acc_im = 0
-                for vec in (even, odd):
-                    ar, ai = vec[j]
-                    br, bi = vec[k]
-                    acc_re += ar * br + ai * bi  # a * conj(b), real part
-                    acc_im += ai * br - ar * bi
-                check(
-                    acc_im == 0 and acc_re == state.entry_sign(j, k),
-                    f"rank-two reconstruction failed at n={n}, ({j},{k})",
-                )
+        columns = [
+            (er, ei, orr, oi)
+            for (er, ei), (orr, oi) in zip(state.eigenvector_exact(0), state.eigenvector_exact(1))
+        ]
+        zeros = [0] * size
+        for j, (ar, ai, br, bi) in enumerate(columns):
+            # a_j * conj(a_k) summed over both vectors, as (real, imaginary)
+            row = [
+                (ar * cr + ai * ci + br * dr + bi * di, ai * cr - ar * ci + bi * dr - br * di)
+                for cr, ci, dr, di in columns
+            ]
+            want = list(zip(map(state.entry_sign, repeat(j), range(size)), zeros))
+            if row != want:
+                k = next(k for k in range(size) if row[k] != want[k])
+                check(False, f"rank-two reconstruction failed at n={n}, ({j},{k})")
 
 
 def check_eigenpair_n1() -> None:
@@ -487,11 +489,9 @@ def check_pair_trichotomy() -> None:
         size = 1 << n
         allowed = {Dyadic(0), Dyadic(1, n - 1), Dyadic(1, max(n - 2, 0))}
         for i in range(size):
-            for j in range(i + 1, size):
-                check(
-                    pair_measure(state, i, j) in allowed,
-                    f"pair measure outside the trichotomy at n={n}, ({i},{j})",
-                )
+            if not set(map(pair_measure, repeat(state), repeat(i), range(i + 1, size))) <= allowed:
+                j = next(j for j in range(i + 1, size) if pair_measure(state, i, j) not in allowed)
+                check(False, f"pair measure outside the trichotomy at n={n}, ({i},{j})")
     for n in (9, 10, 11, 12):
         # all values are fixed by the two residues; one representative pair
         # per realizable residue combination covers every pair exactly
@@ -1017,10 +1017,11 @@ def check_integral_strategies_random() -> None:
         for _ in range(60):
             support_size = rng.randint(1, size)
             support = rng.sample(range(size), support_size)
-            values = [Fraction(0)] * size
+            # numerators over 4 of the values a / b, b in (1, 2, 4)
+            nums = [0] * size
             for j in support:
-                values[j] = Fraction(rng.randint(-8, 8), rng.choice((1, 2, 4)))
-            rv = RandomVariable.from_values(state.space, values)
+                nums[j] = rng.randint(-8, 8) * (4 // rng.choice((1, 2, 4)))
+            rv = RandomVariable(state.space, tuple(nums), 4)
             results = {s: integral(state, rv, s) for s in IntegralStrategy}
             check(
                 len(set(results.values())) == 1,
@@ -1034,10 +1035,9 @@ def check_integral_homogeneity() -> None:
         state = _state(n)
         size = 1 << n
         for _ in range(40):
-            values = tuple(
-                Fraction(rng.randint(-6, 6), rng.choice((1, 3))) for _ in range(size)
-            )
-            rv = RandomVariable.from_values(state.space, values)
+            # numerators over 3 of the values a / b, b in (1, 3)
+            nums = tuple(rng.randint(-6, 6) * (3 // rng.choice((1, 3))) for _ in range(size))
+            rv = RandomVariable(state.space, nums, 3)
             base = integral(state, rv)
             for alpha in (Fraction(3), Fraction(-2), Fraction(5, 2), Fraction(-7, 3)):
                 check(
@@ -1068,8 +1068,9 @@ def check_psd_min_matrix() -> None:
     for n in (4, 6, 8):
         space = PathSpace(n)
         for _ in range(30):
-            values = tuple(Fraction(rng.randint(0, 20), rng.choice((1, 2))) for _ in range(space.size))
-            check(psd_check(RandomVariable.from_values(space, values)), f"random nonneg at n={n}")
+            # numerators over 2 of the values a / b, b in (1, 2)
+            nums = tuple(rng.randint(0, 20) * (2 // rng.choice((1, 2))) for _ in range(space.size))
+            check(psd_check(RandomVariable(space, nums, 2)), f"random nonneg at n={n}")
 
 
 def check_indicator_rank_one() -> None:
@@ -1101,11 +1102,12 @@ def check_disjoint_support_identities() -> None:
         parts = [order[:cut1], order[cut1:cut2], order[cut2:]]
         rvs = []
         for part in parts:
-            values = [Fraction(0)] * size
+            # numerators over 2 of the values a / b, b in (1, 2)
+            nums = [0] * size
             for j in part:
                 if rng.random() < 0.7:
-                    values[j] = Fraction(rng.randint(-6, 6), rng.choice((1, 2)))
-            rvs.append(RandomVariable.from_values(state.space, values))
+                    nums[j] = rng.randint(-6, 6) * (2 // rng.choice((1, 2)))
+            rvs.append(RandomVariable(state.space, tuple(nums), 2))
         check(
             disjoint_support_grade2_check(state, *rvs),
             f"disjoint-support identities failed on trial {trial} at n={n}",

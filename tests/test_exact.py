@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -56,11 +58,76 @@ def test_equality_with_same_class_ints_and_strangers():
         assert value.imag.as_fraction() == frac.imag
 
 
-def test_dyadic_fraction_round_trip():
-    for frac in (Fraction(5, 8), Fraction(-7, 16), Fraction(3), Fraction(0)):
-        assert Dyadic.from_fraction(frac).as_fraction() == frac
-    with pytest.raises(ValueError):
-        Dyadic.from_fraction(Fraction(1, 3))
+# -- the value types' object protocol -------------------------------------------
+
+
+def test_value_type_reprs():
+    assert repr(Dyadic(3, 2)) == "Dyadic(num=3, log2_den=2)"
+    assert repr(Dyadic(-12, 5)) == "Dyadic(num=-3, log2_den=3)"
+    assert repr(Dyadic(7)) == "Dyadic(num=7, log2_den=0)"
+    assert repr(RootTwoScaled(1, 2, 3)) == "RootTwoScaled(int_part=1, root_part=2, log2_den=3)"
+    assert repr(RootTwoScaled(4, -8, 3)) == "RootTwoScaled(int_part=1, root_part=-2, log2_den=1)"
+
+
+def test_value_types_built_apart_are_equal_and_hash_alike():
+    pairs = [
+        (Dyadic(2, 3), Dyadic(1, 2)),
+        (Dyadic(4, 2), Dyadic(1)),
+        (Dyadic(0, 9), Dyadic(0)),
+        (Dyadic(-6, 1), Dyadic(-3, 0)),
+        (Dyadic(num=5, log2_den=1), Dyadic(5, 1)),
+        (RootTwoScaled(2, 4, 1), RootTwoScaled(1, 2, 0)),
+        (RootTwoScaled(0, 0, 5), RootTwoScaled.from_int(0)),
+    ]
+    for a, b in pairs:
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert type(a) is type(b)
+    assert Dyadic(4, 2) == 1 and hash(Dyadic(4, 2)) == hash(Dyadic(1))
+    assert len({Dyadic(2, 3), Dyadic(1, 2), Dyadic(4, 3)}) == 2
+    assert Dyadic(1, 2) != Dyadic(1, 3) and RootTwoScaled(1, 1, 0) != RootTwoScaled(1, 0, 0)
+
+
+def test_dyadic_ordering():
+    values = [Dyadic(3, 2), Dyadic(-1), Dyadic(1, 3), Dyadic(0, 4), Dyadic(5, 1), Dyadic(2, 3)]
+    assert sorted(values) == sorted(values, key=Dyadic.as_fraction)
+    assert Dyadic(1, 2) <= Dyadic(2, 3) <= Dyadic(1, 2) and Dyadic(1, 2) >= Dyadic(2, 3)
+    assert Dyadic(3, 2) > Dyadic(1, 1) and not Dyadic(3, 2) < Dyadic(1, 1)
+    assert Dyadic(1, 1) < 1 <= Dyadic(1) and 2 > Dyadic(3, 1) >= 1
+    assert max(values) == Dyadic(5, 1) and min(values) == -1
+    with pytest.raises(TypeError):
+        Dyadic(1) < "1"  # noqa: B015
+    with pytest.raises(TypeError):
+        RootTwoScaled(1, 0, 0) < RootTwoScaled(2, 0, 0)  # noqa: B015
+
+
+@pytest.mark.parametrize(
+    "value, fields",
+    [
+        (Dyadic(3, 2), ("num", "log2_den")),
+        (RootTwoScaled(1, 2, 3), ("int_part", "root_part", "log2_den")),
+    ],
+)
+def test_value_types_are_immutable(value, fields):
+    before = repr(value)
+    for name in fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 1)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert repr(value) == before
+
+
+@pytest.mark.parametrize(
+    "value",
+    [Dyadic(3, 2), Dyadic(-7), Dyadic(0), RootTwoScaled(1, -2, 3), RootTwoScaled(0, 1, 0)],
+)
+def test_value_types_copy_and_pickle(value):
+    copies = [copy.copy(value), copy.deepcopy(value)]
+    copies += [pickle.loads(pickle.dumps(value, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for twin in copies:
+        assert type(twin) is type(value) and twin == value
+        assert hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 def test_dyadic_numerator_at():

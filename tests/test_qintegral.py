@@ -221,18 +221,30 @@ def seeded_variables(n: int, rng: random.Random):
     count variables (few levels, many ties) and an indicator."""
     space = PathSpace(n)
     size = 1 << n
-    pool = [Fraction(a, b) for a in range(-24, 25) for b in (1, 2, 3, 4)]
-    rational = [rng.choice(pool) for _ in range(size)]
-    yield "rational", RandomVariable.from_values(space, rational), rational
+    # each pool value with its numerator over the pool's common denominator 12
+    pool = [(Fraction(a, b), a * (12 // b)) for a in range(-24, 25) for b in (1, 2, 3, 4)]
+    drawn = [rng.choice(pool) for _ in range(size)]
+    rational = [value for value, _ in drawn]
+    yield "rational", RandomVariable(space, tuple(num for _, num in drawn), 12), rational
     sparse = [0] * size
+    sparse_nums = [0] * size  # over the common denominator 10 of 1, 2 and 5
     for j in rng.sample(range(size), 64):
-        sparse[j] = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 5)))
-    yield "sparse", RandomVariable.from_values(space, sparse), sparse
+        a, b = rng.randint(-9, 9), rng.choice((1, 2, 5))
+        sparse[j], sparse_nums[j] = Fraction(a, b), a * (10 // b)
+    yield "sparse", RandomVariable(space, tuple(sparse_nums), 10), sparse
     yield "ones", RandomVariable.ones(space), [bin(j).count("1") for j in range(size)]
     yield "changes", RandomVariable.changes(space), changes_table(n)
     bits = [rng.getrandbits(1) for _ in range(size)]
     mask = int("".join(map(str, reversed(bits))), 2)
     yield "indicator", RandomVariable.indicator(Event(space, mask)), bits
+
+
+@pytest.mark.parametrize("n", (6, 12))
+def test_seeded_variables_hold_the_oracle_values(n):
+    # the variables built from integer numerators are the ones from_values
+    # builds from the values handed to the oracle
+    for kind, f, values in seeded_variables(n, random.Random(57 + n)):
+        assert f == RandomVariable.from_values(PathSpace(n), values), kind
 
 
 def test_layered_oracle_matches_double_sum_oracle():

@@ -103,6 +103,24 @@ def test_strategies_random_larger():
             assert values.pop() == mu_oracle(n, members)
 
 
+def test_dense_is_the_literal_entry_sum(monkeypatch):
+    # DENSE is the independent reference for the census route, so it must
+    # give the entry double sum without ever taking a census
+    def no_census(self, event):
+        raise AssertionError("the DENSE route took a census")
+
+    monkeypatch.setattr(DecoherenceState, "census", no_census)
+    rng = random.Random(4343)
+    for n in range(1, 9):
+        st = state(n)
+        size = 1 << n
+        for _ in range(8):
+            mask = rng.getrandbits(size) & rng.getrandbits(size)
+            members = [j for j in range(size) if mask >> j & 1]
+            got = mu(st, Event(st.space, mask), Strategy.DENSE)
+            assert got.as_fraction() == mu_oracle(n, members), (n, members)
+
+
 def test_rank2_matches_pairwise_seeded_n20():
     rng = random.Random(2020)
     st = state(20)
