@@ -84,11 +84,16 @@ def _dyadic_doc(value: Dyadic) -> dict:
 
 
 def _fraction_doc(value: Fraction) -> dict:
+    """num and den exact; decimal is null where the value is beyond float range."""
     value = Fraction(value)
+    try:
+        decimal = float(value)
+    except OverflowError:
+        decimal = None
     return {
         "num": value.numerator,
         "den": value.denominator,
-        "decimal": float(value),
+        "decimal": decimal,
     }
 
 

@@ -4,12 +4,14 @@ A variable holds its values as integer numerators over one common
 denominator.  Three equivalent evaluation routes are kept deliberately
 separate:
 
-* DEFINITION -- the literal double sum of pairwise minima against entries,
-                pair by pair: entries between paths on different end sites
-                are zero, so each end site's support is summed on its own,
-                split into its two change-residue classes (p and p + 2 on
-                site p); pairs within a class add their minimum and pairs
-                across the classes subtract it
+* DEFINITION -- the double sum of pairwise minima against entries, taken
+                over distinct values: entries between paths on different
+                end sites are zero, so each end site is summed on its own.
+                On site p an entry is +1 within a change-residue class (p
+                or p + 2) and -1 across them, so each distinct value of a
+                part carries one weight, its paths of residue p less those
+                of residue p + 2, and each pair of values adds its minimum
+                times the two weights
 * TRACE      -- the layered sum over super-level sets: each slab of values
                 contributes its thickness times the measure of the set of
                 paths reaching it (the trace identity), so the min matrix is
@@ -46,7 +48,7 @@ from .paths import (
 )
 
 VARIABLE_MAX_STEPS = 20
-DEFINITION_MAX_STEPS = 12  # the dense cutoff; the double sum is 4**n
+DEFINITION_MAX_STEPS = 12  # worst case, every value distinct: O(4**n) pairs
 ENTRYWISE_MAX_STEPS = 10
 MIN_MATRIX_MAX = 10
 PSD_CHECK_MAX_VALUES = 4096
@@ -158,50 +160,64 @@ class RandomVariable:
         )
 
 
-def _site_sum(low: list[int], high: list[int]) -> int:
-    """Literal double sum of min(v_j, v_k) * sign(j, k) over one end site's
-    support of one part, given as its two change-residue classes.
+def _site_sum(weights: dict[int, int]) -> int:
+    """Double sum of min(x, y) * w_x * w_y over the distinct values x, y of
+    one part on one end site, given as a map from value x to weight w_x.
 
-    Site p holds the residues p and p + 2: the sign is +1 for a pair within
-    a class and -1 for a pair across them.  Both the minimum and the sign
-    are symmetric in the pair, so each unordered pair of distinct paths is
-    taken once and counted twice, and each diagonal term (sign +1) once.
+    On site p a pair of paths has sign +1 within a residue class and -1
+    across: the product of their class signs, +1 at residue p and -1 at
+    p + 2.  Its minimum depends only on the two values, so the paths of
+    value x enter together, weighted by the sum of their class signs.  Zero
+    weights add nothing and are skipped.  The values are grouped by weight
+    so that the innermost loop only adds minima: with every value distinct
+    the weights are all +-1, and a pair costs what it did summed path by
+    path.  Each value is popped in turn and met with the values not yet
+    popped: each unordered pair of distinct values is taken once and
+    counted twice, and each diagonal term once.
     """
-    diagonal = off_diagonal = 0
-    while low:
-        x = low.pop()
-        diagonal += x
-        for y in low:
-            off_diagonal += x if x < y else y
-        for y in high:
-            off_diagonal -= x if x < y else y
-    while high:
-        x = high.pop()
-        diagonal += x
-        for y in high:
-            off_diagonal += x if x < y else y
-    return diagonal + 2 * off_diagonal
+    by_weight: dict[int, list[int]] = {}
+    for x, w in weights.items():
+        if w:
+            by_weight.setdefault(w, []).append(x)
+    groups = list(by_weight.items())
+    total = 0
+    while groups:
+        w, xs = groups[-1]
+        x = xs.pop()
+        if not xs:
+            groups.pop()
+        later = 0  # min(x, y) * w_y over the values y not yet popped
+        for u, ys in groups:
+            mins = 0
+            for y in ys:
+                mins += x if x < y else y
+            later += u * mins
+        total += w * (x * w + 2 * later)
+    return total
 
 
 def _definition(vals) -> int:
     """The DEFINITION route's integer sum: positive part less negative part.
 
     Paths ending on different sites have sign 0, so each end site's support
-    is summed on its own, split by part and by change residue (p or p + 2
-    on site p).  Pair by pair, independent of the class counts and level
-    tables the other two routes read.
+    is summed on its own.  One pass over the site's paths gives each
+    distinct value of each part its weight: +1 for each path of that value
+    at residue p, -1 for each at p + 2.  Then each part's pairwise minima
+    are summed over its distinct values.  Independent of the class counts
+    and level tables the other two routes read.
     """
     total = 0
     for site in (0, 1):
-        # positive part at residues p, p + 2; negative part at p, p + 2
-        classes: tuple[list[int], ...] = ([], [], [], [])
+        pos: dict[int, int] = {}
+        neg: dict[int, int] = {}
         for j in range(site, len(vals), 2):
             if v := vals[j]:
+                sign = 1 - (change_residue(j) & 2)  # +1 at residue p, -1 at p + 2
                 if v > 0:
-                    classes[change_residue(j) >> 1].append(v)
+                    pos[v] = pos.get(v, 0) + sign
                 else:
-                    classes[2 + (change_residue(j) >> 1)].append(-v)
-        total += _site_sum(classes[0], classes[1]) - _site_sum(classes[2], classes[3])
+                    neg[-v] = neg.get(-v, 0) + sign
+        total += _site_sum(pos) - _site_sum(neg)
     return total
 
 

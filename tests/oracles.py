@@ -75,6 +75,37 @@ def census_mu_oracle(census, n: int) -> Fraction:
 
 
 @cache
+def entry_signs_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """entry_sign_oracle(n, j, k) for every pair of paths, scanned once per
+    horizon."""
+    size = 1 << n
+    return tuple(tuple(entry_sign_oracle(n, j, k) for k in range(size)) for j in range(size))
+
+
+def integral_double_sum_oracle(n: int, values) -> Fraction:
+    """Quantum integral of values Fraction() accepts, by the literal double
+    sum over pairs of paths of min(f_j, f_k) times the string-scanned entry
+    sign, through the canonical positive/negative split.  Paths where a
+    part is zero add nothing to that part's sum and are left out of it."""
+    values = [Fraction(v) for v in values]
+    signs = entry_signs_table(n)
+
+    def double_sum(part):
+        support = [(j, v) for j, v in enumerate(part) if v]
+        acc = Fraction(0)
+        for j, vj in support:
+            row = signs[j]
+            for k, vk in support:
+                if row[k]:
+                    acc += min(vj, vk) * row[k]
+        return acc
+
+    pos = [v if v > 0 else 0 for v in values]
+    neg = [-v if v < 0 else 0 for v in values]
+    return (double_sum(pos) - double_sum(neg)) / (1 << n)
+
+
+@cache
 def changes_table(n: int) -> tuple[int, ...]:
     """changes_oracle(n, j) for every path j, scanned once per horizon."""
     return tuple(changes_oracle(n, j) for j in range(1 << n))

@@ -6,7 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import at_most_census_oracle, census_mu_oracle, mu_oracle
+from oracles import (
+    at_most_census_oracle,
+    census_mu_oracle,
+    integral_double_sum_oracle,
+    mu_oracle,
+)
 
 from qwalk.cli import main
 
@@ -241,6 +246,18 @@ def test_integral_custom_file(tmp_path, capsys):
     ]
     results = {(d["result"]["integral"]["num"], d["result"]["integral"]["den"]) for d in docs}
     assert len(results) == 1
+
+
+def test_integral_beyond_float_range_is_exact(tmp_path, capsys):
+    # Fraction reads 1e400 exactly; only the decimal field cannot hold it
+    path = tmp_path / "values.txt"
+    path.write_text("1e400 2 3 4\n")
+    want = integral_double_sum_oracle(2, [Fraction(10**400), 2, 3, 4])
+    for strategy in ("def", "trace", "eigen"):
+        code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path), "--strategy", strategy)
+        assert code == 0, err
+        doc = json.loads(out)["result"]["integral"]
+        assert doc == {"num": want.numerator, "den": want.denominator, "decimal": None}
 
 
 def test_eigen_output(capsys):

@@ -4,9 +4,9 @@ from itertools import product
 
 import pytest
 
-from oracles import changes_table, entry_sign_oracle, layered_integral_oracle
+from oracles import changes_table, integral_double_sum_oracle, layered_integral_oracle
 
-from qwalk import qintegral
+from qwalk import paths, qintegral
 from qwalk.decoherence import DecoherenceState, Event
 from qwalk.errors import ResourceLimitError
 from qwalk.paths import PathSpace
@@ -29,25 +29,6 @@ def state(n: int) -> DecoherenceState:
 
 def rv(n: int, values) -> RandomVariable:
     return RandomVariable.from_values(PathSpace(n), values)
-
-
-def integral_oracle_simple(n: int, values) -> Fraction:
-    """Fully independent route: Fraction double sum with string-scan signs,
-    through the canonical positive/negative split."""
-    values = [Fraction(v) for v in values]
-    pos = [v if v > 0 else Fraction(0) for v in values]
-    neg = [-v if v < 0 else Fraction(0) for v in values]
-
-    def double_sum(part):
-        acc = Fraction(0)
-        for i, vi in enumerate(part):
-            for j, vj in enumerate(part):
-                sign = entry_sign_oracle(n, i, j)
-                if sign:
-                    acc += min(vi, vj) * sign
-        return acc
-
-    return (double_sum(pos) - double_sum(neg)) / (1 << n)
 
 
 # -- random variables ----------------------------------------------------------
@@ -175,7 +156,7 @@ def test_strategies_match_oracle_exhaustive_small_patterns(n):
     rng = random.Random(40 + n)
     for _ in range(60):
         values = [Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(size)]
-        want = integral_oracle_simple(n, values)
+        want = integral_double_sum_oracle(n, values)
         f = rv(n, values)
         for strategy in IntegralStrategy:
             assert integral(st, f, strategy) == want
@@ -252,7 +233,7 @@ def test_layered_oracle_matches_double_sum_oracle():
     for n in (1, 2, 3, 4):
         for _ in range(20):
             values = [Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(1 << n)]
-            assert layered_integral_oracle(n, values) == integral_oracle_simple(n, values)
+            assert layered_integral_oracle(n, values) == integral_double_sum_oracle(n, values)
 
 
 @pytest.mark.parametrize("n", (6, 10, 12, 16, 20))
@@ -274,6 +255,116 @@ def test_definition_route_matches_layered_oracle(n):
     for kind, f, values in seeded_variables(n, random.Random(59 + n)):
         want = layered_integral_oracle(n, values)
         assert integral(st, f, IntegralStrategy.DEFINITION) == want, kind
+
+
+# -- the definition route against the literal double sum -------------------------
+
+
+def definition(n: int, values) -> Fraction:
+    return integral(state(n), rv(n, values), IntegralStrategy.DEFINITION)
+
+
+@pytest.mark.parametrize("n,pool", ((1, (-1, 0, 1, 2)), (2, (-1, 0, 1, 2)), (3, (0, 1, 2))))
+def test_definition_on_every_small_pattern(n, pool):
+    for values in product(pool, repeat=1 << n):
+        assert definition(n, values) == integral_double_sum_oracle(n, values), values
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_definition_on_heavily_tied_variables(n):
+    # a few levels over many paths: each value's paths fall in both classes
+    # of both sites, so every weight is a difference of large counts
+    rng = random.Random(70 + n)
+    for _ in range(12):
+        levels = [Fraction(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(rng.randint(1, 4))]
+        values = [rng.choice(levels) for _ in range(1 << n)]
+        assert definition(n, values) == integral_double_sum_oracle(n, values), values
+
+
+def paths_by_site_class(n: int) -> dict[tuple[int, int], list[int]]:
+    """The paths of each end site p and class (0 for residue p, 1 for p + 2),
+    by string-scanned change counts."""
+    out: dict[tuple[int, int], list[int]] = {(p, c): [] for p in (0, 1) for c in (0, 1)}
+    for j, changes in enumerate(changes_table(n)):
+        out[changes % 2, changes % 4 // 2].append(j)
+    return out
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6))
+def test_definition_when_a_weight_cancels(n):
+    # one value on as many paths of class p as of class p + 2 on a site:
+    # its pairs within the classes and across them cancel exactly, and it
+    # still meets the other values of the site
+    rng = random.Random(80 + n)
+    classes = paths_by_site_class(n)
+    for site in (0, 1):
+        low, high = classes[site, 0], classes[site, 1]
+        assert low and high  # from n = 3 on, every class holds a path
+        for count in sorted({1, min(len(low), len(high))}):
+            for tied in (Fraction(10), Fraction(-25, 2)):  # outside the other values
+                values = [Fraction(rng.randint(-6, 6), rng.choice((1, 3))) for _ in range(1 << n)]
+                for j in rng.sample(low, count) + rng.sample(high, count):
+                    values[j] = tied
+                assert values.count(tied) == 2 * count  # so its weight is 0
+                assert definition(n, values) == integral_double_sum_oracle(n, values), (site, count)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_definition_on_distinct_values(n):
+    rng = random.Random(90 + n)
+    for _ in range(10):
+        values = [Fraction(v, 7) for v in rng.sample(range(-200, 200), 1 << n)]
+        assert definition(n, values) == integral_double_sum_oracle(n, values)
+
+
+@pytest.mark.parametrize("n", (1, 2, 4, 6))
+def test_definition_on_only_negative_values(n):
+    rng = random.Random(95 + n)
+    for _ in range(6):
+        values = [Fraction(-rng.randint(1, 5), rng.choice((1, 2))) for _ in range(1 << n)]
+        want = integral_double_sum_oracle(n, values)
+        assert want < 0
+        assert definition(n, values) == want
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_definition_on_a_single_nonzero_path(n):
+    # the diagonal term alone: v / 2**n
+    for j in range(1 << n):
+        for v in (Fraction(3, 2), -2):
+            values = [0] * (1 << n)
+            values[j] = v
+            assert definition(n, values) == integral_double_sum_oracle(n, values) == v / (1 << n)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 6))
+def test_definition_on_all_zero_variable(n):
+    assert definition(n, [0] * (1 << n)) == 0 == integral_double_sum_oracle(n, [0] * (1 << n))
+
+
+def test_definition_is_independent_of_the_census_routes(monkeypatch):
+    # DEFINITION is the reference for TRACE and EIGEN, so it must give the
+    # literal double sum without the class counts, levels or residue
+    # selectors they read
+    def refuse(*args):
+        raise AssertionError("the definition route used a census-route helper")
+
+    for name in ("_class_counts", "_levels", "_trace", "_eigen", "_residue_selectors"):
+        monkeypatch.setattr(qintegral, name, refuse)
+    monkeypatch.setattr(paths, "_residue_selectors", refuse)
+    rng = random.Random(4545)
+    for n in range(1, 9):
+        if n >= 6:  # seeded_variables draws a sparse support of 64 paths
+            cases = [(f, values) for _, f, values in seeded_variables(n, rng)]
+        else:
+            cases = []
+            for _ in range(4):
+                values = [Fraction(rng.randint(-4, 4), rng.choice((1, 3))) for _ in range(1 << n)]
+                cases.append((rv(n, values), values))
+        st = state(n)
+        for f, values in cases:
+            want = integral_double_sum_oracle(n, values)
+            assert integral(st, f, IntegralStrategy.DEFINITION) == want, (n, values)
 
 
 def test_class_counts_are_string_scanned_censuses():
@@ -588,14 +679,14 @@ def witness_oracle(n: int):
     size = 1 << n
     for f_pattern in product(range(3), repeat=4):
         f_values = list(f_pattern) + [0] * (size - 4)
-        int_f = integral_oracle_simple(n, f_values)
+        int_f = integral_double_sum_oracle(n, f_values)
         for g_pattern in product(range(3), repeat=4):
             g_values = list(g_pattern) + [0] * (size - 4)
             total = [a + b for a, b in zip(f_values, g_values)]
             gap = (
-                integral_oracle_simple(n, total)
+                integral_double_sum_oracle(n, total)
                 - int_f
-                - integral_oracle_simple(n, g_values)
+                - integral_double_sum_oracle(n, g_values)
             )
             if gap != 0:
                 return f_pattern, g_pattern, gap

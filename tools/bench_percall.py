@@ -202,6 +202,17 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.pair_measure,
         dyadic_parts,
     ))
+    # the count variables: n + 1 distinct values over 2**n paths
+    state = qw.DecoherenceState(qw.PathSpace(10))
+    ops.append((
+        "integral definition n=10 ties",
+        [
+            (state, make(state.space), strategies.DEFINITION)
+            for make in (qw.RandomVariable.ones, qw.RandomVariable.changes)
+        ],
+        qw.integral,
+        fraction_parts,
+    ))
     return ops
 
 
