@@ -84,8 +84,20 @@ def _dyadic_doc(value: Dyadic) -> dict:
 
 
 def _fraction_doc(value: Fraction) -> dict:
-    """num and den exact; decimal is null where the value is beyond float range."""
+    """num and den exact; decimal is null where the value is beyond float range.
+
+    A num or den longer than the interpreter's integer-to-string limit
+    (sys.get_int_max_str_digits(), 0 for none; absent before Python 3.10.7,
+    which has no limit) cannot be written as a JSON number, so the document
+    is refused as a resource bound before anything reaches stdout.
+    """
     value = Fraction(value)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ResourceLimitError(
+            f"the exact value has more than {limit} decimal digits, the "
+            "interpreter's integer-to-string limit (sys.get_int_max_str_digits)"
+        )
     try:
         decimal = float(value)
     except OverflowError:

@@ -19,7 +19,7 @@ from typing import Union
 
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
-from .exact import Dyadic, RootTwoScaled
+from .exact import Dyadic
 from .paths import PathSpace, change_residue_count_levels
 from .qmeasure import mu, mu_from_census
 
@@ -113,11 +113,6 @@ def mu_cyl(cyl: CylinderEvent) -> Dyadic:
     return mu(DecoherenceState(cyl.base.space), cyl.base)
 
 
-def elementary(level: int, j: int) -> CylinderEvent:
-    """The cylinder of all paths extending one fixed length-`level` prefix."""
-    return CylinderEvent.from_indices(level, (j,))
-
-
 # -- symbolic events ---------------------------------------------------------
 
 
@@ -196,10 +191,6 @@ SymbolicEvent = Union[
 
 ALL_ZEROS = EventualPath((), 0)
 ALL_ONES_AFTER_START = EventualPath((1,), 1)
-
-
-def _finite_prefix_indices(paths: tuple[EventualPath, ...], n: int) -> set[int]:
-    return {p.index_at(n) for p in paths}
 
 
 def _at_most_indices(n: int, k: int):
@@ -294,14 +285,9 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
             "limit tables use census generators instead"
         )
     space = PathSpace(n)
-    if isinstance(event, FinitePathSet):
-        return CylinderEvent(n, Event.from_indices(space, _finite_prefix_indices(event.paths, n)))
-    if isinstance(event, AtMostKOnes):
-        return CylinderEvent(n, Event.from_indices(space, _at_most_indices(n, event.limit)))
-    if isinstance(event, (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)):
-        # every finite prefix extends into these events, so the hull is full
-        return CylinderEvent(n, Event.full(space))
-    raise ValueError(f"unsupported symbolic event {event!r}")
+    indices = approximant_indices(event, n)
+    base = Event.full(space) if indices is None else Event.from_indices(space, indices)
+    return CylinderEvent(n, base)
 
 
 def approximant_indices(event: SymbolicEvent, n: int) -> frozenset[int] | None:
@@ -310,10 +296,11 @@ def approximant_indices(event: SymbolicEvent, n: int) -> frozenset[int] | None:
     if n < 1:
         raise ValueError("need level >= 1")
     if isinstance(event, FinitePathSet):
-        return frozenset(_finite_prefix_indices(event.paths, n))
+        return frozenset(p.index_at(n) for p in event.paths)
     if isinstance(event, AtMostKOnes):
         return frozenset(_at_most_indices(n, event.limit))
     if isinstance(event, (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)):
+        # every finite prefix extends into these events, so the hull is full
         return None
     raise ValueError(f"unsupported symbolic event {event!r}")
 
@@ -352,9 +339,6 @@ class LimitReport:
     verdict: LimitVerdict
     estimate: float | None
     at_n: int | None
-    window: int
-    tol: float
-    n_range: tuple[int, int]
     sequence_kind: str
 
 
@@ -412,9 +396,6 @@ def limit_mu_hat(
         verdict=verdict,
         estimate=estimate,
         at_n=at_n,
-        window=window,
-        tol=tol,
-        n_range=(1, n_max),
         sequence_kind=kind,
     )
 
@@ -474,31 +455,47 @@ def repeated_block_verdict(i_max: int = 130) -> LimitVerdict:
 
 def variation_lower_bound(n: int) -> int:
     """Variation witnessed by the partition into all level-n elementary
-    cylinders: (2**n equal terms of sqrt(1/2**n)) squared, exactly 2**n."""
+    cylinders: (sum of the square roots of their measures) squared.  The
+    2**n terms share the measure 1/2**n, so the sum squared is
+    (2**n)**2 / 2**n, exactly 2**n, with no irrational step."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    term_root = RootTwoScaled.pow2_half(-n)  # sqrt of one elementary measure
-    total = (1 << n) * term_root
-    return int((total * total).to_dyadic().as_fraction())
+    count = 1 << n
+    return (count * count * Dyadic(1, n)).numerator_at(0)
+
+
+# sign of cos(m*pi/4) for m = 0..7
+_COS_EIGHTH_SIGNS = (1, 1, 0, -1, -1, -1, 0, 1)
+
+
+def _root_two_cos(h: int, m: int) -> Dyadic:
+    """2**(h/2) * cos(m*pi/4), exact when h and m have the same parity.
+
+    cos(m*pi/4) is 0 or +-1 for even m and +-2**(-1/2) for odd m, so the
+    product is a signed power of two, 2**(h/2) or 2**((h-1)/2); with h and
+    m of different parity it would be irrational (or a root-two multiple
+    of 0) and ValueError is raised.
+    """
+    if (h - m) & 1:
+        raise ValueError(f"2**({h}/2) * cos({m}*pi/4) is not dyadic")
+    sign = _COS_EIGHTH_SIGNS[m & 7]
+    e = (h - (m & 1)) >> 1
+    return Dyadic(sign << e) if e >= 0 else Dyadic(sign, -e)
 
 
 def change_residue_profile_closed_form(n: int) -> tuple[int, int, int, int]:
     """paths.change_residue_counts(n), the residue profile of change counts
     mod 4 over the whole level-n space, from its closed form, evaluated
-    exactly in Z[sqrt(2)].
+    exactly in dyadic rationals.
 
     Each class holds 2**(n-2) + 2**(n/2 - 1) * cos((n - 2j) * pi / 4) paths;
-    the root-two parts always cancel, leaving an integer.
+    n - 2 and n - 2j have the same parity, so every term is dyadic and the
+    sum an integer.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    base = RootTwoScaled.pow2_half(2 * n - 4)
-    wave = RootTwoScaled.pow2_half(n - 2)
-    out = []
-    for j in range(4):
-        value = base + wave * RootTwoScaled.cos_eighth(n - 2 * j)
-        out.append(int(value.to_dyadic().as_fraction()))
-    return tuple(out)
+    base = Dyadic(1 << n, 2)  # 2**(n-2)
+    return tuple((base + _root_two_cos(n - 2, n - 2 * j)).numerator_at(0) for j in range(4))
 
 
 def complement_of_constant_closed_form(n: int) -> Dyadic:
@@ -507,14 +504,10 @@ def complement_of_constant_closed_form(n: int) -> Dyadic:
 
         1 + 1/2**n - cos(n*pi/4) / 2**(n/2 - 1)
 
-    evaluated exactly; the root-two parts cancel for every n.  The sign of
+    evaluated exactly: the cosine term is 2**((2 - n)/2) * cos(n*pi/4), and
+    2 - n has the parity of n, so it is dyadic for every n.  The sign of
     the cosine term here is the one the residue-census route confirms.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    value = (
-        RootTwoScaled.from_int(1)
-        + RootTwoScaled.pow2_half(-2 * n)
-        - RootTwoScaled.pow2_half(2 - n) * RootTwoScaled.cos_eighth(n)
-    )
-    return value.to_dyadic()
+    return 1 + Dyadic(1, n) - _root_two_cos(2 - n, n)

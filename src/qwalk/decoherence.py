@@ -138,10 +138,6 @@ class Event(_Frozen):
         self._check_same_space(other)
         return Event(self.space, self.mask | other.mask)
 
-    def difference(self, other: "Event") -> "Event":
-        self._check_same_space(other)
-        return Event(self.space, self.mask & ~other.mask)
-
     def complement(self) -> "Event":
         return Event(self.space, self.mask ^ ((1 << self.space.size) - 1))
 

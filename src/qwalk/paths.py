@@ -129,12 +129,6 @@ def ones_vector(space: PathSpace) -> list[int]:
     return [j.bit_count() for j in space.indices()]
 
 
-def path_string(space: PathSpace, j: int) -> str:
-    """The full site string of path j, leading time-0 zero included."""
-    space.check_index(j)
-    return "0" + format(j, f"0{space.n}b")
-
-
 def change_residue_counts(n: int) -> tuple[int, int, int, int]:
     """How many of the 2**n paths have change count congruent to 0,1,2,3 mod 4.
 

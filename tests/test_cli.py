@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -258,6 +259,20 @@ def test_integral_beyond_float_range_is_exact(tmp_path, capsys):
         assert code == 0, err
         doc = json.loads(out)["result"]["integral"]
         assert doc == {"num": want.numerator, "den": want.denominator, "decimal": None}
+
+
+def test_integral_beyond_the_digit_limit_is_a_resource_bound(tmp_path, capsys):
+    # 1e5000 integrates exactly, but json cannot write a num of that length
+    path = tmp_path / "values.txt"
+    path.write_text("1e5000 2 3 4\n")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 3 and out == ""
+    assert "resource bound" in err and "4300" in err
 
 
 def test_eigen_output(capsys):

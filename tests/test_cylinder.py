@@ -31,7 +31,6 @@ from qwalk.cylinder import (
     change_residue_profile_closed_form,
     classify_sequence,
     complement_of_constant_closed_form,
-    elementary,
     limit_mu_hat,
     limit_term,
     mu_cyl,
@@ -41,13 +40,13 @@ from qwalk.cylinder import (
     variation_lower_bound,
     _at_most_censuses,
     _at_most_indices,
-    _finite_prefix_indices,
     _limit_censuses,
+    _root_two_cos,
 )
 from qwalk.decoherence import Event
 from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic
-from qwalk.paths import PathSpace, change_residue_counts
+from qwalk.paths import PathSpace, change_residue_count_levels, change_residue_counts
 
 
 # -- cylinder events ------------------------------------------------------------
@@ -106,7 +105,7 @@ def test_mu_cyl_values():
     assert mu_cyl(CylinderEvent.from_indices(1, (0, 1))) == Dyadic(1)
     assert mu_cyl(CylinderEvent.from_indices(2, (0, 2))).is_zero()
     for level in (1, 2, 5, 9):
-        assert mu_cyl(elementary(level, 1)) == Dyadic(1, level)
+        assert mu_cyl(CylinderEvent.from_indices(level, (1,))) == Dyadic(1, level)
 
 
 @pytest.mark.parametrize("level,indices", [(2, (0, 2)), (3, (2, 4, 6)), (2, (1, 3)), (3, (0, 1, 7))])
@@ -249,9 +248,22 @@ def test_complement_closed_form_values():
     assert complement_of_constant_closed_form(1).as_fraction() == Fraction(1, 2)
     assert complement_of_constant_closed_form(2).as_fraction() == Fraction(5, 4)
     assert complement_of_constant_closed_form(3).as_fraction() == Fraction(13, 8)
-    event = ComplementOfFinitePathSet((ALL_ZEROS,))
-    for n in range(1, 49):
-        assert limit_term(event, n) == complement_of_constant_closed_form(n)
+    table = limit_mu_hat(ComplementOfFinitePathSet((ALL_ZEROS,)), 512).values
+    for n, exact, _ in table:
+        assert exact == complement_of_constant_closed_form(n)
+    assert [n for n, _, _ in table] == list(range(1, 513))
+
+
+def test_root_two_cos_is_the_float_value_or_refused():
+    for h in range(-40, 41):
+        for m in range(-16, 17):
+            if (h - m) % 2:
+                with pytest.raises(ValueError):
+                    _root_two_cos(h, m)
+                continue
+            scale = 2.0 ** (h / 2)
+            want = scale * math.cos(m * math.pi / 4)
+            assert abs(float(_root_two_cos(h, m)) - want) <= 1e-12 * scale, (h, m)
 
 
 def test_complement_closed_form_float_shape():
@@ -406,7 +418,7 @@ def test_prefix_sweeps_match_indices():
         inner = sweep(FinitePathSet(paths), 64)
         outer = sweep(ComplementOfFinitePathSet(paths), 64)
         for n in range(1, 65):
-            census = census_of_indices_oracle(n, _finite_prefix_indices(paths, n))
+            census = census_of_indices_oracle(n, approximant_indices(FinitePathSet(paths), n))
             assert inner[n - 1] == census
             full = change_residue_counts(n)
             assert outer[n - 1] == tuple(f - c for f, c in zip(full, census))
@@ -453,7 +465,7 @@ def test_block_input_validation():
 
 
 def test_variation_values():
-    for n in range(1, 31):
+    for n in range(1, 65):
         assert variation_lower_bound(n) == 1 << n
     assert variation_lower_bound(1) == 2
     assert variation_lower_bound(4) == 16
@@ -515,6 +527,8 @@ def test_residue_profile_matches_direct_count(n):
 
 
 def test_profile_validation():
+    for n, counts in enumerate(change_residue_count_levels(512), start=1):
+        assert change_residue_profile_closed_form(n) == counts
     with pytest.raises(ValueError):
         change_residue_profile_closed_form(0)
     with pytest.raises(ValueError):

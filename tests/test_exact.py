@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qwalk.exact import Dyadic, RootTwoScaled
+from qwalk.exact import Dyadic
 
 
 def test_dyadic_normalization():
@@ -65,8 +65,6 @@ def test_value_type_reprs():
     assert repr(Dyadic(3, 2)) == "Dyadic(num=3, log2_den=2)"
     assert repr(Dyadic(-12, 5)) == "Dyadic(num=-3, log2_den=3)"
     assert repr(Dyadic(7)) == "Dyadic(num=7, log2_den=0)"
-    assert repr(RootTwoScaled(1, 2, 3)) == "RootTwoScaled(int_part=1, root_part=2, log2_den=3)"
-    assert repr(RootTwoScaled(4, -8, 3)) == "RootTwoScaled(int_part=1, root_part=-2, log2_den=1)"
 
 
 def test_value_types_built_apart_are_equal_and_hash_alike():
@@ -76,15 +74,13 @@ def test_value_types_built_apart_are_equal_and_hash_alike():
         (Dyadic(0, 9), Dyadic(0)),
         (Dyadic(-6, 1), Dyadic(-3, 0)),
         (Dyadic(num=5, log2_den=1), Dyadic(5, 1)),
-        (RootTwoScaled(2, 4, 1), RootTwoScaled(1, 2, 0)),
-        (RootTwoScaled(0, 0, 5), RootTwoScaled.from_int(0)),
     ]
     for a, b in pairs:
         assert a == b and not a != b and hash(a) == hash(b)
         assert type(a) is type(b)
     assert Dyadic(4, 2) == 1 and hash(Dyadic(4, 2)) == hash(Dyadic(1))
     assert len({Dyadic(2, 3), Dyadic(1, 2), Dyadic(4, 3)}) == 2
-    assert Dyadic(1, 2) != Dyadic(1, 3) and RootTwoScaled(1, 1, 0) != RootTwoScaled(1, 0, 0)
+    assert Dyadic(1, 2) != Dyadic(1, 3)
 
 
 def test_dyadic_ordering():
@@ -96,16 +92,11 @@ def test_dyadic_ordering():
     assert max(values) == Dyadic(5, 1) and min(values) == -1
     with pytest.raises(TypeError):
         Dyadic(1) < "1"  # noqa: B015
-    with pytest.raises(TypeError):
-        RootTwoScaled(1, 0, 0) < RootTwoScaled(2, 0, 0)  # noqa: B015
 
 
 @pytest.mark.parametrize(
     "value, fields",
-    [
-        (Dyadic(3, 2), ("num", "log2_den")),
-        (RootTwoScaled(1, 2, 3), ("int_part", "root_part", "log2_den")),
-    ],
+    [(Dyadic(3, 2), ("num", "log2_den"))],
 )
 def test_value_types_are_immutable(value, fields):
     before = repr(value)
@@ -120,7 +111,7 @@ def test_value_types_are_immutable(value, fields):
 
 @pytest.mark.parametrize(
     "value",
-    [Dyadic(3, 2), Dyadic(-7), Dyadic(0), RootTwoScaled(1, -2, 3), RootTwoScaled(0, 1, 0)],
+    [Dyadic(3, 2), Dyadic(-7), Dyadic(0)],
 )
 def test_value_types_copy_and_pickle(value):
     copies = [copy.copy(value), copy.deepcopy(value)]
@@ -138,60 +129,22 @@ def test_dyadic_numerator_at():
         v.numerator_at(1)
 
 
-def test_root_two_pow_half():
-    assert RootTwoScaled.pow2_half(0) == RootTwoScaled(1, 0, 0)
-    assert RootTwoScaled.pow2_half(2) == RootTwoScaled(2, 0, 0)
-    assert RootTwoScaled.pow2_half(1) == RootTwoScaled(0, 1, 0)
-    assert RootTwoScaled.pow2_half(-1) == RootTwoScaled(0, 1, 1)
-    assert RootTwoScaled.pow2_half(-2) == RootTwoScaled(1, 0, 1)
-    for e in range(-8, 9):
-        assert float(RootTwoScaled.pow2_half(e)) == pytest.approx(2.0 ** (e / 2))
-
-
-def test_root_two_cos_table():
-    import math
-
-    for m in range(-10, 11):
-        assert float(RootTwoScaled.cos_eighth(m)) == pytest.approx(
-            math.cos(m * math.pi / 4), abs=1e-12
-        )
-
-
-def test_root_two_arithmetic():
-    r2 = RootTwoScaled(0, 1, 0)
-    assert r2 * r2 == RootTwoScaled(2, 0, 0)
-    x = RootTwoScaled(1, 1, 1)  # (1 + sqrt2)/2
-    assert (x * x) == RootTwoScaled(3, 2, 2)
-    assert (x - x).is_dyadic()
-    assert (x + x) == RootTwoScaled(1, 1, 0)
-    with pytest.raises(ValueError):
-        x.to_dyadic()
-    assert RootTwoScaled(6, 0, 1).to_dyadic() == Dyadic(3, 0)
-
-
 # -- reduction to lowest terms ------------------------------------------------
 
 
-def _reduce_bit_by_bit(parts, log2_den):
-    """Reference: strip one common factor of two per turn."""
-    while log2_den and all(p % 2 == 0 for p in parts):
-        parts = [p // 2 for p in parts]
+def _reduce_bit_by_bit(num, log2_den):
+    """Reference: strip one factor of two per turn."""
+    while log2_den and num % 2 == 0:
+        num //= 2
         log2_den -= 1
-    return parts, log2_den
+    return num, log2_den
 
 
-def _parts(value):
-    if isinstance(value, Dyadic):
-        return (value.num,)
-    return (value.int_part, value.root_part)
-
-
-@pytest.mark.parametrize("cls", [Dyadic, RootTwoScaled])
+@pytest.mark.parametrize("cls", [Dyadic])
 def test_reduce_zero_drops_the_denominator(cls):
-    arity = 1 if cls is Dyadic else 2
     for den in (0, 1, 7, 64):
-        value = cls(*([0] * arity), den)
-        assert _parts(value) == (0,) * arity and value.log2_den == 0
+        value = cls(0, den)
+        assert value.num == 0 and value.log2_den == 0
 
 
 @pytest.mark.parametrize(
@@ -199,14 +152,10 @@ def test_reduce_zero_drops_the_denominator(cls):
     [
         (Dyadic(-12, 5), (-3,), 3),
         (Dyadic(-1, 4), (-1,), 4),
-        (RootTwoScaled(-4, 8, 3), (-1, 2), 1),
-        (RootTwoScaled(12, -20, 6), (3, -5), 4),
-        (RootTwoScaled(-8, -4, 4), (-2, -1), 2),
-        (RootTwoScaled(0, -48, 5), (0, -3), 1),
     ],
 )
 def test_reduce_negative_numerators(value, parts, den):
-    assert _parts(value) == parts and value.log2_den == den
+    assert (value.num,) == parts and value.log2_den == den
 
 
 @pytest.mark.parametrize(
@@ -214,47 +163,29 @@ def test_reduce_negative_numerators(value, parts, den):
     [
         (Dyadic(64, 2), (16,)),
         (Dyadic(-1 << 40, 3), (-(1 << 37),)),
-        (RootTwoScaled(32, -64, 3), (4, -8)),
-        (RootTwoScaled(0, 1 << 20, 5), (0, 1 << 15)),
-        (RootTwoScaled(0, 48, 2), (0, 12)),
-        (RootTwoScaled(-256, 512, 7), (-2, 4)),
     ],
 )
 def test_reduce_stops_at_integer(value, parts):
     # more trailing zeros than the denominator exponent: the value is an integer
-    assert _parts(value) == parts and value.log2_den == 0
+    assert (value.num,) == parts and value.log2_den == 0
 
 
-@pytest.mark.parametrize(
-    "value, parts, den",
-    [
-        (Dyadic(-3, 4), (-3,), 4),
-        (RootTwoScaled(2, 1, 3), (2, 1), 3),
-        (RootTwoScaled(-3, 4, 2), (-3, 4), 2),
-        (RootTwoScaled(1, 2, 2), (1, 2), 2),
-        (RootTwoScaled(8, -5, 6), (8, -5), 6),
-    ],
-)
+@pytest.mark.parametrize("value, parts, den", [(Dyadic(-3, 4), (-3,), 4)])
 def test_reduce_keeps_mixed_parity(value, parts, den):
-    assert _parts(value) == parts and value.log2_den == den
+    assert (value.num,) == parts and value.log2_den == den
 
 
-@pytest.mark.parametrize("cls", [Dyadic, RootTwoScaled])
+@pytest.mark.parametrize("cls", [Dyadic])
 def test_reduce_rejects_negative_exponent(cls):
-    arity = 1 if cls is Dyadic else 2
-    for parts in ([0] * arity, [4] * arity, [-3] * arity):
+    for num in (0, 4, -3):
         with pytest.raises(ValueError):
-            cls(*parts, -1)
+            cls(num, -1)
 
 
 def test_reduce_matches_bit_by_bit_reference():
     rng = random.Random(20261018)
     for _ in range(2000):
-        arity = rng.choice((1, 2))
-        shift = rng.randint(0, 70)
-        parts = [rng.randint(-(1 << 12), 1 << 12) << shift for _ in range(arity)]
+        num = rng.randint(-(1 << 12), 1 << 12) << rng.randint(0, 70)
         den = rng.randint(0, 80)
-        cls = Dyadic if arity == 1 else RootTwoScaled
-        want_parts, want_den = _reduce_bit_by_bit(parts, den)
-        value = cls(*parts, den)
-        assert _parts(value) == tuple(want_parts) and value.log2_den == want_den
+        value = Dyadic(num, den)
+        assert (value.num, value.log2_den) == _reduce_bit_by_bit(num, den)

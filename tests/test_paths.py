@@ -10,7 +10,6 @@ from qwalk.paths import (
     changes_count,
     changes_vector,
     ones_count,
-    path_string,
     same_parity,
 )
 
@@ -99,8 +98,12 @@ def test_vector_resource_cap():
 
 
 def test_path_string():
-    assert path_string(PathSpace(3), 5) == "0101"
-    assert path_string(PathSpace(4), 3) == "00011"
+    # path j's site string: the time-0 zero, then the n step bits of j,
+    # first step in the high bit; the counters read the same convention
+    assert site_string(3, 5) == "0101"
+    assert site_string(4, 3) == "00011"
+    assert (changes_count(PathSpace(3), 5), ones_count(PathSpace(3), 5)) == (3, 2)
+    assert (changes_count(PathSpace(4), 3), ones_count(PathSpace(4), 3)) == (1, 2)
 
 
 @pytest.mark.parametrize("n", range(1, 15))

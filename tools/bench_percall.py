@@ -213,6 +213,19 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.integral,
         fraction_parts,
     ))
+    # the closed forms with cos(n*pi/4), and the variation witness
+    ops.append((
+        "complement closed form n<=512",
+        [(n,) for n in range(1, 513)],
+        qw.complement_of_constant_closed_form,
+        lambda d: d.as_fraction(),
+    ))
+    ops.append((
+        "variation_lower_bound n<=64",
+        [(n,) for n in range(1, 65)],
+        qw.variation_lower_bound,
+        int,
+    ))
     return ops
 
 
