@@ -52,21 +52,6 @@ def test_changes_oracle_matches_pairwise_scan():
             assert changes_oracle(n, j) == sum(a != b for a, b in zip(s, s[1:])), (n, j)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_reflection_recurrence(n):
-    coarse, fine = PathSpace(n), PathSpace(n + 1)
-    top = (1 << (n + 1)) - 1
-    for j in coarse.indices():
-        assert changes_count(fine, top - j) == changes_count(coarse, j) + 1
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_shift_recurrence(n):
-    coarse, fine = PathSpace(n), PathSpace(n + 1)
-    for j in coarse.indices():
-        assert ones_count(fine, j + (1 << n)) == ones_count(coarse, j) + 1
-
-
 def test_same_parity():
     space = PathSpace(3)
     assert same_parity(space, 0, 2)
