@@ -472,15 +472,15 @@ def _root_two_cos(h: int, m: int) -> Dyadic:
     """2**(h/2) * cos(m*pi/4), exact when h and m have the same parity.
 
     cos(m*pi/4) is 0 or +-1 for even m and +-2**(-1/2) for odd m, so the
-    product is a signed power of two, 2**(h/2) or 2**((h-1)/2); with h and
-    m of different parity it would be irrational (or a root-two multiple
-    of 0) and ValueError is raised.
+    product is 0 or a signed power of two, 2**(h/2) or 2**((h-1)/2).  With
+    h and m of different parity the root-two parts do not cancel, and
+    ValueError is raised.
     """
     if (h - m) & 1:
         raise ValueError(f"2**({h}/2) * cos({m}*pi/4) is not dyadic")
     sign = _COS_EIGHTH_SIGNS[m & 7]
-    e = (h - (m & 1)) >> 1
-    return Dyadic(sign << e) if e >= 0 else Dyadic(sign, -e)
+    exp = (h - (m & 1)) >> 1
+    return Dyadic(sign << exp) if exp >= 0 else Dyadic(sign, -exp)
 
 
 def change_residue_profile_closed_form(n: int) -> tuple[int, int, int, int]:

@@ -14,7 +14,8 @@ from oracles import (
     mu_oracle,
 )
 
-from qwalk.cli import main
+from qwalk.cli import _fraction_doc, main
+from qwalk.errors import ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -269,6 +270,12 @@ def test_integral_beyond_the_digit_limit_is_a_resource_bound(tmp_path, capsys):
     sys.set_int_max_str_digits(4300)
     try:
         code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
+        # the bound is the interpreter's: 4300 digits are written, 4301 refused
+        widest = _fraction_doc(Fraction(-(10**4300 - 1), 10**4300 - 1 - 2))
+        assert len(json.dumps(widest)) > 8600
+        for too_wide in (Fraction(10**4300), Fraction(1, 10**4300), Fraction(-(10**4300), 3)):
+            with pytest.raises(ResourceLimitError):
+                _fraction_doc(too_wide)
     finally:
         sys.set_int_max_str_digits(saved)
     assert code == 3 and out == ""

@@ -164,6 +164,9 @@ def test_approximant_finite_paths():
     assert approximant(pair, 1).base.to_tuple() == (0,)  # prefixes collide
     assert approximant(pair, 2).base.to_tuple() == (0, 1)
     assert approximant(pair, 3).base.to_tuple() == (0, 3)
+    # an empty set has empty hulls; only None from approximant_indices is full
+    for n in range(1, 9):
+        assert approximant(FinitePathSet(()), n).base.cardinality == 0
 
 
 def test_approximant_full_kinds():
