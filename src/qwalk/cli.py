@@ -33,7 +33,7 @@ from .cylinder import (
     repeated_block_verdict,
     variation_lower_bound,
 )
-from .decoherence import EIGEN_CHECK_MAX_STEPS, DecoherenceState, Event
+from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic
 from .paths import MAX_STEPS, PathSpace
@@ -437,7 +437,6 @@ def cmd_eigen(args) -> None:
     state = DecoherenceState(space)
     even = state.eigenvector_exact(0)
     odd = state.eigenvector_exact(1)
-    verified = state.eigen_equation_holds() if args.n <= EIGEN_CHECK_MAX_STEPS else None
     _emit_json(
         "eigen",
         {"n": args.n},
@@ -446,7 +445,7 @@ def cmd_eigen(args) -> None:
             "scale": f"2**((n-1)/2) with n={args.n}",
             "even_vector": [[re, im] for re, im in even],
             "odd_vector": [[re, im] for re, im in odd],
-            "verified_exact": verified,
+            "verified_exact": state.eigen_equation_holds(),
         },
     )
 

@@ -17,13 +17,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Union
 
-from .decoherence import DecoherenceState, Event
+from .decoherence import EVENT_MAX_STEPS, DecoherenceState, Event
 from .errors import ResourceLimitError
 from .exact import Dyadic
 from .paths import PathSpace, change_residue_count_levels
 from .qmeasure import mu, mu_from_census
 
-APPROXIMANT_MAX_LEVEL = 24
 COMBINATION_CAP = 1_000_000
 LIMIT_MAX_LEVEL = 512
 # limit-classifier rule (see classify_sequence); a limit table may set its
@@ -94,9 +93,9 @@ def refine(cyl: CylinderEvent, to_level: int) -> CylinderEvent:
         raise ValueError("cannot refine to a coarser level")
     if extra == 0:
         return cyl
-    if to_level > APPROXIMANT_MAX_LEVEL:
+    if to_level > EVENT_MAX_STEPS:
         raise ResourceLimitError(
-            f"explicit cylinder bases are capped at level {APPROXIMANT_MAX_LEVEL}"
+            f"explicit cylinder bases are capped at level {EVENT_MAX_STEPS}"
         )
     data = cyl.base.mask.to_bytes((cyl.base.space.size + 7) // 8, "little")
     for _ in range(extra):
@@ -279,9 +278,9 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
         if isinstance(event, FinitePathSet) and not event.paths:
             return CylinderEvent.from_indices(0, ())
         return CylinderEvent.from_indices(0, (0,))
-    if n > APPROXIMANT_MAX_LEVEL:
+    if n > EVENT_MAX_STEPS:
         raise ResourceLimitError(
-            f"explicit approximants are capped at level {APPROXIMANT_MAX_LEVEL}; "
+            f"explicit approximants are capped at level {EVENT_MAX_STEPS}; "
             "limit tables use census generators instead"
         )
     space = PathSpace(n)
@@ -312,12 +311,14 @@ def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
     A complement of a finite path set is instead the increasing union of
     the complements of the inner set's hulls, so its terms are the measures
     of those complements; both exact, via residue censuses only.  The term
-    ends the census sweep `limit_mu_hat` tabulates, at that table's cost.
-    At-most-K terms past COMBINATION_CAP hull members raise
-    ResourceLimitError.
+    ends the census sweep `limit_mu_hat` tabulates, at that table's cost,
+    so it is refused past LIMIT_MAX_LEVEL like the table.  At-most-K terms
+    past COMBINATION_CAP hull members raise ResourceLimitError.
     """
     if n < 1:
         raise ValueError("need level >= 1")
+    if n > LIMIT_MAX_LEVEL:
+        raise ResourceLimitError(f"limit terms are capped at n <= {LIMIT_MAX_LEVEL}")
     *_, census = _limit_censuses(event, n)
     return mu_from_census(census, n)
 

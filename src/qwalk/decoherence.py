@@ -28,12 +28,11 @@ from typing import Iterator, Sequence
 
 from .errors import ResourceLimitError
 from .exact import Dyadic, _Frozen, _new
-from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts
+from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts, change_residues
 
 DENSE_MAX_STEPS = 12  # 4**12 one-byte signs, ~17 MB
 EVENT_MAX_STEPS = 24  # membership masks beyond 2**24 bits are not materialized
 EIGEN_MAX_STEPS = 20
-EIGEN_CHECK_MAX_STEPS = 10
 GRAM_MAX_EVENTS = 12
 
 
@@ -386,17 +385,13 @@ class DecoherenceState:
         per (site, component, residue) and compared with every row of that
         residue.  Every row of both sites is checked against every column of
         its site, so a stray nonzero entry on the wrong site fails its own
-        row.
+        row.  O(2**n), so refused past EIGEN_MAX_STEPS with the eigenvectors.
         """
         n = self.space.n
-        if n > EIGEN_CHECK_MAX_STEPS:
-            raise ResourceLimitError(
-                f"exact eigen-equation check capped at n <= {EIGEN_CHECK_MAX_STEPS}"
-            )
-        res = bytes(change_residue(j) for j in self.space.indices())
+        vectors = [self.eigenvector_exact(parity) for parity in (0, 1)]
+        res = change_residues(n)
         half = 1 << (n - 1)
-        for parity in (0, 1):
-            vec = self.eigenvector_exact(parity)
+        for vec in vectors:
             for site in (0, 1):
                 site_res = res[site::2]
                 # the columns of this site sharing each change residue, as 0/1 bytes

@@ -124,15 +124,6 @@ class RandomVariable:
         value = Fraction(value)
         return cls(space, (value.numerator,) * space.size, value.denominator)
 
-    def split(self) -> tuple["RandomVariable", "RandomVariable"]:
-        """Canonical positive/negative parts: both nonnegative, product zero."""
-        pos = tuple(v if v > 0 else 0 for v in self.numerators)
-        neg = tuple(-v if v < 0 else 0 for v in self.numerators)
-        return (
-            RandomVariable(self.space, pos, self.denominator),
-            RandomVariable(self.space, neg, self.denominator),
-        )
-
     def support(self) -> tuple[int, ...]:
         return tuple(j for j, v in enumerate(self.numerators) if v)
 

@@ -20,7 +20,6 @@ from .errors import ResourceLimitError
 from .exact import Dyadic
 from .paths import VECTOR_MAX_STEPS, PathSpace, change_residue, change_residue_counts
 
-COMPOSITION_MAX_STEPS = 8
 PRECLUSION_MAX_EVENTS = 100_000  # above the 88 876 null events of n = 6 up to 4 members
 
 
@@ -139,7 +138,8 @@ def interference_composition_check(state: DecoherenceState) -> bool:
     The classification of a pair depends only on the two change-count
     residues mod 4, so quantifying over ordered triples of distinct paths
     reduces to quantifying over residue triples that the space can realize
-    with distinct paths.  The laws checked, writing n/c/d for the three
+    with distinct paths: 64 triples against the O(n) class profile, at any
+    horizon.  The laws checked, writing n/c/d for the three
     classes of (first, middle) and (middle, last):
 
         n after n  -> first and last interfere (c or d)
@@ -147,10 +147,6 @@ def interference_composition_check(state: DecoherenceState) -> bool:
         c after c  -> c        d after d -> c        mixed c, d -> d
     """
     n = state.space.n
-    if n > COMPOSITION_MAX_STEPS:
-        raise ResourceLimitError(
-            f"composition-law check capped at n <= {COMPOSITION_MAX_STEPS}"
-        )
     counts = change_residue_counts(n)
     N, C, D = (
         Interference.NO_INTERFERENCE,

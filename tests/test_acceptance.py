@@ -8,6 +8,8 @@ the best of several runs after a warmup to keep scheduler noise out.
 import time
 from fractions import Fraction
 
+import pytest
+
 from qwalk.cylinder import (
     ALL_ZEROS,
     AtMostKOnes,
@@ -217,7 +219,15 @@ def test_criterion_09_integral_table():
     report("criterion-09 all six integrals under all three strategies")
 
 
-def test_criterion_10_property_suites_and_runtime():
+@pytest.fixture(scope="module")
+def verify_run():
+    """The whole reproduction suite, run once for this module, and its wall time."""
+    start = time.perf_counter()
+    results = verify_module.run_checks()
+    return results, time.perf_counter() - start
+
+
+def test_criterion_10_property_suites_and_runtime(verify_run):
     named = [
         "strategy-agreement-exhaustive",  # three routes, all events, n <= 4
         "strategy-agreement-random",  # 10**4 random events, n <= 16
@@ -234,9 +244,8 @@ def test_criterion_10_property_suites_and_runtime():
     missing = [name for name in named if name not in by_name]
     assert not missing, f"suite misses checks: {missing}"
 
-    start = time.perf_counter()
-    results = verify_module.run_checks()
-    elapsed = time.perf_counter() - start
+    results, elapsed = verify_run
+    assert [r.name for r in results] == [name for name, _ in verify_module.CHECKS]
     failures = [f"{r.name}: {r.detail}" for r in results if not r.passed]
     assert not failures, "verification failures:\n" + "\n".join(failures)
     assert elapsed < 60.0, f"full verification took {elapsed:.1f} s"
@@ -244,6 +253,13 @@ def test_criterion_10_property_suites_and_runtime():
         "criterion-10 property suites green, full verification under 60 s",
         f"{len(results)} checks in {elapsed:.1f} s",
     )
+
+
+@pytest.mark.parametrize("name", [name for name, _ in verify_module.CHECKS])
+def test_verify_check(verify_run, name):
+    results, _ = verify_run
+    result = next(r for r in results if r.name == name)
+    assert result.passed, f"{name} failed after {result.seconds:.3f} s: {result.detail}"
 
 
 def test_criterion_11_quadratic_builtins():

@@ -290,11 +290,10 @@ def test_eigen_output(capsys):
 
 
 def test_eigen_verified_up_to_the_check_cap(capsys):
-    # the exact eigen-equation check stops at EIGEN_CHECK_MAX_STEPS = 10
     assert run_json(capsys, "eigen", "--n", "10")["result"]["verified_exact"] is True
-    doc = run_json(capsys, "eigen", "--n", "11", "--force")
-    assert doc["result"]["verified_exact"] is None
-    assert len(doc["result"]["even_vector"]) == 1 << 11
+    doc = run_json(capsys, "eigen", "--n", "12", "--force")
+    assert doc["result"]["verified_exact"] is True
+    assert len(doc["result"]["even_vector"]) == 1 << 12
 
 
 # -- error paths ------------------------------------------------------------------------

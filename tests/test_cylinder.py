@@ -16,8 +16,8 @@ from oracles import (
 
 from qwalk.cylinder import (
     ALL_ZEROS,
-    APPROXIMANT_MAX_LEVEL,
     COMBINATION_CAP,
+    LIMIT_MAX_LEVEL,
     AtMostKOnes,
     ComplementOfFinitePathSet,
     CylinderEvent,
@@ -36,14 +36,13 @@ from qwalk.cylinder import (
     mu_cyl,
     refine,
     repeated_block_measures,
-    repeated_block_verdict,
     variation_lower_bound,
     _at_most_censuses,
     _at_most_indices,
     _limit_censuses,
     _root_two_cos,
 )
-from qwalk.decoherence import Event
+from qwalk.decoherence import EVENT_MAX_STEPS, Event
 from qwalk.errors import ResourceLimitError
 from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace, change_residue_count_levels, change_residue_counts
@@ -68,10 +67,10 @@ def test_refine_matches_member_loop_seeded():
     for _ in range(12):
         # a few members lifted as high as explicit bases go
         level = rng.randint(1, 12)
-        to_level = rng.randint(level, APPROXIMANT_MAX_LEVEL)
+        to_level = rng.randint(level, EVENT_MAX_STEPS)
         members = rng.sample(range(1 << level), min(4, 1 << level))
         cases.append((level, to_level, sum(1 << j for j in members)))
-    cases.append((1, APPROXIMANT_MAX_LEVEL, 0b10))
+    cases.append((1, EVENT_MAX_STEPS, 0b10))
     cases.append((3, 3, 0))
     for level, to_level, mask in cases:
         base = CylinderEvent(level, Event(PathSpace(level), mask))
@@ -146,14 +145,6 @@ def test_eventual_path_bits():
     assert ALL_ZEROS.index_at(6) == 0
     with pytest.raises(ValueError):
         EventualPath((0, 2), 0)
-
-
-def test_approximant_at_most_one():
-    event = AtMostKOnes(1)
-    for n in range(1, 13):
-        got = approximant(event, n).base.to_tuple()
-        want = tuple(sorted({0} | {1 << b for b in range(n)}))
-        assert got == want
 
 
 def test_approximant_finite_paths():
@@ -296,13 +287,6 @@ def test_limit_report_undetermined_when_short():
     assert report.verdict is LimitVerdict.UNDETERMINED
 
 
-def test_limit_report_finitely_many_ones():
-    report = limit_mu_hat(FinitelyManyOnes(), 16)
-    assert report.verdict is LimitVerdict.CONVERGED
-    assert report.estimate == 1.0
-    assert all(exact == Dyadic(1) for _, exact, _ in report.values)
-
-
 def test_limit_table_matches_terms():
     paths = (ALL_ZEROS, EventualPath((1, 1), 0), EventualPath((0, 1), 1))
     events = [
@@ -327,6 +311,11 @@ def test_limit_validation():
         limit_mu_hat(AtMostKOnes(1), 2, window=5)
     with pytest.raises(ResourceLimitError):
         limit_mu_hat(AtMostKOnes(1), 1000)
+    # a single term costs its whole sweep, so it has the table's bound
+    for event in (FinitePathSet((ALL_ZEROS,)), ComplementOfFinitePathSet((ALL_ZEROS,))):
+        limit_term(event, LIMIT_MAX_LEVEL)
+        with pytest.raises(ResourceLimitError):
+            limit_term(event, LIMIT_MAX_LEVEL + 1)
 
 
 def test_classify_sequence_rules():
@@ -437,15 +426,6 @@ def test_sweep_rejects_unknown_events():
 # -- block products ---------------------------------------------------------------
 
 
-def test_block_measures_direct_and_extrapolated():
-    terms = repeated_block_measures(6)
-    for term in terms:
-        assert term.value == Fraction(9, 8) ** term.index
-    assert [t.provenance for t in terms] == ["direct"] * 4 + ["extrapolated"] * 2
-    ratios = [terms[i + 1].value / terms[i].value for i in range(5)]
-    assert all(r == Fraction(9, 8) for r in ratios)
-
-
 def test_block_measures_match_oracle_at_small_levels():
     # explicit members at levels 3 and 6, measured by the string oracle
     level3 = [2, 4, 6]
@@ -453,10 +433,6 @@ def test_block_measures_match_oracle_at_small_levels():
     level6 = [(j << 3) | b for j in level3 for b in (2, 4, 6)]
     assert mu_oracle(6, level6) == Fraction(81, 64)
     assert repeated_block_measures(2)[1].value == Fraction(81, 64)
-
-
-def test_block_verdict_diverges():
-    assert repeated_block_verdict() is LimitVerdict.DIVERGED
 
 
 def test_block_input_validation():
@@ -472,11 +448,6 @@ def test_variation_values():
         assert variation_lower_bound(n) == 1 << n
     assert variation_lower_bound(1) == 2
     assert variation_lower_bound(4) == 16
-
-
-def test_variation_monotone():
-    values = [variation_lower_bound(n) for n in range(1, 20)]
-    assert all(a < b for a, b in zip(values, values[1:]))
 
 
 def test_variation_validation():

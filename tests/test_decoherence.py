@@ -18,7 +18,7 @@ from qwalk.paths import PathSpace, change_residue_counts
 from qwalk.qmeasure import mu
 
 
-from oracles import changes_oracle, entry_sign_oracle
+from oracles import census_of_indices_oracle, changes_oracle, entry_sign_oracle
 
 
 def state(n: int) -> DecoherenceState:
@@ -233,20 +233,13 @@ def test_residue_masks_are_cached():
     assert (after.hits, after.misses) == (info.hits + 1, info.misses)
 
 
-def census_oracle(n: int, members) -> tuple[int, int, int, int]:
-    counts = [0, 0, 0, 0]
-    for j in members:
-        counts[changes_oracle(n, j) % 4] += 1
-    return tuple(counts)
-
-
 @pytest.mark.parametrize("n", [16, 20, 24])
 def test_census_matches_string_oracle_seeded(n):
     rng = random.Random(5000 + n)
     st = state(n)
     for _ in range(25):
         members = rng.sample(range(1 << n), rng.randint(1, 64))
-        assert st.census(event(n, members)) == census_oracle(n, members)
+        assert st.census(event(n, members)) == census_of_indices_oracle(n, members)
 
 
 def test_census_accepts_an_equal_space_built_apart():
@@ -255,7 +248,7 @@ def test_census_accepts_an_equal_space_built_apart():
     apart = event(7, members)  # over its own PathSpace(7)
     assert apart.space is not st.space
     assert st.census(apart) == st.census(Event.from_indices(st.space, members))
-    assert st.census(apart) == census_oracle(7, members)
+    assert st.census(apart) == census_of_indices_oracle(7, members)
     assert st.vector_measure(apart) == st.vector_measure(Event(st.space, apart.mask))
 
 
@@ -302,14 +295,6 @@ def test_functional_matches_oracle_random(n):
         assert by_entries == got
 
 
-def test_functional_published_values():
-    st = state(2)
-    full = Event.full(st.space)
-    assert st.functional(full, full) == Dyadic(1)
-    assert st.functional(event(2, [0]), event(2, [2])) == Dyadic(-1, 2)
-    assert st.functional(Event.empty(st.space), full).is_zero()
-
-
 def test_functional_values_are_dyadic_and_the_diagonal_is_mu():
     rng = random.Random(20261018)
     for n in range(1, 11):
@@ -342,17 +327,6 @@ def test_entry_total_is_one():
 
 
 # -- rank-two factorization ------------------------------------------------
-
-
-def test_eigenvector_published_n1():
-    even, odd = state(1).eigenpair()
-    assert even == [1, 0]
-    assert odd == [0, 1j]
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_eigen_equation_exact(n):
-    assert state(n).eigen_equation_holds()
 
 
 @pytest.mark.parametrize("n", (2, 3, 6, 10))
@@ -392,8 +366,9 @@ def test_eigen_equation_rejects_corrupted_vectors(monkeypatch, n):
 
 
 def test_eigen_equation_cap():
+    assert state(12).eigen_equation_holds()
     with pytest.raises(ResourceLimitError):
-        state(11).eigen_equation_holds()
+        state(21).eigen_equation_holds()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -449,31 +424,6 @@ def test_eigenvector_parity_support():
 
 
 # -- vector measure -----------------------------------------------------------
-
-
-def test_vector_measure_reproduces_functional():
-    rng = random.Random(77)
-    for n in range(1, 11):
-        st = state(n)
-        size = 1 << n
-        for _ in range(200):
-            a = Event(st.space, rng.getrandbits(size))
-            b = Event(st.space, rng.getrandbits(size))
-            assert st.vector_measure(a).inner(st.vector_measure(b)) == st.functional(a, b)
-
-
-def test_vector_measure_additive():
-    rng = random.Random(78)
-    for n in (2, 4, 6):
-        st = state(n)
-        size = 1 << n
-        for _ in range(100):
-            m1 = rng.getrandbits(size)
-            m2 = rng.getrandbits(size) & ~m1
-            e1, e2 = Event(st.space, m1), Event(st.space, m2)
-            assert st.vector_measure(e1) + st.vector_measure(e2) == st.vector_measure(
-                e1.union(e2)
-            )
 
 
 def test_vector_measure_published():

@@ -9,7 +9,6 @@ from qwalk import quadratic
 from qwalk.cylinder import (
     ALL_ZEROS,
     AtMostKOnes,
-    EventualPath,
     FinitePathSet,
     FinitelyManyOnes,
     InfinitelyManyOnes,
@@ -451,20 +450,6 @@ def test_parse_round_trip_checks():
 
 
 # -- strong disjointness ------------------------------------------------------------------
-
-
-def test_strong_disjointness_immediate():
-    a = FinitePathSet((ALL_ZEROS,))
-    b = FinitePathSet((EventualPath((1,), 1),))
-    verdict = strongly_disjoint(a, b, 10)
-    assert verdict.witnessed and verdict.at_level == 1
-
-
-def test_strong_disjointness_at_defining_level():
-    a = FinitePathSet((EventualPath((0, 0), 0),))
-    b = FinitePathSet((EventualPath((0, 1), 0),))
-    verdict = strongly_disjoint(a, b, 10)
-    assert verdict.witnessed and verdict.at_level == 2
 
 
 def test_strong_disjointness_never_witnessed():
