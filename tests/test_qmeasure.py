@@ -40,6 +40,30 @@ def event(n: int, indices) -> Event:
 
 # -- published measure table ---------------------------------------------------
 
+TABLE_N2 = {
+    (0, 2): Fraction(0),
+    (0, 1): Fraction(1, 2),
+    (0, 3): Fraction(1, 2),
+    (1, 2): Fraction(1, 2),
+    (2, 3): Fraction(1, 2),
+    (1, 3): Fraction(1),
+    (0, 1, 2): Fraction(1, 4),
+    (0, 1, 3): Fraction(5, 4),
+    (1, 2, 3): Fraction(5, 4),
+    (0, 1, 2, 3): Fraction(1),
+}
+
+
+# the verify check reads the default strategy; this pins the table under each
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_measure_table_n2(strategy):
+    st = state(2)
+    for indices, want in TABLE_N2.items():
+        assert mu(st, event(2, indices), strategy).as_fraction() == want
+    for j in range(4):
+        assert mu(st, event(2, [j]), strategy).as_fraction() == Fraction(1, 4)
+
+
 def test_measure_published_n3():
     assert mu(state(3), event(3, [2, 4, 6])).as_fraction() == Fraction(9, 8)
 
