@@ -280,6 +280,8 @@ def cmd_limit(args) -> None:
     event = _parse_limit_event(args.event)
     if not 2 <= args.window <= args.n_max:
         raise UsageError("need n-max >= window >= 2")
+    if not 0 < args.tol < float("inf"):  # NaN fails both comparisons
+        raise UsageError("--tol must be positive and finite")
     report = limit_mu_hat(event, args.n_max, window=args.window, tol=args.tol)
     rows = [
         [n, exact.num, exact.log2_den, repr(decimal)]

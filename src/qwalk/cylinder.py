@@ -3,18 +3,17 @@
 A cylinder event pins down finitely many initial steps and leaves the rest
 free; its measure is the truncated measure of its base, which is well
 defined because appending a free step never changes the measure.  Events
-beyond the cylinder algebra are described symbolically and approximated by
-cylindrical hulls whose measures may or may not settle down; the verdicts
-reported here are numerical findings, not proofs.
+beyond the cylinder algebra are described symbolically: finite path sets
+and at-most-K ones as step automata, whose one census sweep gives the
+measures of their cylindrical hulls.  Those may or may not settle down;
+the verdicts reported here are numerical findings, not proofs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Union
 
 from .decoherence import EVENT_MAX_STEPS, DecoherenceState, Event
@@ -189,47 +188,73 @@ SymbolicEvent = Union[
 ]
 
 ALL_ZEROS = EventualPath((), 0)
-ALL_ONES_AFTER_START = EventualPath((1,), 1)
+_NO_PATHS = (0, 0, 0, 0)
 
 
-def _at_most_indices(n: int, k: int):
-    if sum(math.comb(n, t) for t in range(min(k, n) + 1)) > COMBINATION_CAP:
-        raise ResourceLimitError(
-            f"at-most-{k}-ones approximant at level {n} exceeds "
-            f"{COMBINATION_CAP} members"
-        )
-    for t in range(min(k, n) + 1):
-        for positions in combinations(range(n), t):
-            j = 0
-            for b in positions:
-                j |= 1 << b
-            yield j
+def _automaton(event: SymbolicEvent):
+    """The step automaton (moves, start) of a hull-described event: moves[s]
+    holds the states after a 0-step and a 1-step, None where no member
+    continues; the level-n hull is the step strings whose run never meets
+    None.  A finite path set's states are sets of path suffixes (prefix
+    left, repeat bit), so a prefix reaches one state however its paths are
+    given; a complement answers with its inner set's automaton."""
+    if isinstance(event, AtMostKOnes):
+        k = event.limit  # state s: s ones read
+        return [(s, s + 1 if s < k else None) for s in range(k + 1)], 0
+    if not isinstance(event, (FinitePathSet, ComplementOfFinitePathSet)):
+        raise ValueError(f"unsupported symbolic event {event!r}")
+    start = frozenset((p.prefix, p.repeat) for p in event.paths)
+    moves, todo = {}, [start]  # moves keyed by the states themselves
+    while todo:
+        state = todo.pop()
+        split = ([], [])
+        for prefix, repeat in state:
+            split[prefix[0] if prefix else repeat].append((prefix[1:], repeat))
+        moves[state] = tuple(frozenset(pairs) or None for pairs in split)
+        todo.extend(t for t in moves[state] if t is not None and t not in moves)
+    return moves, start
 
 
-def _at_most_censuses(k: int, n_max: int):
-    """Censuses at levels 1..n_max of the paths with at most k ones.
-
-    layers[t] censuses the paths with exactly t ones.  A path ends on the
-    site of its residue's parity, so a 0-step keeps its layer and lifts an
-    odd residue r to r + 1, and a 1-step moves it to the next layer and
-    lifts an even one: O(min(k, n)) additions per level.
-    """
-    layers = [(1, 0, 0, 0)]  # level 0: the empty path
+def _sweep(moves, start, n_max: int):
+    """Censuses at levels 1..n_max of the automaton's hulls, one census per
+    live state: a step off the last site, the residue's parity, is a
+    change, so a 0-step lifts odd residues and a 1-step even ones."""
+    live = {start: (1, 0, 0, 0)}  # the empty path
     for _ in range(n_max):
-        if len(layers) <= k:
-            layers.append((0, 0, 0, 0))
-        for t in range(len(layers) - 1, 0, -1):
-            a0, a1, a2, a3 = layers[t]
-            b0, b1, b2, b3 = layers[t - 1]
-            layers[t] = (a0 + a3, b0 + b1, a2 + a1, b2 + b3)
-        yield tuple(map(sum, zip(*layers)))
+        grown = {}
+        for s, (a0, a1, a2, a3) in live.items():
+            zero, one = moves[s]
+            if zero is not None:
+                b0, b1, b2, b3 = grown.get(zero, _NO_PATHS)
+                grown[zero] = (b0 + a0 + a3, b1, b2 + a1 + a2, b3)
+            if one is not None:
+                b0, b1, b2, b3 = grown.get(one, _NO_PATHS)
+                grown[one] = (b0, b1 + a0 + a1, b2, b3 + a2 + a3)
+        live = grown
+        yield tuple(map(sum, zip(_NO_PATHS, *live.values())))
 
 
-def _capped_at_most_censuses(k: int, n_max: int):
+def _hull(moves, start, n: int) -> list[int]:
+    """Indices of the automaton's level-n hull, grown by state a step at a
+    time; a level of more than COMBINATION_CAP members is refused unbuilt."""
+    groups = {start: [0]}
+    for level in range(1, n + 1):
+        if sum(len(p) * (2 - moves[s].count(None)) for s, p in groups.items()) > COMBINATION_CAP:
+            raise ResourceLimitError(f"level-{level} hull exceeds {COMBINATION_CAP} members")
+        grown = {}
+        for s, prefixes in groups.items():
+            for b, t in enumerate(moves[s]):
+                if t is not None:
+                    grown.setdefault(t, []).extend([j << 1 | b for j in prefixes])
+        groups = grown
+    return [j for prefixes in groups.values() for j in prefixes]
+
+
+def _capped_at_most_censuses(k: int, censuses):
     """The at-most-k sweep, refused from the first level whose hull has more
-    than COMBINATION_CAP members, where the member enumeration it replaced
-    stopped; the sweep itself would run on at the same cost."""
-    for n, census in enumerate(_at_most_censuses(k, n_max), start=1):
+    than COMBINATION_CAP members, where a walk of its members stops; the
+    sweep itself would run on at the same cost."""
+    for n, census in enumerate(censuses, start=1):
         if sum(census) > COMBINATION_CAP:
             raise ResourceLimitError(
                 f"at-most-{k}-ones census at level {n} exceeds "
@@ -238,35 +263,18 @@ def _capped_at_most_censuses(k: int, n_max: int):
         yield census
 
 
-def _prefix_censuses(paths: tuple[EventualPath, ...], n_max: int):
-    """Censuses at levels 1..n_max of the distinct length-n prefixes of the
-    paths, each prefix grown by one step per level."""
-    states = [(0, 0)] * len(paths)  # (prefix index, change residue) per path
-    for n in range(n_max):
-        bits = [p.prefix[n] if n < len(p.prefix) else p.repeat for p in paths]
-        # a step off the last site, the residue's parity, is a change
-        states = [
-            ((j << 1) | b, (r + (b ^ (r & 1))) & 3) for (j, r), b in zip(states, bits)
-        ]
-        counts = [0, 0, 0, 0]
-        for r in dict(states).values():  # one entry per distinct prefix
-            counts[r] += 1
-        yield tuple(counts)
-
-
 def _limit_censuses(event: SymbolicEvent, n_max: int):
     """Censuses of the event's limit terms at levels 1..n_max, in one pass:
     its hulls, or for a complement the complements of the inner set's hulls."""
-    if isinstance(event, FinitePathSet):
-        return _prefix_censuses(event.paths, n_max)
-    if isinstance(event, AtMostKOnes):
-        return _capped_at_most_censuses(event.limit, n_max)
-    if isinstance(event, ComplementOfFinitePathSet):
-        pairs = zip(change_residue_count_levels(n_max), _prefix_censuses(event.paths, n_max))
-        return (tuple(f - i for f, i in zip(*pair)) for pair in pairs)
     if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
         return change_residue_count_levels(n_max)
-    raise ValueError(f"unsupported symbolic event {event!r}")
+    censuses = _sweep(*_automaton(event), n_max)
+    if isinstance(event, ComplementOfFinitePathSet):
+        pairs = zip(change_residue_count_levels(n_max), censuses)
+        return (tuple(f - i for f, i in zip(*pair)) for pair in pairs)
+    if isinstance(event, AtMostKOnes):
+        return _capped_at_most_censuses(event.limit, censuses)
+    return censuses
 
 
 def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
@@ -274,14 +282,12 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     the event.  Hulls decrease with n and contain the event."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
-    if n == 0:
-        if isinstance(event, FinitePathSet) and not event.paths:
-            return CylinderEvent.from_indices(0, ())
-        return CylinderEvent.from_indices(0, (0,))
+    if n == 0:  # the empty path extends into every event but the empty set
+        return CylinderEvent.from_indices(0, () if event == FinitePathSet(()) else (0,))
     if n > EVENT_MAX_STEPS:
         raise ResourceLimitError(
             f"explicit approximants are capped at level {EVENT_MAX_STEPS}; "
-            "limit tables use census generators instead"
+            "limit tables use census sweeps instead"
         )
     space = PathSpace(n)
     indices = approximant_indices(event, n)
@@ -294,14 +300,10 @@ def approximant_indices(event: SymbolicEvent, n: int) -> frozenset[int] | None:
     full space (kept symbolic so large levels stay cheap)."""
     if n < 1:
         raise ValueError("need level >= 1")
-    if isinstance(event, FinitePathSet):
-        return frozenset(p.index_at(n) for p in event.paths)
-    if isinstance(event, AtMostKOnes):
-        return frozenset(_at_most_indices(n, event.limit))
     if isinstance(event, (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)):
         # every finite prefix extends into these events, so the hull is full
         return None
-    raise ValueError(f"unsupported symbolic event {event!r}")
+    return frozenset(_hull(*_automaton(event), n))
 
 
 def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
@@ -351,10 +353,13 @@ def classify_sequence(
     Diverged: some value exceeds BLOW_UP after GROWTH_RUN consecutive
     increases.  Converged: the trailing run of consecutive differences below
     `tol` spans at least `window` values; the estimate is the final value and
-    the attachment point is where that window is first complete.
+    the attachment point is where that window is first complete; `tol` must
+    be positive and finite.
     """
     if window < 2:
         raise ValueError("window must be at least 2")
+    if not 0 < tol < float("inf"):  # NaN fails both comparisons
+        raise ValueError("tol must be positive and finite")
     increases = 0
     for t in range(1, len(values)):
         increases = increases + 1 if values[t] > values[t - 1] else 0
@@ -403,7 +408,9 @@ def limit_mu_hat(
 
 # -- concrete sequences ------------------------------------------------------
 
-_BLOCK = (2, 4, 6)  # the three-step block visiting site 1 exactly once mid-run
+# a step automaton for the three-step blocks 010, 100 and 110, which visit
+# site 1 exactly once mid-run; state 0 starts a block
+_BLOCK_MOVES = [(1, 2), (None, 3), (3, 3), (0, None)]
 
 
 @dataclass(frozen=True)
@@ -413,33 +420,25 @@ class BlockMeasure:
     provenance: str  # "direct" or "extrapolated"
 
 
-def _block_product_indices(i: int) -> list[int]:
-    members = [0]
-    for _ in range(i):
-        members = [(j << 3) | b for j in members for b in _BLOCK]
-    return members
-
-
 def repeated_block_measures(i_max: int) -> list[BlockMeasure]:
     """Measures of the nested block-product cylinders, which grow as (9/8)**i.
 
     The first BLOCK_DIRECT_TERMS terms are computed from the level-3i base's
-    residue census and checked against the ratio; later terms extrapolate the
-    verified ratio and are labeled as such.
+    residue census, swept through the blocks' step automaton, and checked
+    against the ratio; later terms extrapolate the verified ratio and are
+    labeled as such.
     """
     if i_max < 1:
         raise ValueError("need i_max >= 1")
     ratio = Fraction(9, 8)
     out = []
     direct = min(i_max, BLOCK_DIRECT_TERMS)
+    censuses = list(_sweep(_BLOCK_MOVES, 0, 3 * direct))
     for i in range(1, direct + 1):
-        level = 3 * i
-        space = PathSpace(level)
-        event = Event.from_indices(space, _block_product_indices(i))
-        value = mu(DecoherenceState(space), event).as_fraction()
+        value = mu_from_census(censuses[3 * i - 1], 3 * i).as_fraction()
         if value != ratio ** i:
             raise RuntimeError(
-                f"block-product measure at level {level} broke the expected ratio"
+                f"block-product measure at level {3 * i} broke the expected ratio"
             )
         out.append(BlockMeasure(i, value, "direct"))
     for i in range(direct + 1, i_max + 1):

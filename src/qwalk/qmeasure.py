@@ -145,6 +145,11 @@ def interference_composition_check(state: DecoherenceState) -> bool:
         n after n  -> first and last interfere (c or d)
         c or d after n, and n after c or d  -> no interference
         c after c  -> c        d after d -> c        mixed c, d -> d
+
+    No class table breaks only one of "c or d after n ... is n" and "mixed
+    c, d is d" without breaking some other law, so either alone could go;
+    but the tables (c, n, c, d) and (c, d, c, n), by residue difference,
+    break both and nothing else, so the two stay together.
     """
     n = state.space.n
     counts = change_residue_counts(n)

@@ -309,6 +309,14 @@ def test_usage_error_unknown_limit_event(capsys):
     assert code == 2 and "unknown limit event" in err
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-9"])
+def test_usage_error_limit_tol(capsys, tol):
+    # inf would read any table as converged, and nan and inf are not JSON
+    argv = ("limit", "--event", "return-to-zero", "--n-max", "3", "--window", "2")
+    code, out, err = run_cli(capsys, *argv, f"--tol={tol}")
+    assert (code, out) == (2, "") and "--tol" in err
+
+
 def test_usage_error_quadratic_flags(capsys):
     code, _, err = run_cli(capsys, "quadratic")
     assert code == 2

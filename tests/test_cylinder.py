@@ -9,7 +9,9 @@ from oracles import (
     census_mu_oracle,
     census_of_indices_oracle,
     changes_oracle,
+    changes_table,
     mu_oracle,
+    ones_oracle,
     refined_mask_by_members,
     site_string,
 )
@@ -37,10 +39,11 @@ from qwalk.cylinder import (
     refine,
     repeated_block_measures,
     variation_lower_bound,
-    _at_most_censuses,
-    _at_most_indices,
+    _automaton,
+    _hull,
     _limit_censuses,
     _root_two_cos,
+    _sweep,
 )
 from qwalk.decoherence import EVENT_MAX_STEPS, Event
 from qwalk.errors import ResourceLimitError
@@ -194,7 +197,9 @@ def test_approximant_level_zero():
 def test_approximant_resource_caps():
     with pytest.raises(ResourceLimitError):
         approximant(AtMostKOnes(1), 30)
-    with pytest.raises(ResourceLimitError):
+    # refused before building level 21, the first past the cap
+    assert sum(at_most_census_oracle(20, 12)) <= COMBINATION_CAP < sum(at_most_census_oracle(21, 12))
+    with pytest.raises(ResourceLimitError, match="level-21 hull"):
         approximant_indices(AtMostKOnes(12), 40)
 
 
@@ -334,6 +339,14 @@ def test_classify_sequence_rules():
     assert verdict is LimitVerdict.UNDETERMINED
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_classify_sequence_rejects_tol(tol):
+    with pytest.raises(ValueError):
+        classify_sequence([1.0] * 10, 5, tol)
+    with pytest.raises(ValueError):
+        limit_mu_hat(AtMostKOnes(1), 8, tol=tol)
+
+
 # -- census sweeps -------------------------------------------------------------------
 
 
@@ -341,13 +354,30 @@ def sweep(event, n_max):
     return list(_limit_censuses(event, n_max))
 
 
+def at_most_sweep(k, n_max):
+    """The at-most-k automaton's censuses, with no refusal at the cap."""
+    return list(_sweep(*_automaton(AtMostKOnes(k)), n_max))
+
+
 def test_at_most_sweep_matches_enumeration():
     # C(20, <= 4) = 6196 members, far under COMBINATION_CAP
     for k in range(5):
         table = sweep(AtMostKOnes(k), 20)
         for n in range(1, 21):
-            members = census_of_indices_oracle(n, _at_most_indices(n, k))
+            hull = approximant_indices(AtMostKOnes(k), n)
+            if n <= 12:
+                assert hull == {j for j in range(1 << n) if ones_oracle(n, j) <= k}
+            members = census_of_indices_oracle(n, hull)
             assert table[n - 1] == members == at_most_census_oracle(n, k)
+
+
+def test_at_most_sweep_matches_run_count_to_the_cap():
+    for k in range(7):
+        top = 1  # the last level whose hull is within the cap, up to 512
+        while top < LIMIT_MAX_LEVEL and sum(at_most_census_oracle(top + 1, k)) <= COMBINATION_CAP:
+            top += 1
+        table = sweep(AtMostKOnes(k), top)
+        assert table == [at_most_census_oracle(n, k) for n in range(1, top + 1)]
 
 
 def test_at_most_three_at_the_combination_cap():
@@ -364,7 +394,7 @@ def test_at_most_three_at_the_combination_cap():
 
 
 def test_at_most_dp_past_the_combination_cap():
-    table = list(_at_most_censuses(3, 512))
+    table = at_most_sweep(3, 512)
     for n in (182, 256, 512):
         assert table[n - 1] == at_most_census_oracle(n, 3)
 
@@ -373,15 +403,15 @@ def test_at_most_sweep_matches_run_count_seeded():
     rng = random.Random(20261018)
     for _ in range(24):
         k, n = rng.randint(0, 64), rng.randint(1, 512)
-        assert list(_at_most_censuses(k, n))[-1] == at_most_census_oracle(n, k)
+        assert at_most_sweep(k, n)[-1] == at_most_census_oracle(n, k)
 
 
 def test_at_most_sweep_is_full_space_when_k_reaches_n():
-    table = list(_at_most_censuses(128, 128))
+    table = at_most_sweep(128, 128)
     for n in range(1, 129):
         assert table[n - 1] == change_residue_counts(n)
     for n in (1, 2, 3, 17, 64, 128):
-        assert list(_at_most_censuses(n, n))[-1] == change_residue_counts(n)
+        assert at_most_sweep(n, n)[-1] == change_residue_counts(n)
 
 
 def seeded_path_sets(seed: int):
@@ -410,10 +440,40 @@ def test_prefix_sweeps_match_indices():
         inner = sweep(FinitePathSet(paths), 64)
         outer = sweep(ComplementOfFinitePathSet(paths), 64)
         for n in range(1, 65):
-            census = census_of_indices_oracle(n, approximant_indices(FinitePathSet(paths), n))
+            prefixes = {p.index_at(n) for p in paths}
+            assert approximant_indices(FinitePathSet(paths), n) == prefixes
+            census = census_of_indices_oracle(n, prefixes)
             assert inner[n - 1] == census
             full = change_residue_counts(n)
             assert outer[n - 1] == tuple(f - c for f, c in zip(full, census))
+
+
+def random_step_tables(seed: int):
+    """Step tables of 1 to 5 states with dead moves, dead ends and loops."""
+    rng = random.Random(seed)
+    for _ in range(12):
+        size = rng.randint(1, 5)
+        pick = lambda: None if rng.random() < 0.2 else rng.randrange(size)
+        yield [(pick(), pick()) for _ in range(size)], rng.randrange(size)
+
+
+def test_sweep_and_hull_match_every_step_string_seeded():
+    """Every length-n step string is run through the table, and the census
+    of those whose run never meets None is read off their site strings."""
+    for moves, start in random_step_tables(1616):
+        table = list(_sweep(moves, start, 16))
+        reached = [start]  # by index: the state after its steps, or None
+        for n in range(1, 17):
+            reached = [
+                None if reached[j >> 1] is None else moves[reached[j >> 1]][j & 1]
+                for j in range(1 << n)
+            ]
+            members = [j for j, s in enumerate(reached) if s is not None]
+            assert sorted(_hull(moves, start, n)) == members
+            counts = [0, 0, 0, 0]
+            for j in members:
+                counts[changes_table(n)[j] % 4] += 1
+            assert table[n - 1] == tuple(counts)
 
 
 def test_sweep_rejects_unknown_events():
@@ -421,6 +481,8 @@ def test_sweep_rejects_unknown_events():
         limit_term("not an event", 3)
     with pytest.raises(ValueError):
         limit_mu_hat(object(), 8)
+    with pytest.raises(ValueError):
+        approximant_indices(object(), 3)
 
 
 # -- block products ---------------------------------------------------------------

@@ -91,14 +91,6 @@ def test_path_string():
     assert (changes_count(PathSpace(4), 3), ones_count(PathSpace(4), 3)) == (1, 2)
 
 
-@pytest.mark.parametrize("n", range(1, 15))
-def test_residue_counts_match_direct(n):
-    direct = [0, 0, 0, 0]
-    for j in range(1 << n):
-        direct[changes_oracle(n, j) & 3] += 1
-    assert change_residue_counts(n) == tuple(direct)
-
-
 def test_residue_counts_seed_and_total():
     assert change_residue_counts(1) == (1, 1, 0, 0)
     for n in range(1, 40):

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -27,7 +27,7 @@ from qwalk.qmeasure import (
     scaling_check,
 )
 
-from oracles import entry_sign_oracle, mu_oracle, precluded_masks_by_gray_walk
+from oracles import changes_oracle, entry_sign_oracle, mu_oracle, precluded_masks_by_gray_walk
 
 
 def state(n: int) -> DecoherenceState:
@@ -325,6 +325,54 @@ def test_composition_check_at_the_largest_horizon(monkeypatch):
         forged = tuple((term, kind) for (term, _), kind in zip(terms, kinds))
         monkeypatch.setattr(qmeasure, "_pair_values", lambda n: (measures, forged))
         assert not interference_composition_check(st)
+
+
+def broken_laws(kinds, triples) -> set[str]:
+    """The composition laws that a table of classes ("n", "c", "d") by
+    residue difference breaks on some (first, middle, last) residue triple."""
+    broken = set()
+    for r1, r2, r3 in triples:
+        first_mid, mid_last = kinds[(r1 - r2) % 4], kinds[(r2 - r3) % 4]
+        first_last = kinds[(r1 - r3) % 4]
+        if first_mid == mid_last == "n":
+            law, holds = "n after n interferes", first_last != "n"
+        elif "n" in (first_mid, mid_last):
+            law, holds = "c or d beside n is n", first_last == "n"
+        elif first_mid == mid_last:
+            law, holds = "c or d after itself is c", first_last == "c"
+        else:
+            law, holds = "mixed c, d is d", first_last == "d"
+        if not holds:
+            broken.add(law)
+    return broken
+
+
+def test_composition_check_against_every_class_table(monkeypatch):
+    """All 81 class tables forged into the check, at the horizons whose
+    paths realize distinct sets of residue triples: n = 1..5 by literal
+    path triples, and n = 63, where every triple is realized."""
+    kind_of = {"n": Interference.NO_INTERFERENCE, "c": Interference.CONSTRUCTIVE,
+               "d": Interference.DESTRUCTIVE}
+    horizons = {63: set(product(range(4), repeat=3))}
+    for n in range(1, 6):
+        res = [changes_oracle(n, j) % 4 for j in range(1 << n)]
+        horizons[n] = {(res[i], res[j], res[k]) for i, j, k in permutations(range(1 << n), 3)}
+    pair = {"c or d beside n is n", "mixed c, d is d"}
+    only_the_pair = set()
+    for n, triples in horizons.items():
+        st = state(n)
+        measures, terms = qmeasure._pair_values(n)
+        for kinds in product("ncd", repeat=4):
+            forged = tuple((term, kind_of[k]) for (term, _), k in zip(terms, kinds))
+            monkeypatch.setattr(qmeasure, "_pair_values", lambda n: (measures, forged))
+            broken = broken_laws(kinds, triples)
+            assert interference_composition_check(st) == (not broken), (n, kinds)
+            # neither of the pair is ever the one law a table breaks ...
+            assert not (len(broken) == 1 and broken <= pair), (n, kinds)
+            if broken == pair:
+                only_the_pair.add(kinds)
+    # ... but without both, the check would pass these two tables
+    assert only_the_pair == {("c", "n", "c", "d"), ("c", "d", "c", "n")}
 
 
 # -- grade-2 additivity and regularity ---------------------------------------------

@@ -226,6 +226,29 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.variation_lower_bound,
         int,
     ))
+    # a limit table per symbolic-event family, at-most-3 up to its refusal
+    limits_rng = random.Random(f"{SEED}:limits")
+    paths = tuple(
+        qw.EventualPath(
+            tuple(limits_rng.randrange(2) for _ in range(limits_rng.randint(0, 48))),
+            limits_rng.randrange(2),
+        )
+        for _ in range(8)
+    )
+    for name, event, n_max in (
+        ("at-most-1", qw.AtMostKOnes(1), 512),
+        ("at-most-2", qw.AtMostKOnes(2), 512),
+        ("at-most-3", qw.AtMostKOnes(3), 181),
+        ("8-path set", qw.FinitePathSet(paths), 512),
+        ("8-path complement", qw.ComplementOfFinitePathSet(paths), 512),
+        ("finitely many ones", qw.FinitelyManyOnes(), 512),
+    ):
+        ops.append((
+            f"limit {name} n<={n_max}",
+            [(event, n_max)] * 10,
+            qw.limit_mu_hat,
+            lambda r: (r.verdict.value, r.at_n, [(n, e.num, e.log2_den) for n, e, _ in r.values]),
+        ))
     return ops
 
 
