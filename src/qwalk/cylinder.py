@@ -188,66 +188,91 @@ SymbolicEvent = Union[
 ]
 
 ALL_ZEROS = EventualPath((), 0)
-_NO_PATHS = (0, 0, 0, 0)
 
 
-def _automaton(event: SymbolicEvent):
-    """The step automaton (moves, start) of a hull-described event: moves[s]
-    holds the states after a 0-step and a 1-step, None where no member
-    continues; the level-n hull is the step strings whose run never meets
-    None.  A finite path set's states are sets of path suffixes (prefix
-    left, repeat bit), so a prefix reaches one state however its paths are
-    given; a complement answers with its inner set's automaton."""
+def _automaton(event: SymbolicEvent, n: int):
+    """The step automaton (moves, start) of a hull-described event, exact for
+    its first n steps: moves[s] holds the states after a 0-step and a
+    1-step, None where no member continues; the level-n hull is the step
+    strings whose run never meets None.  At-most-K counts ones up to
+    min(K, n).  A finite path set's states are sets of (path, steps read)
+    pairs, steps capped at min(prefix length, n), so a prefix reaches one
+    state however its paths are given; a complement answers with its inner
+    set's automaton."""
     if isinstance(event, AtMostKOnes):
-        k = event.limit  # state s: s ones read
+        k = min(event.limit, n)  # state s: s ones read
         return [(s, s + 1 if s < k else None) for s in range(k + 1)], 0
     if not isinstance(event, (FinitePathSet, ComplementOfFinitePathSet)):
         raise ValueError(f"unsupported symbolic event {event!r}")
-    start = frozenset((p.prefix, p.repeat) for p in event.paths)
-    moves, todo = {}, [start]  # moves keyed by the states themselves
-    while todo:
-        state = todo.pop()
+    paths = event.paths
+    ends = [min(len(p.prefix), n) for p in paths]
+    states = [frozenset((j, 0) for j in range(len(paths)))]
+    number = {states[0]: 0}
+    moves = []
+    for state in states:  # numbered in the order they are found
         split = ([], [])
-        for prefix, repeat in state:
-            split[prefix[0] if prefix else repeat].append((prefix[1:], repeat))
-        moves[state] = tuple(frozenset(pairs) or None for pairs in split)
-        todo.extend(t for t in moves[state] if t is not None and t not in moves)
-    return moves, start
+        for j, i in state:
+            split[paths[j].step(i + 1)].append((j, min(i + 1, ends[j])))
+        row = []
+        for pairs in map(frozenset, split):
+            if pairs and pairs not in number:
+                number[pairs] = len(states)
+                states.append(pairs)
+            row.append(number[pairs] if pairs else None)
+        moves.append(tuple(row))
+    return moves, 0
 
 
 def _sweep(moves, start, n_max: int):
     """Censuses at levels 1..n_max of the automaton's hulls, one census per
     live state: a step off the last site, the residue's parity, is a
-    change, so a 0-step lifts odd residues and a 1-step even ones."""
+    change, so a 0-step lifts odd residues and a 1-step even ones, and a
+    level's census is the sum of what its steps carry."""
     live = {start: (1, 0, 0, 0)}  # the empty path
     for _ in range(n_max):
         grown = {}
+        c0 = c1 = c2 = c3 = 0
         for s, (a0, a1, a2, a3) in live.items():
             zero, one = moves[s]
             if zero is not None:
-                b0, b1, b2, b3 = grown.get(zero, _NO_PATHS)
-                grown[zero] = (b0 + a0 + a3, b1, b2 + a1 + a2, b3)
+                x, y = a0 + a3, a1 + a2
+                c0 += x
+                c2 += y
+                b = grown.get(zero)
+                grown[zero] = (x, 0, y, 0) if b is None else (b[0] + x, b[1], b[2] + y, b[3])
             if one is not None:
-                b0, b1, b2, b3 = grown.get(one, _NO_PATHS)
-                grown[one] = (b0, b1 + a0 + a1, b2, b3 + a2 + a3)
+                x, y = a0 + a1, a2 + a3
+                c1 += x
+                c3 += y
+                b = grown.get(one)
+                grown[one] = (0, x, 0, y) if b is None else (b[0], b[1] + x, b[2], b[3] + y)
         live = grown
-        yield tuple(map(sum, zip(_NO_PATHS, *live.values())))
+        yield c0, c1, c2, c3
 
 
 def _hull(moves, start, n: int) -> list[int]:
-    """Indices of the automaton's level-n hull, grown by state a step at a
-    time; a level of more than COMBINATION_CAP members is refused unbuilt."""
-    groups = {start: [0]}
-    for level in range(1, n + 1):
-        if sum(len(p) * (2 - moves[s].count(None)) for s, p in groups.items()) > COMBINATION_CAP:
-            raise ResourceLimitError(f"level-{level} hull exceeds {COMBINATION_CAP} members")
-        grown = {}
-        for s, prefixes in groups.items():
-            for b, t in enumerate(moves[s]):
-                if t is not None:
-                    grown.setdefault(t, []).extend([j << 1 | b for j in prefixes])
-        groups = grown
-    return [j for prefixes in groups.values() for j in prefixes]
+    """Indices of the automaton's level-n hull, built from the last step
+    back: tails[s] lists the live step strings of the m steps left after
+    state s, so a 0-step reuses its target's list and only a 1-step sets a
+    new bit.  The lists are counted before they are built, and a hull of
+    more than COMBINATION_CAP members is refused; for a counter, every
+    tails list is also within that size."""
+    sizes = [1] * len(moves)
+    for _ in range(n):
+        sizes = [
+            (0 if zero is None else sizes[zero]) + (0 if one is None else sizes[one])
+            for zero, one in moves
+        ]
+    if sizes[start] > COMBINATION_CAP:
+        raise ResourceLimitError(f"level-{n} hull exceeds {COMBINATION_CAP} members")
+    tails = [[0]] * len(moves)
+    for m in range(n):
+        tails = [
+            ([] if zero is None else tails[zero])
+            + ([] if one is None else [1 << m | j for j in tails[one]])
+            for zero, one in moves
+        ]
+    return tails[start]
 
 
 def _capped_at_most_censuses(k: int, censuses):
@@ -268,7 +293,7 @@ def _limit_censuses(event: SymbolicEvent, n_max: int):
     its hulls, or for a complement the complements of the inner set's hulls."""
     if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
         return change_residue_count_levels(n_max)
-    censuses = _sweep(*_automaton(event), n_max)
+    censuses = _sweep(*_automaton(event, n_max), n_max)
     if isinstance(event, ComplementOfFinitePathSet):
         pairs = zip(change_residue_count_levels(n_max), censuses)
         return (tuple(f - i for f, i in zip(*pair)) for pair in pairs)
@@ -282,8 +307,10 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     the event.  Hulls decrease with n and contain the event."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
-    if n == 0:  # the empty path extends into every event but the empty set
-        return CylinderEvent.from_indices(0, () if event == FinitePathSet(()) else (0,))
+    if n == 0:
+        if isinstance(event, FinitePathSet) and not event.paths:
+            return CylinderEvent.from_indices(0, ())
+        return CylinderEvent.from_indices(0, (0,))
     if n > EVENT_MAX_STEPS:
         raise ResourceLimitError(
             f"explicit approximants are capped at level {EVENT_MAX_STEPS}; "
@@ -300,10 +327,12 @@ def approximant_indices(event: SymbolicEvent, n: int) -> frozenset[int] | None:
     full space (kept symbolic so large levels stay cheap)."""
     if n < 1:
         raise ValueError("need level >= 1")
+    if isinstance(event, FinitePathSet):
+        return frozenset(p.index_at(n) for p in event.paths)
     if isinstance(event, (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)):
         # every finite prefix extends into these events, so the hull is full
         return None
-    return frozenset(_hull(*_automaton(event), n))
+    return frozenset(_hull(*_automaton(event, n), n))
 
 
 def limit_term(event: SymbolicEvent, n: int) -> Dyadic:

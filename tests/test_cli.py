@@ -187,6 +187,16 @@ def test_limit_at_most_three_up_to_the_combination_cap(capsys):
     assert code == 3 and "resource bound" in err and out == ""
 
 
+def test_limit_at_most_far_past_the_horizon(capsys):
+    # a counter past n_max is never read, so K = 10**12 is the full space
+    doc = run_json(capsys, "limit", "--event", "at-most-ones:1000000000000", "--n-max", "8")
+    assert [row["num"] for row in doc["result"]["values"]] == [1] * 8
+    code, out, err = run_cli(
+        capsys, "limit", "--event", "at-most-ones:1000000000000", "--n-max", "30"
+    )
+    assert code == 3 and "level 20 exceeds" in err and out == ""
+
+
 def test_limit_verdict_fields(capsys):
     doc = run_json(
         capsys,

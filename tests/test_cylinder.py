@@ -192,15 +192,18 @@ def test_approximants_decrease():
 def test_approximant_level_zero():
     assert approximant(AtMostKOnes(0), 0).base.to_tuple() == (0, 1)
     assert approximant(FinitePathSet(()), 0).base.cardinality == 0
+    assert approximant(FinitePathSet([]), 0).base.cardinality == 0
 
 
 def test_approximant_resource_caps():
     with pytest.raises(ResourceLimitError):
         approximant(AtMostKOnes(1), 30)
-    # refused before building level 21, the first past the cap
+    # refused before anything is built
     assert sum(at_most_census_oracle(20, 12)) <= COMBINATION_CAP < sum(at_most_census_oracle(21, 12))
-    with pytest.raises(ResourceLimitError, match="level-21 hull"):
+    with pytest.raises(ResourceLimitError, match="level-40 hull"):
         approximant_indices(AtMostKOnes(12), 40)
+    with pytest.raises(ResourceLimitError, match="level-21 hull"):
+        approximant_indices(AtMostKOnes(12), 21)
 
 
 # -- limit sequences -------------------------------------------------------------
@@ -356,7 +359,7 @@ def sweep(event, n_max):
 
 def at_most_sweep(k, n_max):
     """The at-most-k automaton's censuses, with no refusal at the cap."""
-    return list(_sweep(*_automaton(AtMostKOnes(k)), n_max))
+    return list(_sweep(*_automaton(AtMostKOnes(k), n_max), n_max))
 
 
 def test_at_most_sweep_matches_enumeration():
@@ -440,12 +443,32 @@ def test_prefix_sweeps_match_indices():
         inner = sweep(FinitePathSet(paths), 64)
         outer = sweep(ComplementOfFinitePathSet(paths), 64)
         for n in range(1, 65):
-            prefixes = {p.index_at(n) for p in paths}
-            assert approximant_indices(FinitePathSet(paths), n) == prefixes
-            census = census_of_indices_oracle(n, prefixes)
+            census = census_of_indices_oracle(n, {p.index_at(n) for p in paths})
             assert inner[n - 1] == census
             full = change_residue_counts(n)
             assert outer[n - 1] == tuple(f - c for f, c in zip(full, census))
+
+
+def test_automata_are_clamped_to_the_horizon():
+    # a counter or a prefix longer than the horizon is read only that far
+    huge = AtMostKOnes(10**12)
+    assert len(_automaton(huge, 8)[0]) == 9
+    assert limit_mu_hat(huge, 8).values == limit_mu_hat(FinitelyManyOnes(), 8).values
+    assert limit_term(huge, 8) == 1
+    assert approximant_indices(huge, 6) == frozenset(range(64))
+    with pytest.raises(ResourceLimitError, match="level 20 exceeds"):
+        limit_mu_hat(huge, 30)
+    with pytest.raises(ResourceLimitError, match="level-20 hull"):
+        approximant_indices(huge, 20)
+    long = EventualPath((1, 0) * 50_000, 0)
+    paths = (long, EventualPath(long.prefix[:7], 1), ALL_ZEROS)
+    moves, _ = _automaton(FinitePathSet(paths), 3)
+    assert len(moves) <= 2 * 3 + 2
+    inner, outer = sweep(FinitePathSet(paths), 3), sweep(ComplementOfFinitePathSet(paths), 3)
+    for n in (1, 2, 3):
+        census = census_of_indices_oracle(n, {p.index_at(n) for p in paths})
+        assert inner[n - 1] == census
+        assert outer[n - 1] == tuple(f - c for f, c in zip(change_residue_counts(n), census))
 
 
 def random_step_tables(seed: int):
