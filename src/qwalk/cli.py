@@ -7,9 +7,12 @@ identical invocations are byte-identical.  Dyadic numbers serialize as {"num", "
 general rationals as {"num", "den", "decimal"}.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-bound exceeded, 4 internal error.  User input is validated here, before the
-library sees it, and raises UsageError; any other exception from the
-library is a bug and exits 4 with its traceback on stderr.
+bound exceeded, 4 internal error.  User input is validated here, before
+anything is charged or the library sees it, and raises UsageError; any
+other exception from the library is a bug and exits 4 with its traceback
+on stderr.  Resource bounds are the library's cost charges (errors.charge);
+matrix, interference and eigen also charge one unit per entry or row of
+the document they print, against BUDGET >> 8, or BUDGET under --force.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .cylinder import (
     variation_lower_bound,
 )
 from .decoherence import DecoherenceState, Event
-from .errors import ResourceLimitError
+from .errors import BUDGET, ResourceLimitError, charge
 from .exact import Dyadic
 from .paths import MAX_STEPS, PathSpace
 from .qintegral import IntegralStrategy, RandomVariable, integral
@@ -53,30 +56,17 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
-# default horizon caps per subcommand; --force lifts them up to the hard cap
-# (preclusion bounds live in the library, whose message carries the guidance)
-CAPS = {
-    "matrix": (8, 12),
-    "measure": (20, 20),
-    "interference": (8, 10),
-    "eigen": (10, 12),
-    "integral": (16, 16),
-}
-
 
 class UsageError(Exception):
     pass
 
 
-def _check_cap(command: str, n: int, force: bool, cost_note: str) -> None:
-    soft, hard = CAPS[command]
-    if n <= soft:
-        return
-    if not force or n > hard:
-        raise ResourceLimitError(
-            f"{command} is capped at n <= {soft} (hard limit {hard} with --force)"
-        )
-    print(f"forcing n={n}: estimated cost {cost_note}", file=sys.stderr)
+def _charge_document(units: int, what: str, force: bool) -> None:
+    """Charge a printed document one unit per entry or row: BUDGET >> 8 by
+    default, BUDGET under --force, whose cost goes to stderr."""
+    charge(units, what, BUDGET if force else BUDGET >> 8)
+    if units > BUDGET >> 8:
+        print(f"forcing {what}: estimated cost {units} units", file=sys.stderr)
 
 
 def _dyadic_doc(value: Dyadic) -> dict:
@@ -89,7 +79,8 @@ def _fraction_doc(value: Fraction) -> dict:
     A num or den longer than the interpreter's integer-to-string limit
     (sys.get_int_max_str_digits(), 0 for none; absent before Python 3.10.7,
     which has no limit) cannot be written as a JSON number, so the document
-    is refused as a resource bound before anything reaches stdout.
+    is refused as a resource bound before anything reaches stdout.  Not a
+    charge: the bound is the interpreter's, not a cost.
     """
     value = Fraction(value)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -188,8 +179,8 @@ def _parse_limit_event(raw: str):
 
 
 def cmd_matrix(args) -> None:
-    _check_cap("matrix", args.n, args.force, f"4**{args.n} entries")
     space = _parse_horizon(args.n)
+    _charge_document(1 << 2 * args.n, f"matrix document at n={args.n}", args.force)
     state = DecoherenceState(space)
     size = 1 << args.n
     signs = state.dense_signs()
@@ -214,7 +205,6 @@ def cmd_matrix(args) -> None:
 
 
 def cmd_measure(args) -> None:
-    _check_cap("measure", args.n, False, "")
     space = _parse_horizon(args.n)
     state = DecoherenceState(space)
     indices = _parse_event_indices(args.event, args.n)
@@ -234,10 +224,10 @@ def cmd_measure(args) -> None:
 
 
 def cmd_interference(args) -> None:
-    _check_cap("interference", args.n, args.force, f"~4**{args.n}/2 pairs")
     space = _parse_horizon(args.n)
-    state = DecoherenceState(space)
     size = 1 << args.n
+    _charge_document(size * (size - 1) >> 1, f"interference document at n={args.n}", args.force)
+    state = DecoherenceState(space)
     rows = []
     for i in range(size):
         for j in range(i + 1, size):
@@ -411,7 +401,6 @@ def cmd_quadratic(args) -> None:
 
 
 def cmd_integral(args) -> None:
-    _check_cap("integral", args.n, False, "")
     space = _parse_horizon(args.n)
     state = DecoherenceState(space)
     if args.variable == "ones":
@@ -434,8 +423,8 @@ def cmd_integral(args) -> None:
 
 
 def cmd_eigen(args) -> None:
-    _check_cap("eigen", args.n, args.force, f"2**{args.n} entries per vector")
     space = _parse_horizon(args.n)
+    _charge_document(2 << args.n, f"eigen document at n={args.n}", args.force)
     state = DecoherenceState(space)
     even = state.eigenvector_exact(0)
     odd = state.eigenvector_exact(1)

@@ -16,14 +16,14 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from .decoherence import EVENT_MAX_STEPS, DecoherenceState, Event
-from .errors import ResourceLimitError
+from .decoherence import DecoherenceState, Event
+from .errors import ResourceLimitError, charge
 from .exact import Dyadic
 from .paths import PathSpace, change_residue_count_levels
 from .qmeasure import mu, mu_from_census
 
-COMBINATION_CAP = 1_000_000
-LIMIT_MAX_LEVEL = 512
+COMBINATION_CAP = 1_000_000  # not charged: perfbench pins at-most-3's refusal at 182
+LIMIT_MAX_LEVEL = 512  # not charged: a chosen table length, far inside the digit limit
 # limit-classifier rule (see classify_sequence); a limit table may set its
 # own window and tol
 LIMIT_WINDOW = 5
@@ -92,10 +92,7 @@ def refine(cyl: CylinderEvent, to_level: int) -> CylinderEvent:
         raise ValueError("cannot refine to a coarser level")
     if extra == 0:
         return cyl
-    if to_level > EVENT_MAX_STEPS:
-        raise ResourceLimitError(
-            f"explicit cylinder bases are capped at level {EVENT_MAX_STEPS}"
-        )
+    charge(1 << to_level, f"level-{to_level} cylinder base")
     data = cyl.base.mask.to_bytes((cyl.base.space.size + 7) // 8, "little")
     for _ in range(extra):
         spread = bytearray(2 * len(data))
@@ -254,17 +251,16 @@ def _hull(moves, start, n: int) -> list[int]:
     """Indices of the automaton's level-n hull, built from the last step
     back: tails[s] lists the live step strings of the m steps left after
     state s, so a 0-step reuses its target's list and only a 1-step sets a
-    new bit.  The lists are counted before they are built, and a hull of
-    more than COMBINATION_CAP members is refused; for a counter, every
-    tails list is also within that size."""
+    new bit.  The lists are counted before they are built, and the hull is
+    charged 16 units per member; for a counter, every tails list is also
+    within that size."""
     sizes = [1] * len(moves)
     for _ in range(n):
         sizes = [
             (0 if zero is None else sizes[zero]) + (0 if one is None else sizes[one])
             for zero, one in moves
         ]
-    if sizes[start] > COMBINATION_CAP:
-        raise ResourceLimitError(f"level-{n} hull exceeds {COMBINATION_CAP} members")
+    charge(16 * sizes[start], f"level-{n} hull of {sizes[start]} members")
     tails = [[0]] * len(moves)
     for m in range(n):
         tails = [
@@ -277,8 +273,8 @@ def _hull(moves, start, n: int) -> list[int]:
 
 def _capped_at_most_censuses(k: int, censuses):
     """The at-most-k sweep, refused from the first level whose hull has more
-    than COMBINATION_CAP members, where a walk of its members stops; the
-    sweep itself would run on at the same cost."""
+    than COMBINATION_CAP members; the sweep itself would run on at the same
+    cost."""
     for n, census in enumerate(censuses, start=1):
         if sum(census) > COMBINATION_CAP:
             raise ResourceLimitError(
@@ -311,11 +307,7 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
         if isinstance(event, FinitePathSet) and not event.paths:
             return CylinderEvent.from_indices(0, ())
         return CylinderEvent.from_indices(0, (0,))
-    if n > EVENT_MAX_STEPS:
-        raise ResourceLimitError(
-            f"explicit approximants are capped at level {EVENT_MAX_STEPS}; "
-            "limit tables use census sweeps instead"
-        )
+    charge(1 << n, f"level-{n} approximant base")
     space = PathSpace(n)
     indices = approximant_indices(event, n)
     base = Event.full(space) if indices is None else Event.from_indices(space, indices)

@@ -26,14 +26,9 @@ from functools import cache
 from itertools import compress
 from typing import Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import BUDGET, charge
 from .exact import Dyadic, _Frozen, _new
 from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts, change_residues
-
-DENSE_MAX_STEPS = 12  # 4**12 one-byte signs, ~17 MB
-EVENT_MAX_STEPS = 24  # membership masks beyond 2**24 bits are not materialized
-EIGEN_MAX_STEPS = 20
-GRAM_MAX_EVENTS = 12
 
 
 @cache
@@ -46,7 +41,8 @@ def _residue_masks(n: int) -> tuple[int, int, int, int]:
     1 adds two changes when k starts on site 0 and none when it starts on
     site 1.  So each level is the cached previous level's masks twice over,
     the upper copy with its site-0 half moved two residues on; no path is
-    visited.  Callers pass the n of a checked event, so 1 <= n <= 24.
+    visited.  Callers pass the n of a checked event, whose 2**n-bit mask was
+    charged.
     """
     if n == 1:
         return (0b01, 0b10, 0, 0)  # path 0 has no change, path 1 one
@@ -65,13 +61,10 @@ class Event(_Frozen):
     __slots__ = ("space", "mask")
 
     def __new__(cls, space: PathSpace, mask: int) -> "Event":
-        n = space.n
-        if n > EVENT_MAX_STEPS:
-            raise ResourceLimitError(
-                f"explicit events are capped at n <= {EVENT_MAX_STEPS}; "
-                "larger horizons are served by residue-census generators"
-            )
-        if mask < 0 or mask >> (1 << n):
+        size = 1 << space.n
+        if size > BUDGET:  # charge's test, inline on this hot path
+            charge(size, f"event mask at n={space.n}")
+        if mask < 0 or mask >> size:
             raise ValueError("event mask addresses paths outside the space")
         self = _new(cls)
         _set_space(self, space)
@@ -264,14 +257,10 @@ class DecoherenceState:
         return Dyadic(self.entry_sign(j, k), self.space.n)
 
     def dense_signs(self) -> array:
-        """Row-major signed-byte sign grid; materialized lazily, n <= 12 only."""
-        n = self.space.n
-        if n > DENSE_MAX_STEPS:
-            raise ResourceLimitError(
-                f"dense matrix capped at n <= {DENSE_MAX_STEPS} (4**n entries); "
-                "use the entry oracle or the rank-two factorization"
-            )
+        """Row-major signed-byte sign grid, materialized lazily: one unit per
+        sign byte."""
         if self._dense is None:
+            charge(1 << 2 * self.space.n, f"dense sign grid at n={self.space.n}")
             size = self.space.size
             res = [change_residue(j) for j in range(size)]
             grid = array("b", bytes(size * size))
@@ -348,11 +337,7 @@ class DecoherenceState:
         """
         if parity not in (0, 1):
             raise ValueError("parity must be 0 or 1")
-        n = self.space.n
-        if n > EIGEN_MAX_STEPS:
-            raise ResourceLimitError(
-                f"eigenvector materialization capped at n <= {EIGEN_MAX_STEPS}"
-            )
+        charge(16 << self.space.n, f"eigenvector at n={self.space.n}")
         units = ((1, 0), (0, 1), (-1, 0), (0, -1))
         out = []
         for j in self.space.indices():
@@ -385,7 +370,7 @@ class DecoherenceState:
         per (site, component, residue) and compared with every row of that
         residue.  Every row of both sites is checked against every column of
         its site, so a stray nonzero entry on the wrong site fails its own
-        row.  O(2**n), so refused past EIGEN_MAX_STEPS with the eigenvectors.
+        row.  O(2**n), so charged with the eigenvectors.
         """
         n = self.space.n
         vectors = [self.eigenvector_exact(parity) for parity in (0, 1)]
@@ -417,12 +402,10 @@ class DecoherenceState:
         The matrix is a Gram matrix of two-component vectors, hence PSD by
         construction; the check exists to catch implementation bugs, not
         mathematical failures.  It factors the integer matrix of the
-        2**n-scaled functionals, which has the same signature.
+        2**n-scaled functionals, which has the same signature: at most k**3
+        Fraction elimination steps for k events.
         """
-        if len(events) > GRAM_MAX_EVENTS:
-            raise ResourceLimitError(
-                f"strong-positivity check capped at {GRAM_MAX_EVENTS} events"
-            )
+        charge(16 * len(events) ** 3, f"strong-positivity check of {len(events)} events")
         vectors = [self.vector_measure(ev) for ev in events]
         gram = [[x.even * y.even + x.odd * y.odd for y in vectors] for x in vectors]
         return psd_by_ldl(gram)

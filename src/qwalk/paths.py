@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .errors import ResourceLimitError
+from .errors import charge
 
-MAX_STEPS = 63  # one machine word of step bits
-VECTOR_MAX_STEPS = 20  # dense per-index tables stop at 2**20 entries
+MAX_STEPS = 63  # a limit of the representation: one machine word of step bits
 
 
 @dataclass(frozen=True)
@@ -67,15 +66,12 @@ def change_residues(n: int) -> bytes:
     first step of 0 keeps the change count of k; a first step of 1 adds two
     changes when k starts on site 0 and none when it starts on site 1.  So
     each level is the cached previous level twice over, the site-0 half of
-    the upper copy moved two residues on.
+    the upper copy moved two residues on.  Its readers hold a per-path table
+    beside it, so it is charged as one: 16 units per path.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > VECTOR_MAX_STEPS:
-        raise ResourceLimitError(
-            f"dense residue table capped at n <= {VECTOR_MAX_STEPS}; "
-            "query change_residue pointwise instead"
-        )
+    charge(16 << n, f"residue table at n={n}")
     if n == 1:
         return b"\x00\x01"  # path 0 has no change, path 1 one
     prev = change_residues(n - 1)
@@ -112,20 +108,12 @@ def same_parity(space: PathSpace, j: int, k: int) -> bool:
 
 
 def changes_vector(space: PathSpace) -> list[int]:
-    if space.n > VECTOR_MAX_STEPS:
-        raise ResourceLimitError(
-            f"dense change-count vector capped at n <= {VECTOR_MAX_STEPS}; "
-            "query changes_count pointwise instead"
-        )
+    charge(16 << space.n, f"change-count vector at n={space.n}")
     return [(j ^ (j >> 1)).bit_count() for j in space.indices()]
 
 
 def ones_vector(space: PathSpace) -> list[int]:
-    if space.n > VECTOR_MAX_STEPS:
-        raise ResourceLimitError(
-            f"dense ones-count vector capped at n <= {VECTOR_MAX_STEPS}; "
-            "query ones_count pointwise instead"
-        )
+    charge(16 << space.n, f"ones-count vector at n={space.n}")
     return [j.bit_count() for j in space.indices()]
 
 

@@ -38,7 +38,7 @@ from itertools import compress, pairwise, product
 from math import gcd, lcm
 
 from .decoherence import DecoherenceState, Event
-from .errors import ResourceLimitError
+from .errors import BUDGET, charge
 from .paths import (
     PathSpace,
     _residue_selectors,
@@ -46,12 +46,6 @@ from .paths import (
     changes_vector,
     ones_vector,
 )
-
-VARIABLE_MAX_STEPS = 20
-DEFINITION_MAX_STEPS = 12  # worst case, every value distinct: O(4**n) pairs
-ENTRYWISE_MAX_STEPS = 10
-MIN_MATRIX_MAX = 10
-PSD_CHECK_MAX_VALUES = 4096
 
 
 class IntegralStrategy(Enum):
@@ -74,10 +68,9 @@ class RandomVariable:
     denominator: int = 1
 
     def __post_init__(self) -> None:
-        if self.space.n > VARIABLE_MAX_STEPS:
-            raise ResourceLimitError(
-                f"random variables are capped at n <= {VARIABLE_MAX_STEPS}"
-            )
+        units = 16 << self.space.n  # one numerator per path
+        if units > BUDGET:  # charge's test, inline on this hot path
+            charge(units, f"random variable at n={self.space.n}")
         if len(self.numerators) != self.space.size:
             raise ValueError("value vector length must be 2**n")
         if self.denominator < 1:
@@ -194,10 +187,11 @@ def _definition(vals) -> int:
     is summed on its own.  One pass over the site's paths gives each
     distinct value of each part its weight: +1 for each path of that value
     at residue p, -1 for each at p + 2.  Then each part's pairwise minima
-    are summed over its distinct values.  Independent of the class counts
-    and level tables the other two routes read.
+    are summed over its distinct values: at most d**2 inner steps for d of
+    them, charged before any is taken.  Independent of the class counts and
+    level tables the other two routes read.
     """
-    total = 0
+    parts = []
     for site in (0, 1):
         pos: dict[int, int] = {}
         neg: dict[int, int] = {}
@@ -208,8 +202,10 @@ def _definition(vals) -> int:
                     pos[v] = pos.get(v, 0) + sign
                 else:
                     neg[-v] = neg.get(-v, 0) + sign
-        total += _site_sum(pos) - _site_sum(neg)
-    return total
+        parts += (pos, neg)
+    charge(sum(len(part) ** 2 for part in parts), "definition-route double sum")
+    pos0, neg0, pos1, neg1 = map(_site_sum, parts)
+    return pos0 - neg0 + pos1 - neg1
 
 
 def _class_counts(vals, n: int) -> list[dict[int, int]]:
@@ -302,11 +298,6 @@ def integral(
     n = state.space.n
     vals = variable.numerators
     if strategy is IntegralStrategy.DEFINITION:
-        if n > DEFINITION_MAX_STEPS:
-            raise ResourceLimitError(
-                f"definition-route integral capped at n <= {DEFINITION_MAX_STEPS}; "
-                "use the trace or eigen route"
-            )
         raw = _definition(vals)
     elif strategy is IntegralStrategy.TRACE or strategy is IntegralStrategy.EIGEN:
         route = _trace if strategy is IntegralStrategy.TRACE else _eigen
@@ -372,11 +363,11 @@ def min_matrix_det_check(values) -> bool:
 
     For nonnegative sorted a_1 <= ... <= a_m, the matrix of pairwise minima
     has determinant a_1 * (a_2 - a_1) * ... * (a_m - a_{m-1}); the left side
-    is recomputed by exact elimination.
+    is recomputed by exact elimination, at most m**3 Fraction steps for m
+    values.
     """
     vals = [Fraction(v) for v in values]
-    if len(vals) > MIN_MATRIX_MAX:
-        raise ResourceLimitError(f"min-matrix check capped at {MIN_MATRIX_MAX} values")
+    charge(16 * len(vals) ** 3, f"min-matrix check of {len(vals)} values")
     if not vals:
         raise ValueError("need at least one value")
     if any(v < 0 for v in vals):
@@ -396,14 +387,11 @@ def psd_check(variable: RandomVariable) -> bool:
     Every leading principal minor is the telescoped determinant of the
     sorted leading values, so each is a product of nonnegative gaps; the
     check computes them all the same (a duplicate or zero forces every
-    later minor to zero, which shortcuts the scan).
+    later minor to zero, which shortcuts the scan): m**2 steps for m values.
     """
     if any(v < 0 for v in variable.numerators):
         raise ValueError("psd check needs a nonnegative variable")
-    if variable.space.size > PSD_CHECK_MAX_VALUES:
-        raise ResourceLimitError(
-            f"psd check capped at {PSD_CHECK_MAX_VALUES} values"
-        )
+    charge(variable.space.size**2, f"psd check of {variable.space.size} values")
     # the minors of the numerators have the signs of the minors of the values
     prefix: list[int] = []
     saw_zero_minor = False
@@ -435,11 +423,8 @@ def disjoint_support_grade2_check(
     sf, sg, sh = (set(rv.support()) for rv in (f, g, h))
     if sf & sg or sf & sh or sg & sh:
         raise ValueError("variables must have pairwise disjoint supports")
-    n = state.space.n
-    if n > ENTRYWISE_MAX_STEPS:
-        raise ResourceLimitError(
-            f"entrywise identity check capped at n <= {ENTRYWISE_MAX_STEPS}"
-        )
+    # seven min-matrix rows of 2**n entries for each of the 2**n paths
+    charge(7 << 2 * state.space.n, f"entrywise identity check at n={state.space.n}")
 
     den = lcm(f.denominator, g.denominator, h.denominator)
     vecs = {"f": f._over(den), "g": g._over(den), "h": h._over(den)}

@@ -16,11 +16,9 @@ from itertools import combinations
 from math import comb
 
 from .decoherence import DecoherenceState, Event
-from .errors import ResourceLimitError
+from .errors import charge
 from .exact import Dyadic
-from .paths import VECTOR_MAX_STEPS, PathSpace, change_residue, change_residue_counts
-
-PRECLUSION_MAX_EVENTS = 100_000  # above the 88 876 null events of n = 6 up to 4 members
+from .paths import PathSpace, change_residue, change_residue_counts
 
 
 class Strategy(Enum):
@@ -236,16 +234,13 @@ def preclusion_count(n: int, max_cardinality: int | None = None) -> int:
 
     Without a cap this is C(N0+N2, N0) * C(N1+N3, N1) - 1 by Vandermonde's
     identity over the class sizes of change_residue_counts: a number about
-    2**n bits wide, refused past VECTOR_MAX_STEPS like a 2**n-entry table.
+    2**n bits wide, whose binomials cost more than linearly in that width,
+    so it is charged like a per-path table, 16 units per path.
     """
     PathSpace(n)  # range check
     if max_cardinality is not None:
         return sum(ways for *_, ways in _balanced_sizes(n, max_cardinality))
-    if n > VECTOR_MAX_STEPS:
-        raise ResourceLimitError(
-            f"uncapped preclusion count is 2**n bits wide, capped at n <= {VECTOR_MAX_STEPS}; "
-            "pass max_cardinality"
-        )
+    charge(16 << n, f"uncapped preclusion count at n={n}")
     n0, n1, n2, n3 = change_residue_counts(n)
     return comb(n0 + n2, n0) * comb(n1 + n3, n1) - 1
 
@@ -262,8 +257,9 @@ def enumerate_precluded(
     """Every nonempty event of measure zero, canonically ordered.
 
     The null events are generated as the balanced census choices, so a
-    listing costs its output; preclusion_count gives its size, and past
-    PRECLUSION_MAX_EVENTS events it is refused before any event is built.
+    listing costs its output: 16 units per event and one per byte of its
+    mask, charged as the sizes are counted, before any event is built;
+    preclusion_count gives its size.
     The order is by cardinality, then by the sorted member tuple, and is
     sorted on the masks before any event is built.
     """
@@ -272,11 +268,7 @@ def enumerate_precluded(
     sizes, total = [], 0
     for k, l, ways in _balanced_sizes(n, cap):
         total += ways
-        if total > PRECLUSION_MAX_EVENTS:
-            raise ResourceLimitError(
-                f"preclusion listing at n={n} exceeds {PRECLUSION_MAX_EVENTS} events; "
-                "preclusion_count gives its size"
-            )
+        charge(total * (16 + (state.space.size >> 3)), f"preclusion listing at n={n}")
         sizes.append((k, l))
     if not sizes:
         return []  # and no path of a large space is visited

@@ -18,12 +18,9 @@ from math import lcm
 from typing import Iterable, Mapping
 
 from .cylinder import SymbolicEvent, approximant_indices
-from .errors import ResourceLimitError
+from .errors import charge
 
-UNIVERSE_MAX = 24
-# M members cost M(M-1)/2 partner-pair tests, then one step per partner of a
-# partner: at 4096 members, 8.4 million pair tests.
-MEMBERS_MAX = 4096
+UNIVERSE_MAX = 24  # a limit of the representation, not a cost: members are charged apart
 
 
 @dataclass(frozen=True)
@@ -40,8 +37,8 @@ class SetSystem:
         if any(m < 0 or m > full for m in self.members):
             raise ValueError("member mask outside the universe")
         ordered = tuple(sorted(set(self.members)))
-        if len(ordered) > MEMBERS_MAX:
-            raise ResourceLimitError(f"set systems are capped at {MEMBERS_MAX} members")
+        # M members cost the checkers up to M**2 partner-pair tests
+        charge(len(ordered) ** 2, f"set system of {len(ordered)} members")
         object.__setattr__(self, "members", ordered)
 
     @classmethod

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -14,8 +15,9 @@ from oracles import (
     mu_oracle,
 )
 
+from qwalk import cli as cli_module
 from qwalk.cli import _fraction_doc, main
-from qwalk.errors import ResourceLimitError
+from qwalk.errors import BUDGET, ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -306,7 +308,79 @@ def test_eigen_verified_up_to_the_check_cap(capsys):
     assert len(doc["result"]["even_vector"]) == 1 << 12
 
 
+@pytest.mark.parametrize("variable", ["ones", "changes"])
+def test_definition_route_past_n_12(capsys, variable):
+    # the count variables hold n + 1 distinct values, so DEFINITION is
+    # charged (n + 1)**2 pairs at most, not 4**n
+    argv = ("integral", "--n", "16", "--variable", variable, "--strategy")
+    code, by_def, _ = run_cli(capsys, *argv, "def")
+    assert code == 0
+    by_trace = run_cli(capsys, *argv, "trace")[1]
+    assert by_def == by_trace.replace('"strategy": "trace"', '"strategy": "def"')
+    assert by_def != by_trace
+
+
+def test_definition_route_refuses_distinct_values(tmp_path, capsys):
+    # 4096 distinct positive values on each site at n = 13: 2 * 4096**2 units
+    path = tmp_path / "values.txt"
+    path.write_text("\n".join(map(str, random.Random(1313).sample(range(1, 1 << 30), 1 << 13))))
+    argv = ("integral", "--n", "13", "--variable", str(path), "--strategy", "def")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert f"costs {2 * 4096**2} units, over the budget of {BUDGET}" in err
+
+
+class Accepted(BaseException):
+    """Raised in place of the work once a document's charge has passed."""
+
+
+# the printed document's entries or rows: the largest horizon accepted
+# before, the first one refused now, its units and the budget
+DOCUMENT_CHARGES = [
+    (("matrix", "--n", "8"), ("matrix", "--n", "9"), 1 << 18, BUDGET >> 8),
+    (("matrix", "--n", "12", "--force"), ("matrix", "--n", "13", "--force"), 1 << 26, BUDGET),
+    (("interference", "--n", "8"), ("interference", "--n", "9"), 512 * 511 // 2, BUDGET >> 8),
+    (("interference", "--n", "10", "--force"), ("interference", "--n", "13", "--force"),
+     8192 * 8191 // 2, BUDGET),
+    (("eigen", "--n", "10"), ("eigen", "--n", "16"), 2 << 16, BUDGET >> 8),
+    (("eigen", "--n", "12", "--force"), ("eigen", "--n", "21", "--force"), 16 << 21, BUDGET),
+]
+
+
+@pytest.mark.parametrize("accepted, refused, units, budget", DOCUMENT_CHARGES)
+def test_document_charges(capsys, monkeypatch, accepted, refused, units, budget):
+    code, out, err = run_cli(capsys, *refused)
+    assert (code, out) == (3, "")
+    assert f"costs {units} units, over the budget of {budget}" in err
+
+    charge = cli_module.charge
+
+    def charged(units, what, budget=BUDGET):
+        charge(units, what, budget)
+        raise Accepted(units)
+
+    monkeypatch.setattr(cli_module, "charge", charged)
+    with pytest.raises(Accepted):
+        main(list(accepted))
+    capsys.readouterr()
+
+
 # -- error paths ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("matrix", "--n", "100"),
+        ("measure", "--n", "64", "--event", "0"),
+        ("interference", "--n", "0", "--force"),
+        ("eigen", "--n", "64"),
+        ("integral", "--n", "64", "--variable", "ones"),
+    ],
+)
+def test_usage_error_before_any_charge(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "") and "need 1 <= n <= 63" in err
 
 
 def test_usage_error_bad_event(capsys):

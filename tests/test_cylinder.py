@@ -45,11 +45,12 @@ from qwalk.cylinder import (
     _root_two_cos,
     _sweep,
 )
-from qwalk.decoherence import EVENT_MAX_STEPS, Event
-from qwalk.errors import ResourceLimitError
+from qwalk.decoherence import Event
+from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace, change_residue_count_levels, change_residue_counts
 
+EVENT_MAX_LEVEL = BUDGET.bit_length() - 1  # one mask bit per path fills the budget at 24
 
 # -- cylinder events ------------------------------------------------------------
 
@@ -70,10 +71,10 @@ def test_refine_matches_member_loop_seeded():
     for _ in range(12):
         # a few members lifted as high as explicit bases go
         level = rng.randint(1, 12)
-        to_level = rng.randint(level, EVENT_MAX_STEPS)
+        to_level = rng.randint(level, EVENT_MAX_LEVEL)
         members = rng.sample(range(1 << level), min(4, 1 << level))
         cases.append((level, to_level, sum(1 << j for j in members)))
-    cases.append((1, EVENT_MAX_STEPS, 0b10))
+    cases.append((1, EVENT_MAX_LEVEL, 0b10))
     cases.append((3, 3, 0))
     for level, to_level, mask in cases:
         base = CylinderEvent(level, Event(PathSpace(level), mask))
@@ -199,7 +200,8 @@ def test_approximant_resource_caps():
     with pytest.raises(ResourceLimitError):
         approximant(AtMostKOnes(1), 30)
     # refused before anything is built
-    assert sum(at_most_census_oracle(20, 12)) <= COMBINATION_CAP < sum(at_most_census_oracle(21, 12))
+    members = [sum(at_most_census_oracle(n, 12)) for n in (20, 21)]
+    assert 16 * members[0] <= BUDGET < 16 * members[1]
     with pytest.raises(ResourceLimitError, match="level-40 hull"):
         approximant_indices(AtMostKOnes(12), 40)
     with pytest.raises(ResourceLimitError, match="level-21 hull"):
@@ -363,7 +365,7 @@ def at_most_sweep(k, n_max):
 
 
 def test_at_most_sweep_matches_enumeration():
-    # C(20, <= 4) = 6196 members, far under COMBINATION_CAP
+    # C(20, <= 4) = 6196 members, far within the budget
     for k in range(5):
         table = sweep(AtMostKOnes(k), 20)
         for n in range(1, 21):
@@ -458,8 +460,9 @@ def test_automata_are_clamped_to_the_horizon():
     assert approximant_indices(huge, 6) == frozenset(range(64))
     with pytest.raises(ResourceLimitError, match="level 20 exceeds"):
         limit_mu_hat(huge, 30)
-    with pytest.raises(ResourceLimitError, match="level-20 hull"):
-        approximant_indices(huge, 20)
+    # the full level-21 hull, 2**21 members at 16 units each
+    with pytest.raises(ResourceLimitError, match=f"level-21 hull of {1 << 21} members"):
+        approximant_indices(huge, 21)
     long = EventualPath((1, 0) * 50_000, 0)
     paths = (long, EventualPath(long.prefix[:7], 1), ALL_ZEROS)
     moves, _ = _automaton(FinitePathSet(paths), 3)

@@ -12,7 +12,7 @@ from qwalk.decoherence import (
     _residue_masks,
     psd_by_ldl,
 )
-from qwalk.errors import ResourceLimitError
+from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace, change_residue_counts
 from qwalk.qmeasure import mu
@@ -491,9 +491,14 @@ def test_strong_positivity_random_families():
 
 
 def test_strong_positivity_cap():
+    # charged 16 units per Fraction step, k**3 of them: 101 events run, 102 do not
     st = state(2)
-    with pytest.raises(ResourceLimitError):
-        st.strong_positivity_check([Event.full(st.space)] * 13)
+    rng = random.Random(1301)
+    assert st.strong_positivity_check([Event.full(st.space)] * 13)
+    assert st.strong_positivity_check([Event(st.space, rng.getrandbits(4)) for _ in range(101)])
+    assert 16 * 101**3 <= BUDGET < 16 * 102**3
+    with pytest.raises(ResourceLimitError, match=f"costs {16 * 102**3} units"):
+        st.strong_positivity_check([Event.full(st.space)] * 102)
 
 
 def test_exact_guard_rejects_indefinite():

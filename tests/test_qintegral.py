@@ -8,7 +8,7 @@ from oracles import changes_table, integral_double_sum_oracle, layered_integral_
 
 from qwalk import paths, qintegral
 from qwalk.decoherence import DecoherenceState, Event
-from qwalk.errors import ResourceLimitError
+from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.paths import PathSpace
 from qwalk.qintegral import (
     IntegralStrategy,
@@ -428,10 +428,19 @@ def test_indicator_integral_is_measure_large_n(n):
 
 
 def test_definition_route_cap():
+    # charged d**2 per part for its d distinct values, not 4**n: the count
+    # variables run past n = 12, and an all-distinct positive variable at
+    # n = 13, 4096 values on each site, is refused at 2 * 4096**2 units
     st = state(13)
-    ones = RandomVariable.ones(st.space)
-    with pytest.raises(ResourceLimitError):
-        integral(st, ones, IntegralStrategy.DEFINITION)
+    for make in (RandomVariable.ones, RandomVariable.changes):
+        f = make(st.space)
+        assert integral(st, f, IntegralStrategy.DEFINITION) == integral(st, f)
+    values = random.Random(1713).sample(range(1, 1 << 20), 1 << 13)
+    distinct = RandomVariable(st.space, tuple(values))
+    units = 2 * 4096**2
+    assert units > BUDGET
+    with pytest.raises(ResourceLimitError, match=f"costs {units} units, over the budget of {BUDGET}"):
+        integral(st, distinct, IntegralStrategy.DEFINITION)
 
 
 def test_integral_space_mismatch():
@@ -500,8 +509,12 @@ def test_min_matrix_det_validation():
         min_matrix_det_check([2, 1])
     with pytest.raises(ValueError):
         min_matrix_det_check([])
-    with pytest.raises(ResourceLimitError):
-        min_matrix_det_check(list(range(11)))
+    # charged 16 units per Fraction step, m**3 of them: 101 values run, 102 do not
+    assert min_matrix_det_check(list(range(1, 12)))
+    assert min_matrix_det_check(list(range(101)))
+    assert 16 * 101**3 <= BUDGET < 16 * 102**3
+    with pytest.raises(ResourceLimitError, match=f"costs {16 * 102**3} units"):
+        min_matrix_det_check(list(range(102)))
 
 
 def test_psd_check_families():

@@ -5,12 +5,11 @@ from itertools import combinations, permutations, product
 import pytest
 
 from qwalk.decoherence import DecoherenceState, Event
-from qwalk.errors import ResourceLimitError
+from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace
 from qwalk import qmeasure
 from qwalk.qmeasure import (
-    PRECLUSION_MAX_EVENTS,
     Interference,
     Strategy,
     embed_right_pad,
@@ -540,13 +539,18 @@ def test_preclusion_bounded_n5_matches_pair_scan():
     assert {t for t in found if len(t) == 2} == want
 
 
+def listing_units(n, cap):
+    """A preclusion listing's charge: 16 units per event and one per mask byte."""
+    return preclusion_count(n, cap) * (16 + ((1 << n) >> 3))
+
+
 def test_preclusion_count_matches_listing():
-    # every (n, cap) with n <= 9 and cap <= 6 whose listing is within the bound
+    # every (n, cap) with n <= 9 and cap <= 6 whose listing is within the budget
     listable = [
         (n, cap)
         for n in range(1, 10)
         for cap in range(7)
-        if preclusion_count(n, cap) <= PRECLUSION_MAX_EVENTS
+        if listing_units(n, cap) <= BUDGET
     ]
     assert (6, 5) in listable and (9, 3) in listable and (6, 6) not in listable
     nonempty = [(n, cap) for n, cap in listable if preclusion_count(n, cap)]
@@ -587,7 +591,7 @@ def test_preclusion_resource_bounds():
     assert len(pairs) == 2016
     assert enumerate_precluded(state(6), 5) == enumerate_precluded(state(6), 4)
     # refused just past the bound, before any event is built
-    assert preclusion_count(10, 2) == 130_816 > PRECLUSION_MAX_EVENTS
+    assert preclusion_count(10, 2) == 130_816 and listing_units(10, 2) > BUDGET
     assert preclusion_count(6, 6) == 7_319_516
     for n, cap in ((10, 2), (6, 6), (63, None)):
         with pytest.raises(ResourceLimitError):

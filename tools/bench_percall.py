@@ -19,6 +19,8 @@ per side.  A fresh process can land in a fast or a slow phase of a shared
 host, so each side reports the spread of its processes: the minimum and
 the median of their ns per call.  Both sides must produce identical
 results, checked by a digest of each batch's outputs, or the run fails.
+A primitive that one library refuses with ResourceLimitError is recorded
+as refused on that side, with the refusal's message, and not compared.
 The table goes to stderr and the JSON record to stdout.  Only the standard
 library is used.
 """
@@ -213,6 +215,14 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.integral,
         fraction_parts,
     ))
+    # the same route where a 4**n worst-case cap once refused it
+    state = qw.DecoherenceState(qw.PathSpace(16))
+    ops.append((
+        "integral definition n=16 changes",
+        [(state, qw.RandomVariable.changes(state.space), strategies.DEFINITION)] * 3,
+        qw.integral,
+        fraction_parts,
+    ))
     # the closed forms with cos(n*pi/4), and the variation witness
     ops.append((
         "complement closed form n<=512",
@@ -274,7 +284,11 @@ def measure(src: Path) -> dict:
 
     calls = {}
     for name, inputs, call, project in build_ops(qwalk):
-        ns, results = time_op(inputs, call)
+        try:
+            ns, results = time_op(inputs, call)
+        except qwalk.ResourceLimitError as exc:
+            calls[name] = {"batch": len(inputs), "refused": str(exc)}
+            continue
         digest = hashlib.sha256(repr([project(r) for r in results]).encode()).hexdigest()
         calls[name] = {"ns_per_call": round(ns, 1), "batch": len(inputs), "digest": digest[:16]}
     return {"host": host(), "src": str(src), "repeat": REPEAT, "calls": calls}
@@ -313,26 +327,33 @@ def run_side(src: Path) -> dict:
 def compare(baseline: Path, change: Path) -> dict:
     ns: dict[str, dict[str, list]] = {"baseline": {}, "change": {}}
     digests: dict[str, dict[str, str]] = {"baseline": {}, "change": {}}
+    refused: dict[str, dict[str, str]] = {"baseline": {}, "change": {}}
     batches = {}
     for turn in range(TURNS):
         # alternate which side goes first, so a slow phase hits both
         order = [("baseline", baseline), ("change", change)]
         for side, src in order if turn % 2 == 0 else order[::-1]:
             for name, rec in run_side(src)["calls"].items():
+                batches[name] = rec["batch"]
+                if "refused" in rec:
+                    refused[side][name] = rec["refused"]
+                    continue
                 ns[side].setdefault(name, []).append(rec["ns_per_call"])
                 digests[side][name] = rec["digest"]
-                batches[name] = rec["batch"]
     calls = {}
-    for name, base in ns["baseline"].items():
-        if digests["change"][name] != digests["baseline"][name]:
-            raise SystemExit(f"{name}: results differ between the two libraries")
-        new = ns["change"][name]
-        rec = {"batch": batches[name]}
-        for side, values in (("baseline", base), ("change", new)):
-            rec[f"{side}_min_ns"] = min(values)
-            rec[f"{side}_median_ns"] = round(median(values), 1)
-        rec["speedup_min"] = round(rec["baseline_min_ns"] / rec["change_min_ns"], 2)
-        rec["speedup_median"] = round(rec["baseline_median_ns"] / rec["change_median_ns"], 2)
+    for name, batch in batches.items():
+        rec = {"batch": batch}
+        for side in ("baseline", "change"):
+            if name in refused[side]:
+                rec[f"{side}_refused"] = refused[side][name]
+            else:
+                rec[f"{side}_min_ns"] = min(ns[side][name])
+                rec[f"{side}_median_ns"] = round(median(ns[side][name]), 1)
+        if name not in refused["baseline"] and name not in refused["change"]:
+            if digests["change"][name] != digests["baseline"][name]:
+                raise SystemExit(f"{name}: results differ between the two libraries")
+            rec["speedup_min"] = round(rec["baseline_min_ns"] / rec["change_min_ns"], 2)
+            rec["speedup_median"] = round(rec["baseline_median_ns"] / rec["change_median_ns"], 2)
         calls[name] = rec
     return {
         "host": host(),
@@ -353,13 +374,18 @@ def main(argv=None) -> int:
         record = compare(args.baseline.resolve(), args.src.resolve())
         print(f"{'ns/call, min | median':28s} {'baseline':>27s}    {'change':>27s}", file=sys.stderr)
         for name, rec in record["calls"].items():
-            print(f"{name:28s} {rec['baseline_min_ns']:>13.1f} | {rec['baseline_median_ns']:<13.1f}"
-                  f" -> {rec['change_min_ns']:>13.1f} | {rec['change_median_ns']:<13.1f}"
-                  f"  x{rec['speedup_min']} | x{rec['speedup_median']}", file=sys.stderr)
+            sides = [
+                f"{'refused':>29s}" if f"{side}_refused" in rec
+                else f"{rec[f'{side}_min_ns']:>13.1f} | {rec[f'{side}_median_ns']:<13.1f}"
+                for side in ("baseline", "change")
+            ]
+            speedup = f"  x{rec['speedup_min']} | x{rec['speedup_median']}" if "speedup_min" in rec else ""
+            print(f"{name:28s} {sides[0]} -> {sides[1]}{speedup}", file=sys.stderr)
     else:
         record = measure(args.src.resolve())
         for name, rec in record["calls"].items():
-            print(f"{name:28s} {rec['ns_per_call']:>14.1f} ns/call", file=sys.stderr)
+            cost = "refused" if "refused" in rec else f"{rec['ns_per_call']:>14.1f} ns/call"
+            print(f"{name:28s} {cost}", file=sys.stderr)
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
