@@ -11,8 +11,10 @@ bound exceeded, 4 internal error.  User input is validated here, before
 anything is charged or the library sees it, and raises UsageError; any
 other exception from the library is a bug and exits 4 with its traceback
 on stderr.  Resource bounds are the library's cost charges (errors.charge);
-matrix, interference and eigen also charge one unit per entry or row of
-the document they print, against BUDGET >> 8, or BUDGET under --force.
+by default matrix, interference and eigen also charge one unit per entry or
+row of the document they print against BUDGET >> 8.  --force lifts that
+bound and leaves the library's charges, and interference's 16 units per row
+it holds, to refuse.
 """
 
 from __future__ import annotations
@@ -62,10 +64,12 @@ class UsageError(Exception):
 
 
 def _charge_document(units: int, what: str, force: bool) -> None:
-    """Charge a printed document one unit per entry or row: BUDGET >> 8 by
-    default, BUDGET under --force, whose cost goes to stderr."""
-    charge(units, what, BUDGET if force else BUDGET >> 8)
-    if units > BUDGET >> 8:
+    """Charge a printed document one unit per entry or row against
+    BUDGET >> 8.  Under --force only the cost goes to stderr: the charges
+    on what the document is built from bound it."""
+    if not force:
+        charge(units, what, BUDGET >> 8)
+    elif units > BUDGET >> 8:
         print(f"forcing {what}: estimated cost {units} units", file=sys.stderr)
 
 
@@ -226,7 +230,9 @@ def cmd_measure(args) -> None:
 def cmd_interference(args) -> None:
     space = _parse_horizon(args.n)
     size = 1 << args.n
-    _charge_document(size * (size - 1) >> 1, f"interference document at n={args.n}", args.force)
+    pairs = size * (size - 1) >> 1
+    _charge_document(pairs, f"interference document at n={args.n}", args.force)
+    charge(16 * pairs, f"interference rows at n={args.n}")  # one list held per row
     state = DecoherenceState(space)
     rows = []
     for i in range(size):

@@ -252,15 +252,15 @@ def _hull(moves, start, n: int) -> list[int]:
     back: tails[s] lists the live step strings of the m steps left after
     state s, so a 0-step reuses its target's list and only a 1-step sets a
     new bit.  The lists are counted before they are built, and the hull is
-    charged 16 units per member; for a counter, every tails list is also
-    within that size."""
+    charged 16 units per member and 16 for the list, so it stays under
+    2**20 members; for a counter, every tails list is also within that size."""
     sizes = [1] * len(moves)
     for _ in range(n):
         sizes = [
             (0 if zero is None else sizes[zero]) + (0 if one is None else sizes[one])
             for zero, one in moves
         ]
-    charge(16 * sizes[start], f"level-{n} hull of {sizes[start]} members")
+    charge(16 * (sizes[start] + 1), f"level-{n} hull of {sizes[start]} members")
     tails = [[0]] * len(moves)
     for m in range(n):
         tails = [

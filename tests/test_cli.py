@@ -16,6 +16,8 @@ from oracles import (
 )
 
 from qwalk import cli as cli_module
+from qwalk import decoherence as decoherence_module
+from qwalk import errors as errors_module
 from qwalk.cli import _fraction_doc, main
 from qwalk.errors import BUDGET, ResourceLimitError
 
@@ -334,14 +336,16 @@ class Accepted(BaseException):
     """Raised in place of the work once a document's charge has passed."""
 
 
-# the printed document's entries or rows: the largest horizon accepted
-# before, the first one refused now, its units and the budget
+# the largest horizon accepted before, the first one refused now, its units
+# and the budget: by default the printed document's entries or rows; under
+# --force the dense grid's sign bytes, 16 per interference row held, and the
+# eigenvectors' 16 per path
 DOCUMENT_CHARGES = [
     (("matrix", "--n", "8"), ("matrix", "--n", "9"), 1 << 18, BUDGET >> 8),
     (("matrix", "--n", "12", "--force"), ("matrix", "--n", "13", "--force"), 1 << 26, BUDGET),
     (("interference", "--n", "8"), ("interference", "--n", "9"), 512 * 511 // 2, BUDGET >> 8),
-    (("interference", "--n", "10", "--force"), ("interference", "--n", "13", "--force"),
-     8192 * 8191 // 2, BUDGET),
+    (("interference", "--n", "10", "--force"), ("interference", "--n", "11", "--force"),
+     16 * (2048 * 2047 // 2), BUDGET),
     (("eigen", "--n", "10"), ("eigen", "--n", "16"), 2 << 16, BUDGET >> 8),
     (("eigen", "--n", "12", "--force"), ("eigen", "--n", "21", "--force"), 16 << 21, BUDGET),
 ]
@@ -353,13 +357,14 @@ def test_document_charges(capsys, monkeypatch, accepted, refused, units, budget)
     assert (code, out) == (3, "")
     assert f"costs {units} units, over the budget of {budget}" in err
 
-    charge = cli_module.charge
+    charge = errors_module.charge
 
     def charged(units, what, budget=BUDGET):
         charge(units, what, budget)
         raise Accepted(units)
 
-    monkeypatch.setattr(cli_module, "charge", charged)
+    for module in (cli_module, decoherence_module):
+        monkeypatch.setattr(module, "charge", charged)
     with pytest.raises(Accepted):
         main(list(accepted))
     capsys.readouterr()

@@ -201,7 +201,7 @@ def test_approximant_resource_caps():
         approximant(AtMostKOnes(1), 30)
     # refused before anything is built
     members = [sum(at_most_census_oracle(n, 12)) for n in (20, 21)]
-    assert 16 * members[0] <= BUDGET < 16 * members[1]
+    assert 16 * (members[0] + 1) <= BUDGET < 16 * (members[1] + 1)
     with pytest.raises(ResourceLimitError, match="level-40 hull"):
         approximant_indices(AtMostKOnes(12), 40)
     with pytest.raises(ResourceLimitError, match="level-21 hull"):
@@ -460,9 +460,10 @@ def test_automata_are_clamped_to_the_horizon():
     assert approximant_indices(huge, 6) == frozenset(range(64))
     with pytest.raises(ResourceLimitError, match="level 20 exceeds"):
         limit_mu_hat(huge, 30)
-    # the full level-21 hull, 2**21 members at 16 units each
-    with pytest.raises(ResourceLimitError, match=f"level-21 hull of {1 << 21} members"):
-        approximant_indices(huge, 21)
+    # the full level-20 hull: 2**20 members and their list, 16 units each
+    refused = f"level-20 hull of {1 << 20} members costs {16 << 20 | 16} units"
+    with pytest.raises(ResourceLimitError, match=refused):
+        approximant_indices(huge, 20)
     long = EventualPath((1, 0) * 50_000, 0)
     paths = (long, EventualPath(long.prefix[:7], 1), ALL_ZEROS)
     moves, _ = _automaton(FinitePathSet(paths), 3)

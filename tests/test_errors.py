@@ -112,7 +112,7 @@ CHARGED = [
      lambda: RandomVariable.constant(PathSpace(21), 1), 16 << 21),
     ("at-most-12 hull", cylinder,
      lambda: approximant_indices(AtMostKOnes(12), 20),
-     lambda: approximant_indices(AtMostKOnes(12), 21), 16 * sum(at_most_census_oracle(21, 12))),
+     lambda: approximant_indices(AtMostKOnes(12), 21), 16 * (sum(at_most_census_oracle(21, 12)) + 1)),
     ("cylinder base", None,
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 24),
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 25), 1 << 25),
