@@ -11,6 +11,7 @@ the verdicts reported here are numerical findings, not proofs.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -224,7 +225,8 @@ def _sweep(moves, start, n_max: int):
     """Censuses at levels 1..n_max of the automaton's hulls, one census per
     live state: a step off the last site, the residue's parity, is a
     change, so a 0-step lifts odd residues and a 1-step even ones, and a
-    level's census is the sum of what its steps carry."""
+    level's census is the sum of what its steps carry.  When it ends, the
+    sweep returns level n_max's census per live state (`_state_censuses`)."""
     live = {start: (1, 0, 0, 0)}  # the empty path
     for _ in range(n_max):
         grown = {}
@@ -245,30 +247,63 @@ def _sweep(moves, start, n_max: int):
                 grown[one] = (0, x, 0, y) if b is None else (b[0], b[1] + x, b[2], b[3] + y)
         live = grown
         yield c0, c1, c2, c3
+    return live
+
+
+def _state_censuses(moves, start, n: int) -> dict:
+    """The census of the level-n paths that end in each live state, from
+    the one sweep: the value it returns once its levels are drained."""
+    sweep = _sweep(moves, start, n)
+    while True:
+        try:
+            next(sweep)
+        except StopIteration as end:
+            return end.value
 
 
 def _hull(moves, start, n: int) -> list[int]:
     """Indices of the automaton's level-n hull, built from the last step
-    back: tails[s] lists the live step strings of the m steps left after
-    state s, so a 0-step reuses its target's list and only a 1-step sets a
-    new bit.  The lists are counted before they are built, and the hull is
-    charged 16 units per member and 16 for the list, so it stays under
-    2**20 members; for a counter, every tails list is also within that size."""
-    sizes = [1] * len(moves)
-    for _ in range(n):
+    back: after d steps, tails[i] lists the live step strings of the n - d
+    steps left after state order[i], so a 0-step reuses its target's list
+    and only a 1-step sets a new bit.  order holds the states as a
+    breadth-first search from start meets them, and a depth keeps only
+    those met within d steps, the only ones a run can reach there.  A size
+    pass counts every list first; the build holds one depth's lists and
+    the next one's, and it is charged 16 units per entry of the two at
+    their largest."""
+    order, depth = [start], {start: 0}
+    for s in order:  # a breadth-first search: order grows as it is read
+        for t in moves[s]:
+            if t is not None and t not in depth:
+                depth[t] = depth[s] + 1
+                order.append(t)
+    position = {s: i for i, s in enumerate(order)}
+    position[None] = None
+    rows = [(position[zero], position[one]) for zero, one in map(moves.__getitem__, order)]
+    depths = list(depth.values())  # nondecreasing along order
+    top = depths[-1]  # every state is met within top steps
+    steps = [rows[: bisect(depths, d)] for d in range(min(n, top))] + [rows] * (n - top)
+    sizes = [1] * bisect(depths, n)
+    held = peak = len(sizes)  # entries in the lists of one depth, at most of two
+    for row in reversed(steps):
         sizes = [
             (0 if zero is None else sizes[zero]) + (0 if one is None else sizes[one])
-            for zero, one in moves
+            for zero, one in row
         ]
-    charge(16 * (sizes[start] + 1), f"level-{n} hull of {sizes[start]} members")
-    tails = [[0]] * len(moves)
-    for m in range(n):
+        total = sum(sizes)
+        if held + total > peak:
+            peak = held + total
+        held = total
+    charge(16 * peak, f"level-{n} hull of {sizes[0]} members")
+    tails = [[0]] * bisect(depths, n)
+    for m, row in enumerate(reversed(steps)):
+        bit = 1 << m
         tails = [
             ([] if zero is None else tails[zero])
-            + ([] if one is None else [1 << m | j for j in tails[one]])
-            for zero, one in moves
+            + ([] if one is None else [bit | j for j in tails[one]])
+            for zero, one in row
         ]
-    return tails[start]
+    return tails[0]
 
 
 def _capped_at_most_censuses(k: int, censuses):

@@ -308,9 +308,12 @@ class DecoherenceState:
         return Dyadic(value, self.space.n)
 
     def functional_by_entries(self, a: Event, b: Event) -> Dyadic:
-        """Reference route: literal sum of matrix entries over a x b."""
+        """Reference route: literal sum of matrix entries over a x b, one
+        inner step per member pair, charged before the first."""
         self._check_event(a)
         self._check_event(b)
+        size_a, size_b = a.cardinality, b.cardinality
+        charge(size_a * size_b, f"entry sum over {size_a} x {size_b} members")
         rows = [(j, self.residue(j)) for j in a.indices()]
         cols = [(k, self.residue(k)) for k in b.indices()]
         total = 0

@@ -22,21 +22,26 @@ separate:
 The measure of a set of paths depends only on its census of change-count
 residues mod 4, so both fast routes read one set of class counts per call:
 for each residue r, how many paths of residue r carry each nonzero
-numerator.  Zeros are never counted.  Signed variables split canonically
-into positive and negative parts before any route runs: the levels above
-and below zero.  All values are exact rationals throughout.
+numerator.  Zeros are never counted.  The counts are taken from the
+numerators, O(2**n), except for the two count variables, whose step
+structure gives them in O(n**2): `ones` from the ones counter's census
+sweep, `changes` from the binomial closed form.  Signed variables split
+canonically into positive and negative parts before any route runs: the
+levels above and below zero.  All values are exact rationals throughout.
 """
 
 from __future__ import annotations
 
 from bisect import bisect, insort
 from collections import _count_elements
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import compress, pairwise, product
-from math import gcd, lcm
+from math import comb, gcd, lcm
+from typing import Callable
 
+from .cylinder import AtMostKOnes, _automaton, _state_censuses
 from .decoherence import DecoherenceState, Event
 from .errors import BUDGET, charge
 from .paths import (
@@ -61,11 +66,19 @@ class RandomVariable:
     Path j has the value numerators[j] / denominator.  The form is
     canonical -- denominator >= 1 and gcd(denominator, *numerators) == 1,
     restored on construction -- so equal values mean equal variables.
+
+    `ones` and `changes` also record, outside equality, hashing and repr,
+    the module function that gives their class counts from the horizon
+    alone; every other way of building a variable leaves it None, and its
+    class counts are counted from the numerators.
     """
 
     space: PathSpace
     numerators: tuple[int, ...]
     denominator: int = 1
+    _class_counts_at: Callable[[int], list[dict[int, int]]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         units = 16 << self.space.n  # one numerator per path
@@ -101,11 +114,15 @@ class RandomVariable:
 
     @classmethod
     def ones(cls, space: PathSpace) -> "RandomVariable":
-        return cls(space, tuple(ones_vector(space)))
+        var = cls(space, tuple(ones_vector(space)))
+        object.__setattr__(var, "_class_counts_at", _ones_class_counts)
+        return var
 
     @classmethod
     def changes(cls, space: PathSpace) -> "RandomVariable":
-        return cls(space, tuple(changes_vector(space)))
+        var = cls(space, tuple(changes_vector(space)))
+        object.__setattr__(var, "_class_counts_at", _changes_class_counts)
+        return var
 
     @classmethod
     def indicator(cls, event: Event) -> "RandomVariable":
@@ -227,6 +244,29 @@ def _class_counts(vals, n: int) -> list[dict[int, int]]:
     return out
 
 
+def _ones_class_counts(n: int) -> list[dict[int, int]]:
+    """_class_counts of the ones count, from the census sweep of the counter
+    that reads up to n ones: its state is the value, so the level-n census
+    of each nonzero state holds that value's counts.  O(n**2) additions."""
+    out: list[dict[int, int]] = [{}, {}, {}, {}]
+    for ones, census in _state_censuses(*_automaton(AtMostKOnes(n), n), n).items():
+        if ones:
+            for counts, paths in zip(out, census):
+                if paths:
+                    counts[ones] = paths
+    return out
+
+
+def _changes_class_counts(n: int) -> list[dict[int, int]]:
+    """_class_counts of the change count: the change steps j ^ (j >> 1) of
+    the paths j run over every n-bit string, so C(n, c) paths have c
+    changes, all of residue c mod 4."""
+    out: list[dict[int, int]] = [{}, {}, {}, {}]
+    for c in range(1, n + 1):
+        out[c & 3][c] = comb(n, c)
+    return out
+
+
 def _levels(keys: set[int]) -> tuple[list[int], list[int]]:
     """The nonzero levels of both parts, each in decreasing magnitude and
     ending in 0: the positive numerators descending, then the negative
@@ -301,7 +341,8 @@ def integral(
         raw = _definition(vals)
     elif strategy is IntegralStrategy.TRACE or strategy is IntegralStrategy.EIGEN:
         route = _trace if strategy is IntegralStrategy.TRACE else _eigen
-        raw = route(_class_counts(vals, n))
+        counts_at = variable._class_counts_at
+        raw = route(_class_counts(vals, n) if counts_at is None else counts_at(n))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     return Fraction(raw, variable.denominator << n)

@@ -60,10 +60,12 @@ def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK
     if strategy is Strategy.DENSE:
         return state.functional_by_entries(event, event)
     if strategy is Strategy.PAIRWISE:
-        members = event.to_tuple()
-        m = len(members)
+        m = event.cardinality
         if m < 1:
             raise ValueError("pairwise strategy needs a nonempty event")
+        # one step per ordered member pair, as the DENSE entry sum is charged
+        charge(m * m, f"pairwise measure of {m} members")
+        members = event.to_tuple()
         residues = [state.residue(j) for j in members]
         # pair values in units of 1/2**n: 2 without interference,
         # 4 constructive, 0 destructive

@@ -114,6 +114,16 @@ def test_measure_strategies_agree(capsys):
     assert values == {(0, 0)}
 
 
+def test_measure_reference_strategies_are_charged_per_member_pair(capsys):
+    # 4096 members are 4096**2 pairs, the whole budget; one more is refused
+    event = ",".join(map(str, range(4097)))
+    for strategy in ("dense", "pairwise"):
+        code, out, err = run_cli(
+            capsys, "measure", "--n", "13", "--event", event, "--strategy", strategy
+        )
+        assert code == 3 and out == "" and f"costs {4097**2} units" in err
+
+
 def test_interference_table(capsys):
     doc = run_json(capsys, "interference", "--n", "2")
     table = {(row["i"], row["j"]): (row["num"], row["class"]) for row in doc["result"]}

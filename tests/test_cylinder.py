@@ -43,6 +43,7 @@ from qwalk.cylinder import (
     _hull,
     _limit_censuses,
     _root_two_cos,
+    _state_censuses,
     _sweep,
 )
 from qwalk.decoherence import Event
@@ -199,13 +200,16 @@ def test_approximant_level_zero():
 def test_approximant_resource_caps():
     with pytest.raises(ResourceLimitError):
         approximant(AtMostKOnes(1), 30)
-    # refused before anything is built
-    members = [sum(at_most_census_oracle(n, 12)) for n in (20, 21)]
-    assert 16 * (members[0] + 1) <= BUDGET < 16 * (members[1] + 1)
+    # refused before anything is built: at its largest the build holds the
+    # members and the two depth-1 lists they are made from, as many again
+    members = [sum(at_most_census_oracle(n, 12)) for n in (19, 20)]
+    assert 32 * members[0] <= BUDGET < 32 * members[1]
+    assert len(approximant_indices(AtMostKOnes(12), 19)) == members[0]
     with pytest.raises(ResourceLimitError, match="level-40 hull"):
         approximant_indices(AtMostKOnes(12), 40)
-    with pytest.raises(ResourceLimitError, match="level-21 hull"):
-        approximant_indices(AtMostKOnes(12), 21)
+    refused = f"level-20 hull of {members[1]} members costs {32 * members[1]} units"
+    with pytest.raises(ResourceLimitError, match=refused):
+        approximant_indices(AtMostKOnes(12), 20)
 
 
 # -- limit sequences -------------------------------------------------------------
@@ -460,8 +464,9 @@ def test_automata_are_clamped_to_the_horizon():
     assert approximant_indices(huge, 6) == frozenset(range(64))
     with pytest.raises(ResourceLimitError, match="level 20 exceeds"):
         limit_mu_hat(huge, 30)
-    # the full level-20 hull: 2**20 members and their list, 16 units each
-    refused = f"level-20 hull of {1 << 20} members costs {16 << 20 | 16} units"
+    # the full level-20 hull: 2**20 members and the two depth-1 lists of
+    # 2**19 they are made from, 16 units each
+    refused = f"level-20 hull of {1 << 20} members costs {16 << 21} units"
     with pytest.raises(ResourceLimitError, match=refused):
         approximant_indices(huge, 20)
     long = EventualPath((1, 0) * 50_000, 0)
@@ -498,9 +503,13 @@ def test_sweep_and_hull_match_every_step_string_seeded():
             members = [j for j, s in enumerate(reached) if s is not None]
             assert sorted(_hull(moves, start, n)) == members
             counts = [0, 0, 0, 0]
+            by_state = {}
             for j in members:
                 counts[changes_table(n)[j] % 4] += 1
+                by_state.setdefault(reached[j], [0, 0, 0, 0])[changes_table(n)[j] % 4] += 1
             assert table[n - 1] == tuple(counts)
+            states = _state_censuses(moves, start, n)
+            assert {s: list(c) for s, c in states.items()} == by_state
 
 
 def test_sweep_rejects_unknown_events():

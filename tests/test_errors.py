@@ -29,7 +29,7 @@ from qwalk.qintegral import (
     min_matrix_det_check,
     psd_check,
 )
-from qwalk.qmeasure import enumerate_precluded, preclusion_count
+from qwalk.qmeasure import Strategy, enumerate_precluded, mu, preclusion_count
 from qwalk.quadratic import SetSystem
 
 SRC = Path(qwalk.__file__).resolve().parent
@@ -85,6 +85,14 @@ def distinct_variable(n: int) -> RandomVariable:
     return RandomVariable(PathSpace(n), tuple(random.Random(n).sample(range(1, 1 << 20), 1 << n)))
 
 
+def first_paths(n: int, m: int) -> Event:
+    return Event.from_indices(PathSpace(n), range(m))
+
+
+def entry_sum(rows: int, cols: int):
+    return DecoherenceState(PathSpace(13)).functional_by_entries(first_paths(13, rows), first_paths(13, cols))
+
+
 def disjoint_triple(n: int):
     space = PathSpace(n)
     units = [(0,) * j + (1,) + (0,) * (space.size - j - 1) for j in range(3)]
@@ -110,9 +118,19 @@ CHARGED = [
     ("random variable", None,
      lambda: RandomVariable.constant(PathSpace(20), 1),
      lambda: RandomVariable.constant(PathSpace(21), 1), 16 << 21),
+    # one unit per member pair; 4096 members at n = 12 is the whole space
+    ("dense measure", decoherence,
+     lambda: mu(DecoherenceState(PathSpace(12)), first_paths(12, 4096), Strategy.DENSE),
+     lambda: mu(DecoherenceState(PathSpace(13)), first_paths(13, 4097), Strategy.DENSE), 4097**2),
+    ("pairwise measure", qmeasure,
+     lambda: mu(DecoherenceState(PathSpace(12)), first_paths(12, 4096), Strategy.PAIRWISE),
+     lambda: mu(DecoherenceState(PathSpace(13)), first_paths(13, 4097), Strategy.PAIRWISE), 4097**2),
+    ("entry sum of two events", decoherence,
+     lambda: entry_sum(4096, 4096), lambda: entry_sum(4097, 4096), 4097 * 4096),
+    # the build's peak is charged, not only the members: level 20 moved to refused
     ("at-most-12 hull", cylinder,
-     lambda: approximant_indices(AtMostKOnes(12), 20),
-     lambda: approximant_indices(AtMostKOnes(12), 21), 16 * (sum(at_most_census_oracle(21, 12)) + 1)),
+     lambda: approximant_indices(AtMostKOnes(12), 19),
+     lambda: approximant_indices(AtMostKOnes(12), 20), 32 * sum(at_most_census_oracle(20, 12))),
     ("cylinder base", None,
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 24),
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 25), 1 << 25),

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -350,6 +352,66 @@ def test_class_counts_are_string_scanned_censuses():
                 if v:
                     want[r][v] = want[r].get(v, 0) + 1
             assert qintegral._class_counts(vals, n) == want
+
+
+# -- class counts of the count variables from their step structure ---------------
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_count_variables_class_counts_match_counted(n):
+    # the ones counter's sweep and the binomial closed form give what a
+    # count over the 2**n numerators gives
+    space = PathSpace(n)
+    for make, counts_at in (
+        (RandomVariable.ones, qintegral._ones_class_counts),
+        (RandomVariable.changes, qintegral._changes_class_counts),
+    ):
+        f = make(space)
+        assert f._class_counts_at is counts_at
+        assert counts_at(n) == qintegral._class_counts(f.numerators, n), make.__name__
+
+
+def test_count_variables_are_plain_values():
+    # the recorded structure is outside equality, hashing and repr
+    for n in (1, 4, 9):
+        space = PathSpace(n)
+        for f in (RandomVariable.ones(space), RandomVariable.changes(space)):
+            plain = RandomVariable.from_values(space, f.values)
+            assert plain._class_counts_at is None
+            assert f == plain and hash(f) == hash(plain) and repr(f) == repr(plain)
+            back = pickle.loads(pickle.dumps(f))
+            assert back == f and back._class_counts_at is f._class_counts_at
+
+
+def test_derived_variables_count_their_numerators(monkeypatch):
+    calls = []
+    counted = qintegral._class_counts
+
+    def spy(vals, n):
+        calls.append(vals)
+        return counted(vals, n)
+
+    monkeypatch.setattr(qintegral, "_class_counts", spy)
+    st = state(6)
+    ones, changes = RandomVariable.ones(st.space), RandomVariable.changes(st.space)
+    for f in (ones, changes):
+        for strategy in (IntegralStrategy.TRACE, IntegralStrategy.EIGEN):
+            integral(st, f, strategy)
+    assert calls == []
+    derived = [
+        ones + changes,
+        ones.scale(3),
+        changes.scale(1),
+        dataclasses.replace(ones),
+        dataclasses.replace(changes, numerators=ones.numerators),
+    ]
+    for f in derived:
+        assert f._class_counts_at is None
+        want = layered_integral_oracle(6, f.values)
+        for strategy in (IntegralStrategy.TRACE, IntegralStrategy.EIGEN):
+            calls.clear()
+            assert integral(st, f, strategy) == want
+            assert calls == [f.numerators]
 
 
 def all_routes(n: int, values) -> dict:

@@ -223,6 +223,15 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.integral,
         fraction_parts,
     ))
+    # the count variables, whose class counts come from their step structure
+    counts = [make(state.space) for make in (qw.RandomVariable.ones, qw.RandomVariable.changes)]
+    for route in (strategies.TRACE, strategies.EIGEN):
+        ops.append((
+            f"integral {route.value} n=16 counts",
+            [(state, v, route) for v in counts] * 3,
+            qw.integral,
+            fraction_parts,
+        ))
     # the closed forms with cos(n*pi/4), and the variation witness
     ops.append((
         "complement closed form n<=512",
