@@ -11,14 +11,13 @@ the verdicts reported here are numerical findings, not proofs.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
 
 from .decoherence import DecoherenceState, Event
-from .errors import ResourceLimitError, charge
+from .errors import BUDGET, ResourceLimitError, charge
 from .exact import Dyadic
 from .paths import PathSpace, change_residue_count_levels
 from .qmeasure import mu, mu_from_census
@@ -187,6 +186,9 @@ SymbolicEvent = Union[
 
 ALL_ZEROS = EventualPath((), 0)
 
+# every finite prefix extends into these events, so their hulls are full
+_FULL_HULLS = (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)
+
 
 def _automaton(event: SymbolicEvent, n: int):
     """The step automaton (moves, start) of a hull-described event, exact for
@@ -261,49 +263,38 @@ def _state_censuses(moves, start, n: int) -> dict:
             return end.value
 
 
-def _hull(moves, start, n: int) -> list[int]:
-    """Indices of the automaton's level-n hull, built from the last step
-    back: after d steps, tails[i] lists the live step strings of the n - d
-    steps left after state order[i], so a 0-step reuses its target's list
-    and only a 1-step sets a new bit.  order holds the states as a
-    breadth-first search from start meets them, and a depth keeps only
-    those met within d steps, the only ones a run can reach there.  A size
-    pass counts every list first; the build holds one depth's lists and
-    the next one's, and it is charged 16 units per entry of the two at
-    their largest."""
-    order, depth = [start], {start: 0}
-    for s in order:  # a breadth-first search: order grows as it is read
-        for t in moves[s]:
-            if t is not None and t not in depth:
-                depth[t] = depth[s] + 1
-                order.append(t)
-    position = {s: i for i, s in enumerate(order)}
-    position[None] = None
-    rows = [(position[zero], position[one]) for zero, one in map(moves.__getitem__, order)]
-    depths = list(depth.values())  # nondecreasing along order
-    top = depths[-1]  # every state is met within top steps
-    steps = [rows[: bisect(depths, d)] for d in range(min(n, top))] + [rows] * (n - top)
-    sizes = [1] * bisect(depths, n)
-    held = peak = len(sizes)  # entries in the lists of one depth, at most of two
-    for row in reversed(steps):
-        sizes = [
-            (0 if zero is None else sizes[zero]) + (0 if one is None else sizes[one])
-            for zero, one in row
-        ]
-        total = sum(sizes)
-        if held + total > peak:
-            peak = held + total
-        held = total
-    charge(16 * peak, f"level-{n} hull of {sizes[0]} members")
-    tails = [[0]] * bisect(depths, n)
-    for m, row in enumerate(reversed(steps)):
-        bit = 1 << m
-        tails = [
-            ([] if zero is None else tails[zero])
-            + ([] if one is None else [bit | j for j in tails[one]])
-            for zero, one in row
-        ]
-    return tails[0]
+def _hull_mask(moves, start, n: int) -> int:
+    """The automaton's level-n hull as a mask, built from the last step
+    back for the states a run reaches at each depth: with m steps left, a
+    state's mask is its 0-move's mask below its 1-move's shifted up by
+    2**(m - 1).  The build holds two depths' masks, at most 2**(n + 1)
+    bits; past the budget, a first pass over the same states counts their
+    bit lengths, and the build is charged the largest two-depth sum."""
+    reached = [{start}]  # the states a run reaches after d steps
+    for _ in range(n):
+        reached.append({t for s in reached[-1] for t in moves[s] if t is not None})
+
+    def tails(join):  # each depth's values, from the last back
+        values = dict.fromkeys(reached[n], 1)  # the empty string is live
+        yield values
+        for m in range(n):
+            values[None] = 0  # a dead move
+            values = {
+                s: join(1 << m, values[zero], values[one])
+                for s in reached[n - 1 - m]
+                for zero, one in (moves[s],)
+            }
+            yield values
+
+    units = 2 << n
+    if units > BUDGET:  # small hulls still fit at the top level
+        bit_lengths = tails(lambda half, zero, one: half + one if one else zero)
+        held = [sum(lengths.values()) for lengths in bit_lengths]
+        units = max(map(sum, zip(held, held[1:])))
+    charge(units, f"level-{n} hull mask")
+    for masks in tails(lambda half, zero, one: zero | one << half):
+        pass  # only the last depth's masks, the start's, are kept
+    return masks[start]
 
 
 def _capped_at_most_censuses(k: int, censuses):
@@ -338,28 +329,68 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     the event.  Hulls decrease with n and contain the event."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
-    if n == 0:
-        if isinstance(event, FinitePathSet) and not event.paths:
-            return CylinderEvent.from_indices(0, ())
-        return CylinderEvent.from_indices(0, (0,))
+    if n == 0:  # the empty prefix, unless no path extends it
+        empty = isinstance(event, FinitePathSet) and not event.paths
+        return CylinderEvent.from_indices(0, () if empty else (0,))
     charge(1 << n, f"level-{n} approximant base")
     space = PathSpace(n)
-    indices = approximant_indices(event, n)
-    base = Event.full(space) if indices is None else Event.from_indices(space, indices)
-    return CylinderEvent(n, base)
+    if isinstance(event, _FULL_HULLS):
+        return CylinderEvent(n, Event.full(space))
+    if isinstance(event, FinitePathSet):  # a bit for each path's prefix
+        mask = sum(1 << j for j in {p.index_at(n) for p in event.paths})
+    else:
+        mask = _hull_mask(*_automaton(event, n), n)
+    return CylinderEvent(n, Event(space, mask))
 
 
-def approximant_indices(event: SymbolicEvent, n: int) -> frozenset[int] | None:
-    """Member indices of the level-n hull, or None when the hull is the
-    full space (kept symbolic so large levels stay cheap)."""
-    if n < 1:
-        raise ValueError("need level >= 1")
+@dataclass(frozen=True)
+class DisjointWitness:
+    """Outcome of a strong-disjointness search: a witnessing level, or the
+    statement that none was found up to the bound (not a disproof)."""
+
+    witnessed: bool
+    at_level: int | None
+
+
+def _live_width(event: SymbolicEvent, n: int) -> int:
+    """A bound, known before it is built, on the states of the event's
+    level-n hull automaton a run reaches at one depth: min(K, n) + 1 for a
+    counter, one a path (or the start) for a path set, one for a full hull."""
+    if isinstance(event, AtMostKOnes):
+        return min(event.limit, n) + 1
     if isinstance(event, FinitePathSet):
-        return frozenset(p.index_at(n) for p in event.paths)
-    if isinstance(event, (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)):
-        # every finite prefix extends into these events, so the hull is full
-        return None
-    return frozenset(_hull(*_automaton(event, n), n))
+        return max(len(event.paths), 1)
+    return 1  # a full hull; `_automaton` refuses an event of any other kind
+
+
+def strongly_disjoint(a: SymbolicEvent, b: SymbolicEvent, n_max: int) -> DisjointWitness:
+    """Least level at which the two events' cylindrical hulls are disjoint,
+    by a walk over the pairs of states their hull automata reach after each
+    step; a full hull is one state, and two never part.  The walk is charged
+    one unit per level and pair of live states before either is built."""
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
+    if isinstance(a, _FULL_HULLS) and isinstance(b, _FULL_HULLS):
+        return DisjointWitness(False, None)
+    width_a, width_b = _live_width(a, n_max), _live_width(b, n_max)
+    what = f"disjointness walk of {width_a} x {width_b} live states to level {n_max}"
+    charge(n_max * width_a * width_b, what)
+    full = ([(0, 0)], 0)  # a one-state automaton whose every step string is live
+    automata = (full if isinstance(e, _FULL_HULLS) else _automaton(e, n_max) for e in (a, b))
+    level = _first_dead_level(*automata, n_max)
+    return DisjointWitness(level is not None, level)
+
+
+def _first_dead_level(first, second, n_max: int) -> int | None:
+    """The least level <= n_max at which no step string is live in both
+    automata, or None: a walk over the pairs of states the two reach."""
+    (a, start_a), (b, start_b) = first, second
+    live = {(start_a, start_b)}
+    for n in range(1, n_max + 1):
+        live = {pair for p, q in live for pair in zip(a[p], b[q]) if None not in pair}
+        if not live:
+            return n
+    return None
 
 
 def limit_term(event: SymbolicEvent, n: int) -> Dyadic:

@@ -17,7 +17,7 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Iterable, Mapping
 
-from .cylinder import SymbolicEvent, approximant_indices
+from .cylinder import DisjointWitness, strongly_disjoint  # noqa: F401 -- re-exported
 from .errors import charge
 
 UNIVERSE_MAX = 24  # a limit of the representation, not a cost: members are charged apart
@@ -231,35 +231,3 @@ def parse_system_file(text: str) -> SetSystem:
         body = line.strip()
         subsets.append([] if not body else [int(tok) for tok in body.split(",")])
     return SetSystem.from_index_lists(universe_size, subsets)
-
-
-# -- strong disjointness ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DisjointWitness:
-    """Outcome of a strong-disjointness search: a witnessing level, or the
-    statement that none was found up to the bound (not a disproof)."""
-
-    witnessed: bool
-    at_level: int | None
-
-
-def strongly_disjoint(a: SymbolicEvent, b: SymbolicEvent, n_max: int) -> DisjointWitness:
-    """Least level at which the two events' cylindrical hulls are disjoint."""
-    if n_max < 1:
-        raise ValueError("need n_max >= 1")
-    for n in range(1, n_max + 1):
-        ia = approximant_indices(a, n)
-        ib = approximant_indices(b, n)
-        if ia is None and ib is None:
-            continue  # both hulls are the full space at every level
-        if ia is None:
-            disjoint = not ib
-        elif ib is None:
-            disjoint = not ia
-        else:
-            disjoint = ia.isdisjoint(ib)
-        if disjoint:
-            return DisjointWitness(True, n)
-    return DisjointWitness(False, None)

@@ -16,6 +16,7 @@ from oracles import (
     site_string,
 )
 
+from qwalk import cylinder
 from qwalk.cylinder import (
     ALL_ZEROS,
     COMBINATION_CAP,
@@ -23,13 +24,13 @@ from qwalk.cylinder import (
     AtMostKOnes,
     ComplementOfFinitePathSet,
     CylinderEvent,
+    DisjointWitness,
     EventualPath,
     FinitePathSet,
     FinitelyManyOnes,
     InfinitelyManyOnes,
     LimitVerdict,
     approximant,
-    approximant_indices,
     change_residue_profile_closed_form,
     classify_sequence,
     complement_of_constant_closed_form,
@@ -38,9 +39,11 @@ from qwalk.cylinder import (
     mu_cyl,
     refine,
     repeated_block_measures,
+    strongly_disjoint,
     variation_lower_bound,
     _automaton,
-    _hull,
+    _first_dead_level,
+    _hull_mask,
     _limit_censuses,
     _root_two_cos,
     _state_censuses,
@@ -160,7 +163,7 @@ def test_approximant_finite_paths():
     assert approximant(pair, 1).base.to_tuple() == (0,)  # prefixes collide
     assert approximant(pair, 2).base.to_tuple() == (0, 1)
     assert approximant(pair, 3).base.to_tuple() == (0, 3)
-    # an empty set has empty hulls; only None from approximant_indices is full
+    # an empty set has empty hulls at every level
     for n in range(1, 9):
         assert approximant(FinitePathSet(()), n).base.cardinality == 0
 
@@ -172,8 +175,7 @@ def test_approximant_full_kinds():
         InfinitelyManyOnes(),
     ):
         for n in (1, 3, 6):
-            assert approximant(kind, n).base.cardinality == 1 << n
-        assert approximant_indices(kind, 4) is None
+            assert approximant(kind, n).base == Event.full(PathSpace(n))
 
 
 def test_approximants_decrease():
@@ -197,19 +199,52 @@ def test_approximant_level_zero():
     assert approximant(FinitePathSet([]), 0).base.cardinality == 0
 
 
+def at_most_mask_bits_oracle(n: int, k: int) -> int:
+    """The mask bits the level-n at-most-k hull build holds at its largest,
+    two adjacent depths: after d steps the counter at s ones has, for its
+    largest live tail of m = n - d steps, j = min(k - s, m) ones then zeros."""
+
+    def depth(d: int) -> int:
+        m = n - d
+        return sum((1 << m) - (1 << (m - min(k - s, m))) + 1 for s in range(min(d, k) + 1))
+
+    return max(depth(d) + depth(d + 1) for d in range(n))
+
+
+def test_hull_mask_is_charged_the_bits_it_holds(monkeypatch):
+    """Within the budget a build is charged its bound, 2**(n + 1) bits;
+    past it, the bits it holds, counted exactly."""
+    charged = []
+    monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
+    _hull_mask(*_automaton(AtMostKOnes(0), 10), 10)
+    assert charged == [2 << 10]
+    monkeypatch.setattr(cylinder, "BUDGET", 0)
+    for n in range(1, 11):
+        for k in range(n + 2):
+            charged.clear()
+            _hull_mask(*_automaton(AtMostKOnes(k), n), n)
+            assert charged == [at_most_mask_bits_oracle(n, k)]
+
+
 def test_approximant_resource_caps():
     with pytest.raises(ResourceLimitError):
         approximant(AtMostKOnes(1), 30)
-    # refused before anything is built: at its largest the build holds the
-    # members and the two depth-1 lists they are made from, as many again
-    members = [sum(at_most_census_oracle(n, 12)) for n in (19, 20)]
-    assert 32 * members[0] <= BUDGET < 32 * members[1]
-    assert len(approximant_indices(AtMostKOnes(12), 19)) == members[0]
-    with pytest.raises(ResourceLimitError, match="level-40 hull"):
-        approximant_indices(AtMostKOnes(12), 40)
-    refused = f"level-20 hull of {members[1]} members costs {32 * members[1]} units"
-    with pytest.raises(ResourceLimitError, match=refused):
-        approximant_indices(AtMostKOnes(12), 20)
+    # refused before anything is built, for the bits of two depths' masks:
+    # at level 24 only the hulls of at most one 1 fit
+    assert [k for k in range(25) if at_most_mask_bits_oracle(24, k) <= BUDGET] == [0, 1]
+    assert at_most_mask_bits_oracle(23, 10**12) == 2 << 23 <= BUDGET
+    for k in (0, 1, 2, 6, 12, 23, 10**12):
+        hull = approximant(AtMostKOnes(k), 23).base
+        assert hull.cardinality == sum(at_most_census_oracle(23, k))
+        bits = at_most_mask_bits_oracle(24, k)
+        if k < 2:
+            hull = approximant(AtMostKOnes(k), 24).base
+            assert hull.cardinality == sum(at_most_census_oracle(24, k))
+            continue
+        with pytest.raises(ResourceLimitError, match=f"level-24 hull mask costs {bits} units"):
+            approximant(AtMostKOnes(k), 24)
+    with pytest.raises(ResourceLimitError, match="level-40 approximant base"):
+        approximant(AtMostKOnes(12), 40)
 
 
 # -- limit sequences -------------------------------------------------------------
@@ -373,10 +408,10 @@ def test_at_most_sweep_matches_enumeration():
     for k in range(5):
         table = sweep(AtMostKOnes(k), 20)
         for n in range(1, 21):
-            hull = approximant_indices(AtMostKOnes(k), n)
+            hull = approximant(AtMostKOnes(k), n).base
             if n <= 12:
-                assert hull == {j for j in range(1 << n) if ones_oracle(n, j) <= k}
-            members = census_of_indices_oracle(n, hull)
+                assert hull.mask == sum(1 << j for j in range(1 << n) if ones_oracle(n, j) <= k)
+            members = census_of_indices_oracle(n, hull.to_tuple())
             assert table[n - 1] == members == at_most_census_oracle(n, k)
 
 
@@ -461,14 +496,14 @@ def test_automata_are_clamped_to_the_horizon():
     assert len(_automaton(huge, 8)[0]) == 9
     assert limit_mu_hat(huge, 8).values == limit_mu_hat(FinitelyManyOnes(), 8).values
     assert limit_term(huge, 8) == 1
-    assert approximant_indices(huge, 6) == frozenset(range(64))
+    assert approximant(huge, 6).base == Event.full(PathSpace(6))
     with pytest.raises(ResourceLimitError, match="level 20 exceeds"):
         limit_mu_hat(huge, 30)
-    # the full level-20 hull: 2**20 members and the two depth-1 lists of
-    # 2**19 they are made from, 16 units each
-    refused = f"level-20 hull of {1 << 20} members costs {16 << 21} units"
-    with pytest.raises(ResourceLimitError, match=refused):
-        approximant_indices(huge, 20)
+    # the full hull is a mask like any other: built at level 23, and
+    # refused at 24 for the 2**25 bits of two depths' masks
+    assert approximant(huge, 23).base == Event.full(PathSpace(23))
+    with pytest.raises(ResourceLimitError, match=f"level-24 hull mask costs {2 << 24} units"):
+        approximant(huge, 24)
     long = EventualPath((1, 0) * 50_000, 0)
     paths = (long, EventualPath(long.prefix[:7], 1), ALL_ZEROS)
     moves, _ = _automaton(FinitePathSet(paths), 3)
@@ -489,19 +524,45 @@ def random_step_tables(seed: int):
         yield [(pick(), pick()) for _ in range(size)], rng.randrange(size)
 
 
-def test_sweep_and_hull_match_every_step_string_seeded():
+def step_string_runs(moves, start, n_max: int):
+    """For n = 1..n_max, the state after each length-n step string, by index
+    (the first step the high bit), or None once its run meets None."""
+    reached = [start]
+    for n in range(1, n_max + 1):
+        reached = [
+            None if reached[j >> 1] is None else moves[reached[j >> 1]][j & 1]
+            for j in range(1 << n)
+        ]
+        yield n, reached
+
+
+def test_sweep_and_hull_match_every_step_string_seeded(monkeypatch):
     """Every length-n step string is run through the table, and the census
-    of those whose run never meets None is read off their site strings."""
+    of those whose run never meets None is read off their site strings.
+    The hull mask is charged the bit lengths of the step-string masks
+    of the states reached at two adjacent depths, at their largest."""
+    charged = []
+    monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
+    monkeypatch.setattr(cylinder, "BUDGET", 0)  # count the bits at every level
     for moves, start in random_step_tables(1616):
         table = list(_sweep(moves, start, 16))
-        reached = [start]  # by index: the state after its steps, or None
-        for n in range(1, 17):
-            reached = [
-                None if reached[j >> 1] is None else moves[reached[j >> 1]][j & 1]
-                for j in range(1 << n)
-            ]
+        tails = {  # (state, steps): the mask of its live step strings
+            (s, m): sum(1 << j for j, t in enumerate(run) if t is not None)
+            for s in range(len(moves))
+            for m, run in step_string_runs(moves, s, 10)
+        }
+        depths = [{start}]
+        for n, reached in step_string_runs(moves, start, 16):
             members = [j for j, s in enumerate(reached) if s is not None]
-            assert sorted(_hull(moves, start, n)) == members
+            charged.clear()
+            assert _hull_mask(moves, start, n) == sum(1 << j for j in members)
+            depths.append(set(reached) - {None})
+            if n <= 10:
+                held = [
+                    sum(tails.get((s, n - d), 1).bit_length() for s in depths[d])
+                    for d in range(n + 1)
+                ]
+                assert charged == [max(a + b for a, b in zip(held, held[1:]))]
             counts = [0, 0, 0, 0]
             by_state = {}
             for j in members:
@@ -512,13 +573,55 @@ def test_sweep_and_hull_match_every_step_string_seeded():
             assert {s: list(c) for s, c in states.items()} == by_state
 
 
+def test_disjointness_walk_matches_every_step_string_seeded():
+    """The walk's first level with no live pair of states is the first level
+    at which the two tables' step-string hulls share no member.  The seeded
+    path sets' automata join the tables, so pairs also part late."""
+    tables = list(random_step_tables(1616))
+    tables += [_automaton(FinitePathSet(paths), 16) for paths in seeded_path_sets(7)]
+    hulls = [
+        [sum(1 << j for j, s in enumerate(run) if s is not None) for _, run in runs]
+        for runs in (step_string_runs(*t, 16) for t in tables)
+    ]
+    levels = set()
+    for a, hulls_a in zip(tables, hulls):
+        for b, hulls_b in zip(tables, hulls):
+            first = next((n for n in range(1, 17) if not hulls_a[n - 1] & hulls_b[n - 1]), None)
+            assert _first_dead_level(a, b, 16) == first
+            levels.add(first)
+    assert {None, 1, 5, 7} <= levels
+
+
 def test_sweep_rejects_unknown_events():
     with pytest.raises(ValueError):
         limit_term("not an event", 3)
     with pytest.raises(ValueError):
         limit_mu_hat(object(), 8)
     with pytest.raises(ValueError):
-        approximant_indices(object(), 3)
+        approximant(object(), 3)
+    with pytest.raises(ValueError):
+        strongly_disjoint(object(), FinitelyManyOnes(), 3)
+
+
+def test_disjointness_walk_is_charged_before_any_automaton(monkeypatch):
+    """The walk is charged for the live states a depth can hold, known from
+    the events alone: a counter's min(K, n_max) + 1 states and one per
+    path, so a long shared prefix costs one pair a level."""
+    prefix = (1, 0, 0, 1) * 75
+    late = [FinitePathSet((EventualPath(prefix[:299] + (b,), 0),)) for b in (0, 1)]
+    assert strongly_disjoint(*late, 300) == DisjointWitness(True, 300)
+    assert strongly_disjoint(*late, 299) == DisjointWitness(False, None)
+
+    def unbuilt(event, n):
+        raise AssertionError("an automaton was built before the charge")
+
+    monkeypatch.setattr(cylinder, "_automaton", unbuilt)
+    refused = f"{10**9 + 1} x 1 live states to level {10**9} costs {(10**9 + 1) * 10**9}"
+    with pytest.raises(ResourceLimitError, match=refused):
+        strongly_disjoint(AtMostKOnes(10**12), FinitelyManyOnes(), 10**9)
+    both = FinitePathSet(late[0].paths + late[1].paths)
+    with pytest.raises(ResourceLimitError, match=f"1 x 2 live states to level {BUDGET} costs {2 * BUDGET}"):
+        strongly_disjoint(FinitePathSet(()), both, BUDGET)
 
 
 # -- block products ---------------------------------------------------------------

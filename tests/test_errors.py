@@ -13,11 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from oracles import at_most_census_oracle
-
 import qwalk
 from qwalk import cylinder, decoherence, errors, paths, qintegral, qmeasure
-from qwalk.cylinder import AtMostKOnes, CylinderEvent, FinitePathSet, approximant, approximant_indices, refine
+from qwalk.cylinder import ALL_ZEROS, AtMostKOnes, CylinderEvent, FinitePathSet, approximant, refine
 from qwalk.decoherence import DecoherenceState, Event
 from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.paths import PathSpace, change_residues, changes_vector, ones_vector
@@ -30,7 +28,7 @@ from qwalk.qintegral import (
     psd_check,
 )
 from qwalk.qmeasure import Strategy, enumerate_precluded, mu, preclusion_count
-from qwalk.quadratic import SetSystem
+from qwalk.quadratic import SetSystem, strongly_disjoint
 
 SRC = Path(qwalk.__file__).resolve().parent
 
@@ -93,6 +91,9 @@ def entry_sum(rows: int, cols: int):
     return DecoherenceState(PathSpace(13)).functional_by_entries(first_paths(13, rows), first_paths(13, cols))
 
 
+ONE_PATH = FinitePathSet((ALL_ZEROS,))
+
+
 def disjoint_triple(n: int):
     space = PathSpace(n)
     units = [(0,) * j + (1,) + (0,) * (space.size - j - 1) for j in range(3)]
@@ -127,10 +128,17 @@ CHARGED = [
      lambda: mu(DecoherenceState(PathSpace(13)), first_paths(13, 4097), Strategy.PAIRWISE), 4097**2),
     ("entry sum of two events", decoherence,
      lambda: entry_sum(4096, 4096), lambda: entry_sum(4097, 4096), 4097 * 4096),
-    # the build's peak is charged, not only the members: level 20 moved to refused
-    ("at-most-12 hull", cylinder,
-     lambda: approximant_indices(AtMostKOnes(12), 19),
-     lambda: approximant_indices(AtMostKOnes(12), 20), 32 * sum(at_most_census_oracle(20, 12))),
+    # the bit lengths of two depths' hull masks: 2**25 less 10 237 from
+    # the start's and its two successors' largest live tails
+    ("at-most-12 hull", None,
+     lambda: approximant(AtMostKOnes(12), 23), lambda: approximant(AtMostKOnes(12), 24), (2 << 24) - 10_237),
+    # one unit per pair of live states and level: 1 x 1 states, and 3 x 4
+    ("disjointness walk of two paths", cylinder,
+     lambda: strongly_disjoint(ONE_PATH, ONE_PATH, BUDGET),
+     lambda: strongly_disjoint(ONE_PATH, ONE_PATH, BUDGET + 1), BUDGET + 1),
+    ("disjointness walk of two counters", cylinder,
+     lambda: strongly_disjoint(AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12),
+     lambda: strongly_disjoint(AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12 + 1), 12 * (BUDGET // 12 + 1)),
     ("cylinder base", None,
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 24),
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 25), 1 << 25),

@@ -9,11 +9,15 @@ from qwalk import quadratic
 from qwalk.cylinder import (
     ALL_ZEROS,
     AtMostKOnes,
+    ComplementOfFinitePathSet,
+    EventualPath,
     FinitePathSet,
     FinitelyManyOnes,
     InfinitelyManyOnes,
+    approximant,
 )
 from qwalk.quadratic import (
+    DisjointWitness,
     QMeasureTable,
     SetSystem,
     _qualifying_triples,
@@ -466,6 +470,37 @@ def test_strong_disjointness_overlapping_hulls():
     b = FinitePathSet((ALL_ZEROS,))
     verdict = strongly_disjoint(a, b, 12)
     assert not verdict.witnessed
+
+
+def disjointness_family(seed: int):
+    """At-most-K for K = 0..5, the empty set, seeded finite sets whose paths
+    share prefixes of a common run, and the three kinds with full hulls."""
+    rng = random.Random(seed)
+    run = tuple(rng.randrange(2) for _ in range(12))
+    family = [AtMostKOnes(k) for k in range(6)] + [FinitePathSet(())]
+    for _ in range(10):
+        paths = []
+        for _ in range(rng.randint(1, 4)):
+            tail = tuple(rng.randrange(2) for _ in range(rng.randint(0, 6)))
+            paths.append(EventualPath(run[: rng.randint(0, 12)] + tail, rng.randrange(2)))
+        family.append(FinitePathSet(tuple(paths)))
+    full = [ComplementOfFinitePathSet((ALL_ZEROS,)), FinitelyManyOnes(), InfinitelyManyOnes()]
+    return family + full
+
+
+def test_strong_disjointness_is_the_first_level_of_disjoint_approximants():
+    family = disjointness_family(1219)
+    masks = [[approximant(e, n).base.mask for n in range(1, 13)] for e in family]
+    levels = set()
+    for a, masks_a in zip(family, masks):
+        for b, masks_b in zip(family, masks):
+            first = next((n for n in range(1, 13) if not masks_a[n - 1] & masks_b[n - 1]), None)
+            levels.add(first)
+            for n_max in range(1, 13):
+                witnessed = first is not None and first <= n_max
+                want = DisjointWitness(witnessed, first if witnessed else None)
+                assert strongly_disjoint(a, b, n_max) == want
+    assert len(levels) >= 6  # the family splits at many levels, and some pairs never
 
 
 def test_strong_disjointness_validation():

@@ -268,6 +268,29 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
             qw.limit_mu_hat,
             lambda r: (r.verdict.value, r.at_n, [(n, e.num, e.log2_den) for n, e, _ in r.values]),
         ))
+    # small cylindrical hulls, and strong disjointness stepped through levels
+    ops.append((
+        "approximant at-most-1|2 n=1..16",
+        [(qw.AtMostKOnes(k), n) for k in (1, 2) for n in range(1, 17)],
+        qw.approximant,
+        lambda cyl: (cyl.level, hex(cyl.base.mask)),
+    ))
+    ops.append((
+        "strongly_disjoint at-most-2 vs at-most-3 to 40",
+        [(qw.AtMostKOnes(2), qw.AtMostKOnes(3), 40)] * 4,
+        qw.strongly_disjoint,
+        lambda w: (w.witnessed, w.at_level),
+    ))
+    # the seeded set against subsets of it, which never part, and against a
+    # one-path set that parts from it at some level
+    other = qw.FinitePathSet((qw.EventualPath(paths[0].prefix[:20] + (1, 0, 1), 1),))
+    ops.append((
+        "strongly_disjoint finite sets to 200",
+        [(qw.FinitePathSet(paths), qw.FinitePathSet(paths[:m]), 200) for m in (1, 4, 8)]
+        + [(qw.FinitePathSet(paths), other, 200)],
+        qw.strongly_disjoint,
+        lambda w: (w.witnessed, w.at_level),
+    ))
     return ops
 
 
@@ -381,7 +404,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.baseline is not None:
         record = compare(args.baseline.resolve(), args.src.resolve())
-        print(f"{'ns/call, min | median':28s} {'baseline':>27s}    {'change':>27s}", file=sys.stderr)
+        print(f"{'ns/call, min | median':46s} {'baseline':>27s}    {'change':>27s}", file=sys.stderr)
         for name, rec in record["calls"].items():
             sides = [
                 f"{'refused':>29s}" if f"{side}_refused" in rec
@@ -389,12 +412,12 @@ def main(argv=None) -> int:
                 for side in ("baseline", "change")
             ]
             speedup = f"  x{rec['speedup_min']} | x{rec['speedup_median']}" if "speedup_min" in rec else ""
-            print(f"{name:28s} {sides[0]} -> {sides[1]}{speedup}", file=sys.stderr)
+            print(f"{name:46s} {sides[0]} -> {sides[1]}{speedup}", file=sys.stderr)
     else:
         record = measure(args.src.resolve())
         for name, rec in record["calls"].items():
             cost = "refused" if "refused" in rec else f"{rec['ns_per_call']:>14.1f} ns/call"
-            print(f"{name:28s} {cost}", file=sys.stderr)
+            print(f"{name:46s} {cost}", file=sys.stderr)
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 
