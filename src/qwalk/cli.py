@@ -13,8 +13,9 @@ other exception from the library is a bug and exits 4 with its traceback
 on stderr.  Resource bounds are the library's cost charges (errors.charge);
 by default matrix, interference and eigen also charge one unit per entry or
 row of the document they print against BUDGET >> 8.  --force lifts that
-bound and leaves the library's charges, and interference's 16 units per row
-it holds, to refuse.
+bound; the library's charges still refuse, and so do the charges on what
+matrix and interference hold: one unit per matrix entry, 16 per
+interference row.
 """
 
 from __future__ import annotations
@@ -185,25 +186,19 @@ def _parse_limit_event(raw: str):
 def cmd_matrix(args) -> None:
     space = _parse_horizon(args.n)
     _charge_document(1 << 2 * args.n, f"matrix document at n={args.n}", args.force)
-    state = DecoherenceState(space)
+    charge(1 << 2 * args.n, f"matrix entries at n={args.n}")
+    sign = DecoherenceState(space).entry_sign
     size = 1 << args.n
-    signs = state.dense_signs()
     params = {"n": args.n, "format": args.format}
     if args.format == "json":
-        entries = [
-            [[int(signs[j * size + k]), 0] for k in range(size)] for j in range(size)
-        ]
+        entries = [[[sign(j, k), 0] for k in range(size)] for j in range(size)]
         _emit_json(
             "matrix",
             params,
             {"log2_den": args.n, "entries": entries},
         )
     else:
-        rows = [
-            [j, k, int(signs[j * size + k]), 0]
-            for j in range(size)
-            for k in range(size)
-        ]
+        rows = [[j, k, sign(j, k), 0] for j in range(size) for k in range(size)]
         sys.stdout.write(f"# denominator: 2**{args.n}\n")
         _emit_csv("matrix", params, ["j", "k", "re", "im"], rows)
 
@@ -214,8 +209,6 @@ def cmd_measure(args) -> None:
     indices = _parse_event_indices(args.event, args.n)
     event = Event.from_indices(state.space, indices)
     strategy = Strategy(args.strategy)
-    if strategy is Strategy.PAIRWISE and not indices:
-        raise UsageError("the pairwise strategy needs a nonempty event")
     value = mu(state, event, strategy)
     doc = _dyadic_doc(value)
     doc["exact"] = f"{value.numerator_at(args.n)}/{1 << args.n}"

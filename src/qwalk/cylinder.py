@@ -337,7 +337,10 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     if isinstance(event, _FULL_HULLS):
         return CylinderEvent(n, Event.full(space))
     if isinstance(event, FinitePathSet):  # a bit for each path's prefix
-        mask = sum(1 << j for j in {p.index_at(n) for p in event.paths})
+        bits = bytearray(((1 << n) + 7) >> 3)  # set in place: one mask built
+        for j in {p.index_at(n) for p in event.paths}:
+            bits[j >> 3] |= 1 << (j & 7)
+        mask = int.from_bytes(bits, "little")
     else:
         mask = _hull_mask(*_automaton(event, n), n)
     return CylinderEvent(n, Event(space, mask))

@@ -6,9 +6,9 @@ agree mod 4.  Consequently every event-level sum reduces to the four-way
 census of change-count residues among the event's members, and that census
 is the workhorse of this module: it *is* the rank-two structure of the
 matrix.  An event's census is four popcounts of its membership mask against
-the four residue-class masks of the path space, which are built once per
-horizon by a recurrence on n and cached.  The two eigenvector components of
-an event are
+the four residue-class masks of the path space, which ``paths`` builds once
+per horizon by a recurrence on n and caches.  The two eigenvector
+components of an event are
 
     even residues:  (census[0] - census[2])        (real part)
     odd residues:   (census[1] - census[3]) * i    (imaginary part)
@@ -20,39 +20,13 @@ inner product is real, and one value type, ``Dyadic``, holds them all.
 
 from __future__ import annotations
 
-from array import array
 from fractions import Fraction
-from functools import cache
 from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import BUDGET, charge
 from .exact import Dyadic, _Frozen, _new
-from .paths import _SAME_RESIDUE, PathSpace, change_residue, change_residue_counts, change_residues
-
-
-@cache
-def _residue_masks(n: int) -> tuple[int, int, int, int]:
-    """The n-path space split by change count mod 4, as four membership masks.
-
-    Bit j of mask r is set iff path j has change count congruent to r.  A
-    path of n steps is a first step followed by an (n-1)-step path k.  A
-    first step of 0 leaves the change count of k as it is.  A first step of
-    1 adds two changes when k starts on site 0 and none when it starts on
-    site 1.  So each level is the cached previous level's masks twice over,
-    the upper copy with its site-0 half moved two residues on; no path is
-    visited.  Callers pass the n of a checked event, whose 2**n-bit mask was
-    charged.
-    """
-    if n == 1:
-        return (0b01, 0b10, 0, 0)  # path 0 has no change, path 1 one
-    prev = _residue_masks(n - 1)
-    low = (1 << (1 << (n - 2))) - 1  # shorter paths below this start on site 0
-    shift = 1 << (n - 1)
-    return tuple(
-        prev[r] | (((prev[(r - 2) & 3] & low) | (prev[r] & ~low)) << shift)
-        for r in range(4)
-    )
+from .paths import PathSpace, _residue_masks, _residue_selectors, change_residue
 
 
 class Event(_Frozen):
@@ -230,7 +204,6 @@ class DecoherenceState:
 
     def __init__(self, space: PathSpace):
         self.space = space
-        self._dense: array | None = None
         self._masks: tuple[int, int, int, int] | None = None
 
     # -- entries -----------------------------------------------------------
@@ -255,22 +228,6 @@ class DecoherenceState:
     def entry(self, j: int, k: int) -> Dyadic:
         """Matrix entry (j, k): sign / 2**n, exactly."""
         return Dyadic(self.entry_sign(j, k), self.space.n)
-
-    def dense_signs(self) -> array:
-        """Row-major signed-byte sign grid, materialized lazily: one unit per
-        sign byte."""
-        if self._dense is None:
-            charge(1 << 2 * self.space.n, f"dense sign grid at n={self.space.n}")
-            size = self.space.size
-            res = [change_residue(j) for j in range(size)]
-            grid = array("b", bytes(size * size))
-            for j in range(size):
-                rj = res[j]
-                row = j * size
-                for k in range(j & 1, size, 2):
-                    grid[row + k] = 1 if rj == res[k] else -1
-            self._dense = grid
-        return self._dense
 
     # -- event sums ---------------------------------------------------------
 
@@ -324,11 +281,6 @@ class DecoherenceState:
                 total += 1 if rj == rk else -1
         return Dyadic(total, self.space.n)
 
-    def entry_total(self) -> Dyadic:
-        """Sum of all 4**n entries, computed from the residue profile alone."""
-        v = change_residue_counts(self.space.n)
-        return Dyadic((v[0] - v[2]) ** 2 + (v[1] - v[3]) ** 2, self.space.n)
-
     # -- rank-two factorization ----------------------------------------------
 
     def eigenvector_exact(self, parity: int) -> list[tuple[int, int]]:
@@ -350,16 +302,6 @@ class DecoherenceState:
                 out.append((0, 0))
         return out
 
-    def eigenpair(self) -> tuple[list[complex], list[complex]]:
-        """The two unit eigenvectors of eigenvalue 1/2, as complex floats."""
-        n = self.space.n
-        scale = 2.0 ** ((n - 1) / 2.0)
-        pair = []
-        for parity in (0, 1):
-            exact = self.eigenvector_exact(parity)
-            pair.append([complex(re / scale, im / scale) for re, im in exact])
-        return pair[0], pair[1]
-
     def eigen_equation_holds(self) -> bool:
         """Exact check that both eigenvectors satisfy (matrix * v) = v / 2.
 
@@ -377,19 +319,20 @@ class DecoherenceState:
         """
         n = self.space.n
         vectors = [self.eigenvector_exact(parity) for parity in (0, 1)]
-        res = change_residues(n)
+        selectors = _residue_selectors(n)
         half = 1 << (n - 1)
         for vec in vectors:
             for site in (0, 1):
-                site_res = res[site::2]
-                # the columns of this site sharing each change residue, as 0/1 bytes
-                same = [site_res.translate(_SAME_RESIDUE[r]) for r in range(4)]
+                # the rows of this site by change residue: site and site + 2
+                classes = (selectors[site], selectors[site + 2])
                 for component in zip(*vec):
                     col = component[site::2]
                     col_total = sum(col)
-                    by_residue = [sum(compress(col, same[r])) * 2 - col_total for r in range(4)]
-                    if list(map(by_residue.__getitem__, site_res)) != [half * w for w in col]:
-                        return False
+                    for same in classes:
+                        members = list(compress(col, same))
+                        row = sum(members) * 2 - col_total  # each row of this class
+                        if any(half * w != row for w in members):
+                            return False
         return True
 
     # -- vector measure and strong positivity --------------------------------

@@ -53,30 +53,31 @@ def change_residue(j: int) -> int:
     return (j ^ (j >> 1)).bit_count() & 3
 
 
-_PLUS_TWO = bytes((r + 2) & 3 for r in range(256))
-# _SAME_RESIDUE[r] translates a residue byte to 1 if it equals r, else to 0
-_SAME_RESIDUE = tuple(bytes(int(b == r) for b in range(256)) for r in range(4))
-
-
 @cache
-def change_residues(n: int) -> bytes:
-    """change_residue(j) for every path j of the n-path space, as one byte each.
+def _residue_masks(n: int) -> tuple[int, int, int, int]:
+    """The n-path space split by change count mod 4, as four membership masks.
 
-    A path of n steps is a first step followed by an (n-1)-step path k.  A
-    first step of 0 keeps the change count of k; a first step of 1 adds two
-    changes when k starts on site 0 and none when it starts on site 1.  So
-    each level is the cached previous level twice over, the site-0 half of
-    the upper copy moved two residues on.  Its readers hold a per-path table
-    beside it, so it is charged as one: 16 units per path.
+    Bit j of mask r is set iff path j has change count congruent to r.  A
+    path of n steps is a first step followed by an (n-1)-step path k.  A
+    first step of 0 leaves the change count of k as it is.  A first step of
+    1 adds two changes when k starts on site 0 and none when it starts on
+    site 1.  So each level is the cached previous level's masks twice over,
+    the upper copy with its site-0 half moved two residues on; no path is
+    visited.  Callers pass the n of a checked event, whose 2**n-bit mask was
+    charged, or of a charged per-path table.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    charge(16 << n, f"residue table at n={n}")
     if n == 1:
-        return b"\x00\x01"  # path 0 has no change, path 1 one
-    prev = change_residues(n - 1)
-    half = len(prev) >> 1  # shorter paths below this start on site 0
-    return prev + prev[:half].translate(_PLUS_TWO) + prev[half:]
+        return (0b01, 0b10, 0, 0)  # path 0 has no change, path 1 one
+    prev = _residue_masks(n - 1)
+    low = (1 << (1 << (n - 2))) - 1  # shorter paths below this start on site 0
+    shift = 1 << (n - 1)
+    return tuple(
+        prev[r] | (((prev[(r - 2) & 3] & low) | (prev[r] & ~low)) << shift)
+        for r in range(4)
+    )
+
+
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 @cache
@@ -86,12 +87,19 @@ def _residue_selectors(n: int) -> tuple[bytes, bytes, bytes, bytes]:
 
     A path's change-count parity is its end site, so residues r and r + 2
     split the paths of site r & 1, the stride-2 slice of indices starting
-    at r & 1.  Made for itertools.compress over that slice; 2 * 2**n bytes
-    per horizon, each table one translate of change_residues(n), which
-    checks n.
+    at r & 1.  Made for itertools.compress over that slice.  Each table is
+    the binary digits of residue mask r, read from the lowest bit up;
+    charged as the per-path table its readers hold beside it, 16 units per
+    path.
     """
-    res = change_residues(n)
-    return tuple(res[r & 1 :: 2].translate(_SAME_RESIDUE[r]) for r in range(4))
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    charge(16 << n, f"residue table at n={n}")
+    top = (1 << n) - 1  # the digit of path j is at position top - j
+    return tuple(
+        format(mask, f"0{top + 1}b")[top - (r & 1) :: -2].encode().translate(_BINARY_DIGITS)
+        for r, mask in enumerate(_residue_masks(n))
+    )
 
 
 def ones_count(space: PathSpace, j: int) -> int:

@@ -61,8 +61,6 @@ def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK
         return state.functional_by_entries(event, event)
     if strategy is Strategy.PAIRWISE:
         m = event.cardinality
-        if m < 1:
-            raise ValueError("pairwise strategy needs a nonempty event")
         # one step per ordered member pair, as the DENSE entry sum is charged
         charge(m * m, f"pairwise measure of {m} members")
         members = event.to_tuple()

@@ -114,6 +114,18 @@ def test_measure_strategies_agree(capsys):
     assert values == {(0, 0)}
 
 
+def test_measure_empty_event_every_strategy(capsys):
+    # the pair expansion has no pairs and gives 0, as the other two do
+    docs = {
+        strategy: run_json(capsys, "measure", "--n", "2", "--event", "", "--strategy", strategy)
+        for strategy in ("dense", "pairwise", "rank2")
+    }
+    for strategy, doc in docs.items():
+        assert doc["params"]["strategy"] == strategy
+        assert doc["result"] == docs["rank2"]["result"]
+    assert docs["rank2"]["result"]["mu"]["num"] == 0
+
+
 def test_measure_reference_strategies_are_charged_per_member_pair(capsys):
     # 4096 members are 4096**2 pairs, the whole budget; one more is refused
     event = ",".join(map(str, range(4097)))
@@ -348,7 +360,7 @@ class Accepted(BaseException):
 
 # the largest horizon accepted before, the first one refused now, its units
 # and the budget: by default the printed document's entries or rows; under
-# --force the dense grid's sign bytes, 16 per interference row held, and the
+# --force the matrix entries held, 16 per interference row held, and the
 # eigenvectors' 16 per path
 DOCUMENT_CHARGES = [
     (("matrix", "--n", "8"), ("matrix", "--n", "9"), 1 << 18, BUDGET >> 8),
@@ -436,7 +448,6 @@ def test_usage_error_unknown_subcommand(capsys):
     [
         ("measure", "--n", "2", "--event", "0,4"),
         ("measure", "--n", "2", "--event", "-1"),
-        ("measure", "--n", "2", "--event", "", "--strategy", "pairwise"),
         ("matrix", "--n", "0"),
         ("eigen", "--n", "-3"),
         ("interference", "--n", "0"),
@@ -445,6 +456,7 @@ def test_usage_error_unknown_subcommand(capsys):
         ("limit", "--event", "at-most-ones:1", "--n-max", "10", "--window", "1"),
         ("limit", "--event", "at-most-ones:1", "--n-max", "4", "--window", "5"),
         ("integral", "--n", "0", "--variable", "ones"),
+        ("variation", "--n-max", "0"),
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

@@ -168,6 +168,21 @@ def test_approximant_finite_paths():
         assert approximant(FinitePathSet(()), n).base.cardinality == 0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 20])
+def test_approximant_finite_paths_seeded(n):
+    # the members are the paths' site strings cut at n, read as binary; a
+    # 64-path set at n <= 3 makes many prefixes collide
+    rng = random.Random(8100 + n)
+    paths = [
+        EventualPath(tuple(rng.randrange(2) for _ in range(rng.randint(0, 24))), rng.randrange(2))
+        for _ in range(64)
+    ]
+    want = {
+        int("".join(map(str, (p.prefix + (p.repeat,) * n)[:n])), 2) for p in paths
+    }
+    assert approximant(FinitePathSet(tuple(paths)), n).base.to_tuple() == tuple(sorted(want))
+
+
 def test_approximant_full_kinds():
     for kind in (
         ComplementOfFinitePathSet((ALL_ZEROS,)),

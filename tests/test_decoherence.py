@@ -9,12 +9,11 @@ from qwalk.decoherence import (
     DecoherenceState,
     Event,
     VectorMeasureValue,
-    _residue_masks,
     psd_by_ldl,
 )
 from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.exact import Dyadic
-from qwalk.paths import PathSpace, change_residue_counts
+from qwalk.paths import PathSpace, _residue_masks, change_residue_counts
 from qwalk.qmeasure import mu
 
 
@@ -181,18 +180,6 @@ def test_entry_sign_keeps_its_errors(n):
             st.entry_sign(*pair)
 
 
-def test_dense_signs_agree_with_oracle():
-    for n in (1, 2, 3, 4, 5):
-        st = state(n)
-        size = 1 << n
-        grid = st.dense_signs()
-        for j in range(size):
-            for k in range(size):
-                assert grid[j * size + k] == entry_sign_oracle(n, j, k)
-    with pytest.raises(ResourceLimitError):
-        state(13).dense_signs()
-
-
 # -- residue-class masks and the census ---------------------------------------
 
 
@@ -321,11 +308,6 @@ def test_functional_space_mismatch():
         state(3).functional(event(2, [0]), event(2, [1]))
 
 
-def test_entry_total_is_one():
-    for n in list(range(1, 21)) + [40, 63]:
-        assert DecoherenceState(PathSpace(n)).entry_total() == Dyadic(1)
-
-
 # -- rank-two factorization ------------------------------------------------
 
 
@@ -363,6 +345,26 @@ def test_eigen_equation_rejects_corrupted_vectors(monkeypatch, n):
         assert not st.eigen_equation_holds()
         patched(times_i, target)
         assert st.eigen_equation_holds()
+
+
+@pytest.mark.parametrize("n", (4, 6, 10))
+def test_eigen_equation_checks_the_rows_of_every_residue(monkeypatch, n):
+    # moving one unit between two entries of one residue class keeps every
+    # row sum, so only that class's own rows can fail
+    st = state(n)
+    exact = st.eigenvector_exact
+    for r in range(4):
+        j1, j2 = [j for j in range(1 << n) if changes_oracle(n, j) % 4 == r][:2]
+
+        def eigenvector(parity, r=r, j1=j1, j2=j2):
+            vec = exact(parity)
+            if parity == r & 1:
+                vec[j1] = tuple(2 * x for x in vec[j1])
+                vec[j2] = (0, 0)
+            return vec
+
+        monkeypatch.setattr(st, "eigenvector_exact", eigenvector)
+        assert not st.eigen_equation_holds()
 
 
 def test_eigen_equation_cap():
@@ -406,10 +408,11 @@ def test_rank_two_reconstruction_large(n):
 
 
 def test_eigenvector_unit_norm():
+    # the unit eigenvector divides by 2**((n-1)/2)
     for n in (1, 2, 3, 6):
-        even, odd = state(n).eigenpair()
-        for vec in (even, odd):
-            assert sum(abs(z) ** 2 for z in vec) == pytest.approx(1.0)
+        for parity in (0, 1):
+            vec = state(n).eigenvector_exact(parity)
+            assert sum(re * re + im * im for re, im in vec) == 1 << (n - 1)
 
 
 def test_eigenvector_parity_support():

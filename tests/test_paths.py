@@ -3,10 +3,10 @@ import pytest
 from qwalk.errors import ResourceLimitError
 from qwalk.paths import (
     PathSpace,
+    _residue_masks,
     _residue_selectors,
     change_residue_count_levels,
     change_residue_counts,
-    change_residues,
     changes_count,
     changes_vector,
     ones_count,
@@ -107,13 +107,14 @@ def test_residue_count_levels_are_the_counts():
 
 def test_change_residue_table_matches_strings():
     for n in range(1, 13):
-        table = change_residues(n)
-        assert len(table) == 1 << n
-        assert list(table) == [changes_oracle(n, j) % 4 for j in range(1 << n)]
-    for n in (16, 20):
-        table = change_residues(n)
-        assert tuple(table.count(r) for r in range(4)) == change_residue_counts(n)
-        assert change_residues(n) is table  # cached per horizon
+        masks = _residue_masks(n)
+        for j in range(1 << n):
+            r = changes_oracle(n, j) % 4
+            assert [(m >> j) & 1 for m in masks] == [int(s == r) for s in range(4)]
+    for n in range(1, 25):
+        masks = _residue_masks(n)
+        assert tuple(m.bit_count() for m in masks) == change_residue_counts(n)
+        assert _residue_masks(n) is masks  # cached per horizon
 
 
 def test_residue_selectors_pick_each_class_from_its_site():
@@ -123,14 +124,14 @@ def test_residue_selectors_pick_each_class_from_its_site():
             site = range(r & 1, 1 << n, 2)
             assert list(selector) == [int(changes_oracle(n, j) % 4 == r) for j in site]
         assert _residue_selectors(n) is selectors  # cached per horizon
-    with pytest.raises(ValueError):
-        _residue_selectors(0)
-    with pytest.raises(ResourceLimitError):
-        _residue_selectors(21)
+    for n in (16, 20):
+        selectors = _residue_selectors(n)
+        assert tuple(s.count(1) for s in selectors) == change_residue_counts(n)
+        assert all(len(s) == 1 << (n - 1) for s in selectors)
 
 
 def test_change_residue_table_range():
     with pytest.raises(ValueError):
-        change_residues(0)
+        _residue_selectors(0)
     with pytest.raises(ResourceLimitError):
-        change_residues(21)
+        _residue_selectors(21)

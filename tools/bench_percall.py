@@ -105,6 +105,13 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         state = qw.DecoherenceState(qw.PathSpace(n))
         events = [(qw.Event(state.space, rng.getrandbits(1 << n)),) for _ in range(count)]
         ops.append((f"census n={n}", events, state.census, tuple))
+    # the exact eigen-equation check, over the cached residue selectors
+    ops.append((
+        "eigen_equation_holds n=1..10",
+        [(qw.DecoherenceState(qw.PathSpace(n)),) for n in range(1, 11)],
+        qw.DecoherenceState.eigen_equation_holds,
+        bool,
+    ))
     ops.append((
         "Dyadic(odd, k)",
         [(2 * rng.getrandbits(30) + 1, rng.randint(1, 40)) for _ in range(20000)],
@@ -272,6 +279,21 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
     ops.append((
         "approximant at-most-1|2 n=1..16",
         [(qw.AtMostKOnes(k), n) for k in (1, 2) for n in range(1, 17)],
+        qw.approximant,
+        lambda cyl: (cyl.level, hex(cyl.base.mask)),
+    ))
+    # a finite path set's hull: one bit set per distinct prefix
+    hull_rng = random.Random(f"{SEED}:hull")
+    many = qw.FinitePathSet(tuple(
+        qw.EventualPath(
+            tuple(hull_rng.randrange(2) for _ in range(hull_rng.randint(0, 30))),
+            hull_rng.randrange(2),
+        )
+        for _ in range(64)
+    ))
+    ops.append((
+        "approximant 64-path set n=20",
+        [(many, 20)] * 4,
         qw.approximant,
         lambda cyl: (cyl.level, hex(cyl.base.mask)),
     ))
