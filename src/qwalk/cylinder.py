@@ -4,9 +4,9 @@ A cylinder event pins down finitely many initial steps and leaves the rest
 free; its measure is the truncated measure of its base, which is well
 defined because appending a free step never changes the measure.  Events
 beyond the cylinder algebra are described symbolically: finite path sets
-and at-most-K ones as step automata, whose one census sweep gives the
-measures of their cylindrical hulls.  Those may or may not settle down;
-the verdicts reported here are numerical findings, not proofs.
+and at-most-K ones as step automata, whose one sweep of signed census pairs
+gives the measures of their cylindrical hulls.  Those may or may not settle
+down; the verdicts reported here are numerical findings, not proofs.
 """
 
 from __future__ import annotations
@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import Union
 
 from .decoherence import DecoherenceState, Event
 from .errors import BUDGET, ResourceLimitError, charge
 from .exact import Dyadic
 from .paths import PathSpace, change_residue_count_levels
-from .qmeasure import mu, mu_from_census
+from .qmeasure import _pair_mu, mu
 
 COMBINATION_CAP = 1_000_000  # not charged: perfbench pins at-most-3's refusal at 182
 LIMIT_MAX_LEVEL = 512  # not charged: a chosen table length, far inside the digit limit
@@ -129,11 +130,10 @@ class EventualPath:
         return self.prefix[i - 1] if i <= len(self.prefix) else self.repeat
 
     def index_at(self, n: int) -> int:
-        """The length-n prefix of this path, as a path index."""
-        j = 0
-        for i in range(1, n + 1):
-            j = (j << 1) | self.step(i)
-        return j
+        """The length-n prefix of this path, as a path index: its first n
+        prefix bits, padded to n steps with the repeat bit."""
+        bits = "".join(map(str, self.prefix[:n])).ljust(n, "01"[self.repeat])
+        return int(bits or "0", 2)
 
 
 @dataclass(frozen=True)
@@ -224,37 +224,35 @@ def _automaton(event: SymbolicEvent, n: int):
 
 
 def _sweep(moves, start, n_max: int):
-    """Censuses at levels 1..n_max of the automaton's hulls, one census per
-    live state: a step off the last site, the residue's parity, is a
-    change, so a 0-step lifts odd residues and a 1-step even ones, and a
-    level's census is the sum of what its steps carry.  When it ends, the
-    sweep returns level n_max's census per live state (`_state_censuses`)."""
-    live = {start: (1, 0, 0, 0)}  # the empty path
+    """Signed census pairs (c0 - c2, c1 - c3) at levels 1..n_max of the
+    automaton's hulls, one pair per live state: a step off the last site,
+    the residue's parity, is a change, so a 0-step maps (u, v) to (u - v, 0)
+    and a 1-step to (0, u + v), and a level's pair is the sum of what its
+    steps carry.  The sweep returns level n_max's pair per live state."""
+    live = {start: (1, 0)}  # the empty path: no change, on site 0
     for _ in range(n_max):
         grown = {}
-        c0 = c1 = c2 = c3 = 0
-        for s, (a0, a1, a2, a3) in live.items():
+        even = odd = 0
+        for s, (u, v) in live.items():
             zero, one = moves[s]
             if zero is not None:
-                x, y = a0 + a3, a1 + a2
-                c0 += x
-                c2 += y
+                x = u - v
+                even += x
                 b = grown.get(zero)
-                grown[zero] = (x, 0, y, 0) if b is None else (b[0] + x, b[1], b[2] + y, b[3])
+                grown[zero] = (x, 0) if b is None else (b[0] + x, b[1])
             if one is not None:
-                x, y = a0 + a1, a2 + a3
-                c1 += x
-                c3 += y
+                y = u + v
+                odd += y
                 b = grown.get(one)
-                grown[one] = (0, x, 0, y) if b is None else (b[0], b[1] + x, b[2], b[3] + y)
+                grown[one] = (0, y) if b is None else (b[0], b[1] + y)
         live = grown
-        yield c0, c1, c2, c3
+        yield even, odd
     return live
 
 
-def _state_censuses(moves, start, n: int) -> dict:
-    """The census of the level-n paths that end in each live state, from
-    the one sweep: the value it returns once its levels are drained."""
+def _state_pairs(moves, start, n: int) -> dict:
+    """The signed pair of the level-n paths that end in each live state,
+    from the one sweep: the value it returns once its levels are drained."""
     sweep = _sweep(moves, start, n)
     while True:
         try:
@@ -297,31 +295,29 @@ def _hull_mask(moves, start, n: int) -> int:
     return masks[start]
 
 
-def _capped_at_most_censuses(k: int, censuses):
-    """The at-most-k sweep, refused from the first level whose hull has more
-    than COMBINATION_CAP members; the sweep itself would run on at the same
-    cost."""
-    for n, census in enumerate(censuses, start=1):
-        if sum(census) > COMBINATION_CAP:
-            raise ResourceLimitError(
-                f"at-most-{k}-ones census at level {n} exceeds "
-                f"{COMBINATION_CAP} members"
-            )
-        yield census
+def _at_most_members(k: int, n: int) -> int:
+    """Members of the level-n at-most-k hull: C(n, 0) + ... + C(n, min(k, n))."""
+    return sum(comb(n, t) for t in range(min(k, n) + 1))
 
 
-def _limit_censuses(event: SymbolicEvent, n_max: int):
-    """Censuses of the event's limit terms at levels 1..n_max, in one pass:
-    its hulls, or for a complement the complements of the inner set's hulls."""
+def _limit_pairs(event: SymbolicEvent, n_max: int):
+    """Signed pairs of the event's limit terms at levels 1..n_max, in one
+    pass: its hulls, or for a complement the whole space less the inner
+    set's hulls.  An at-most-k table is refused before the sweep, at the
+    first level whose hull has more than COMBINATION_CAP members."""
+    full = change_residue_count_levels(n_max)
     if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
-        return change_residue_count_levels(n_max)
-    censuses = _sweep(*_automaton(event, n_max), n_max)
+        return ((c0 - c2, c1 - c3) for c0, c1, c2, c3 in full)
+    if isinstance(event, AtMostKOnes) and _at_most_members(event.limit, n_max) > COMBINATION_CAP:
+        k = event.limit
+        n = next(n for n in range(1, n_max + 1) if _at_most_members(k, n) > COMBINATION_CAP)
+        raise ResourceLimitError(
+            f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
+        )
+    pairs = _sweep(*_automaton(event, n_max), n_max)
     if isinstance(event, ComplementOfFinitePathSet):
-        pairs = zip(change_residue_count_levels(n_max), censuses)
-        return (tuple(f - i for f, i in zip(*pair)) for pair in pairs)
-    if isinstance(event, AtMostKOnes):
-        return _capped_at_most_censuses(event.limit, censuses)
-    return censuses
+        return ((c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs))
+    return pairs
 
 
 def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
@@ -402,17 +398,17 @@ def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
     For hull-described events this is the measure of the decreasing hull.
     A complement of a finite path set is instead the increasing union of
     the complements of the inner set's hulls, so its terms are the measures
-    of those complements; both exact, via residue censuses only.  The term
-    ends the census sweep `limit_mu_hat` tabulates, at that table's cost,
-    so it is refused past LIMIT_MAX_LEVEL like the table.  At-most-K terms
+    of those complements; both exact, via signed census pairs only.  The
+    term ends the sweep `limit_mu_hat` tabulates, at that table's cost, so
+    it is refused past LIMIT_MAX_LEVEL like the table.  At-most-K terms
     past COMBINATION_CAP hull members raise ResourceLimitError.
     """
     if n < 1:
         raise ValueError("need level >= 1")
     if n > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit terms are capped at n <= {LIMIT_MAX_LEVEL}")
-    *_, census = _limit_censuses(event, n)
-    return mu_from_census(census, n)
+    *_, (u, v) = _limit_pairs(event, n)
+    return _pair_mu(u, v, n)
 
 
 # -- limit reports -----------------------------------------------------------
@@ -469,7 +465,7 @@ def limit_mu_hat(
 ) -> LimitReport:
     """Tabulate the event's measure sequence and classify its limit.
 
-    One census sweep yields every level's term, each equal to
+    One pair sweep yields every level's term, each equal to
     `limit_term(event, n)`; a whole table costs what its last term does,
     and an at-most-K table past COMBINATION_CAP members is refused.
     """
@@ -478,8 +474,8 @@ def limit_mu_hat(
     if n_max > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit tables are capped at n <= {LIMIT_MAX_LEVEL}")
     rows = []
-    for n, census in enumerate(_limit_censuses(event, n_max), start=1):
-        exact = mu_from_census(census, n)
+    for n, (u, v) in enumerate(_limit_pairs(event, n_max), start=1):
+        exact = _pair_mu(u, v, n)
         rows.append((n, exact, float(exact)))
     verdict, estimate, at_n = classify_sequence([r[2] for r in rows], window, tol)
     kind = (
@@ -514,7 +510,7 @@ def repeated_block_measures(i_max: int) -> list[BlockMeasure]:
     """Measures of the nested block-product cylinders, which grow as (9/8)**i.
 
     The first BLOCK_DIRECT_TERMS terms are computed from the level-3i base's
-    residue census, swept through the blocks' step automaton, and checked
+    signed census pair, swept through the blocks' step automaton, and checked
     against the ratio; later terms extrapolate the verified ratio and are
     labeled as such.
     """
@@ -523,9 +519,9 @@ def repeated_block_measures(i_max: int) -> list[BlockMeasure]:
     ratio = Fraction(9, 8)
     out = []
     direct = min(i_max, BLOCK_DIRECT_TERMS)
-    censuses = list(_sweep(_BLOCK_MOVES, 0, 3 * direct))
+    pairs = list(_sweep(_BLOCK_MOVES, 0, 3 * direct))
     for i in range(1, direct + 1):
-        value = mu_from_census(censuses[3 * i - 1], 3 * i).as_fraction()
+        value = _pair_mu(*pairs[3 * i - 1], 3 * i).as_fraction()
         if value != ratio ** i:
             raise RuntimeError(
                 f"block-product measure at level {3 * i} broke the expected ratio"

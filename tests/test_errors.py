@@ -40,7 +40,7 @@ NOT_CHARGED = {
     ("cli", "_fraction_doc"),
     ("cylinder", "limit_term"),
     ("cylinder", "limit_mu_hat"),
-    ("cylinder", "_capped_at_most_censuses"),
+    ("cylinder", "_limit_pairs"),
 }
 
 

@@ -106,7 +106,8 @@ def test_residue_count_levels_are_the_counts():
 
 
 def test_change_residue_table_matches_strings():
-    for n in range(1, 13):
+    # test_decoherence's test_residue_masks_match_string_oracle holds n <= 10
+    for n in (11, 12):
         masks = _residue_masks(n)
         for j in range(1 << n):
             r = changes_oracle(n, j) % 4

@@ -340,18 +340,25 @@ def test_definition_is_independent_of_the_census_routes(monkeypatch):
 
 
 def test_class_counts_are_string_scanned_censuses():
-    # per residue class, the nonzero numerators and how many paths carry
-    # each: no zero level, every class on the site its parity names
+    # per end site p, each nonzero numerator's paths at residue p less its
+    # paths at residue p + 2: no zero level and no zero weight, every
+    # residue on the site its parity names
     rng = random.Random(61)
+    cancelled = 0
     for n in (1, 2, 5, 9):
         residues = [changes % 4 for changes in changes_table(n)]
         for _ in range(10):
             vals = tuple(rng.choice((0, 0, -2, 1, 3)) for _ in range(1 << n))
-            want = [{} for _ in range(4)]
-            for v, r in zip(vals, residues):
+            signed = ({}, {})
+            for j, (v, r) in enumerate(zip(vals, residues)):
+                assert r & 1 == j & 1
                 if v:
-                    want[r][v] = want[r].get(v, 0) + 1
+                    site = signed[r & 1]
+                    site[v] = site.get(v, 0) + (1 if r < 2 else -1)
+            want = tuple({v: w for v, w in site.items() if w} for site in signed)
+            cancelled += sum(map(len, signed)) - sum(map(len, want))
             assert qintegral._class_counts(vals, n) == want
+    assert cancelled  # some values' two residue counts cancel
 
 
 # -- class counts of the count variables from their step structure ---------------
@@ -710,6 +717,8 @@ def test_witness_reports_true_gap():
         f, g, gap = nonadditivity_witness(st)
         assert gap != 0
         assert integral(st, f + g) - integral(st, f) - integral(st, g) == gap
+        # the search pattern sits on paths 0..3, and every later path is 0
+        assert f.numerators[4:] == g.numerators[4:] == (0,) * (st.space.size - 4)
 
 
 def test_witness_needs_two_steps():
