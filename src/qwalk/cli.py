@@ -4,7 +4,10 @@ Output contract: stdout carries a deterministic document (JSON by default,
 CSV where tabular) that echoes the command and parameters; run metadata such
 as elapsed time (and each verify check's seconds) goes to stderr only, so
 identical invocations are byte-identical.  Dyadic numbers serialize as {"num", "log2_den", "decimal"},
-general rationals as {"num", "den", "decimal"}.
+general rationals as {"num", "den", "decimal"}.  A document's rows are
+written as they are made, a batch at a time, so no command holds its whole
+document; a reader that closes stdout early, as `| head` does, ends the
+command with exit 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 bound exceeded, 4 internal error.  User input is validated here, before
@@ -13,21 +16,24 @@ other exception from the library is a bug and exits 4 with its traceback
 on stderr.  Resource bounds are the library's cost charges (errors.charge);
 by default matrix, interference and eigen also charge one unit per entry or
 row of the document they print against BUDGET >> 8.  --force lifts that
-bound; the library's charges still refuse, and so do the charges on what
-matrix and interference hold: one unit per matrix entry, 16 per
-interference row.
+bound; the library's charges still refuse, and so do the charges on the
+work per entry or row that matrix and interference write: one unit per
+matrix entry, 16 per interference row.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
+import os
 import sys
 import time
 import traceback
 from fractions import Fraction
+from itertools import chain, islice
+from operator import itemgetter
+from types import SimpleNamespace
 
 from .cylinder import (
     ALL_ZEROS,
@@ -41,7 +47,6 @@ from .cylinder import (
 )
 from .decoherence import DecoherenceState, Event
 from .errors import BUDGET, ResourceLimitError, charge
-from .exact import Dyadic
 from .paths import MAX_STEPS, PathSpace
 from .qintegral import IntegralStrategy, RandomVariable, integral
 from .qmeasure import Strategy, enumerate_precluded, interference, mu
@@ -59,6 +64,8 @@ USAGE_ERROR = 2
 RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
+_BATCH = 1 << 10  # JSON chunks or CSV rows per write
+
 
 class UsageError(Exception):
     pass
@@ -72,10 +79,6 @@ def _charge_document(units: int, what: str, force: bool) -> None:
         charge(units, what, BUDGET >> 8)
     elif units > BUDGET >> 8:
         print(f"forcing {what}: estimated cost {units} units", file=sys.stderr)
-
-
-def _dyadic_doc(value: Dyadic) -> dict:
-    return {"num": value.num, "log2_den": value.log2_den, "decimal": float(value)}
 
 
 def _fraction_doc(value: Fraction) -> dict:
@@ -105,19 +108,49 @@ def _fraction_doc(value: Fraction) -> dict:
     }
 
 
-def _emit_json(command: str, params: dict, result) -> None:
-    doc = {"command": command, "params": params, "result": result}
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+class _Rows(list):
+    """Rows made as they are written: json's encoder writes a list subclass
+    as a list, by iteration.  The list holds only the first row, so an empty
+    table is an empty list."""
+
+    def __init__(self, rows):
+        self._rest = iter(rows)
+        super().__init__(islice(self._rest, 1))
+
+    def __iter__(self):
+        return chain(super().__iter__(), self._rest)
 
 
-def _emit_csv(command: str, params: dict, header: list[str], rows: list[list]) -> None:
-    out = io.StringIO()
-    out.write(f"# command: qwalk {command}\n")
-    out.write(f"# params: {json.dumps(params, sort_keys=True)}\n")
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    sys.stdout.write(out.getvalue())
+def _write(command: str, params: dict, result, columns=(), notes=()) -> None:
+    """Write one document to stdout in the format params echo, JSON if none.
+
+    JSON is the bytes of json.dumps({"command", "params", "result"},
+    sort_keys=True, indent=2), the encoder's chunks (about one per cell)
+    joined _BATCH at a time.  CSV is a "# " line per note, the command and
+    params, the columns, and a line per row of the result's _Rows, _BATCH
+    rows at a time; a dict row's cells are picked by column name.  Making a
+    row must not raise: each command runs whatever can raise before it
+    writes, so stdout stays empty on every nonzero exit.
+    """
+    if params.get("format") != "csv":
+        doc = {"command": command, "params": params, "result": result}
+        chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+        while text := "".join(islice(chunks, _BATCH)):
+            sys.stdout.write(text)
+        sys.stdout.write("\n")
+        return
+    table = result if isinstance(result, _Rows) else next(
+        value for value in result.values() if isinstance(value, _Rows)
+    )
+    rows = map(itemgetter(*columns), table) if table and isinstance(table[0], dict) else iter(table)
+    lines = [f"# {note}\n" for note in notes]
+    lines.append(f"# command: qwalk {command}\n# params: {json.dumps(params, sort_keys=True)}\n")
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\n")
+    writer.writerow(columns)
+    while lines:  # CSV rows are at most five cells wide
+        sys.stdout.write("".join(lines))
+        lines.clear()
+        writer.writerows(islice(rows, _BATCH))
 
 
 def _parse_horizon(n: int) -> PathSpace:
@@ -186,21 +219,20 @@ def _parse_limit_event(raw: str):
 def cmd_matrix(args) -> None:
     space = _parse_horizon(args.n)
     _charge_document(1 << 2 * args.n, f"matrix document at n={args.n}", args.force)
-    charge(1 << 2 * args.n, f"matrix entries at n={args.n}")
+    charge(1 << 2 * args.n, f"matrix entries at n={args.n}")  # the work per entry written
     sign = DecoherenceState(space).entry_sign
-    size = 1 << args.n
-    params = {"n": args.n, "format": args.format}
+    paths = range(1 << args.n)
     if args.format == "json":
-        entries = [[[sign(j, k), 0] for k in range(size)] for j in range(size)]
-        _emit_json(
-            "matrix",
-            params,
-            {"log2_den": args.n, "entries": entries},
-        )
+        rows = ([[sign(j, k), 0] for k in paths] for j in paths)
     else:
-        rows = [[j, k, sign(j, k), 0] for j in range(size) for k in range(size)]
-        sys.stdout.write(f"# denominator: 2**{args.n}\n")
-        _emit_csv("matrix", params, ["j", "k", "re", "im"], rows)
+        rows = ([j, k, sign(j, k), 0] for j in paths for k in paths)
+    _write(
+        "matrix",
+        {"n": args.n, "format": args.format},
+        {"log2_den": args.n, "entries": _Rows(rows)},
+        columns=("j", "k", "re", "im"),
+        notes=(f"denominator: 2**{args.n}",),
+    )
 
 
 def cmd_measure(args) -> None:
@@ -210,10 +242,10 @@ def cmd_measure(args) -> None:
     event = Event.from_indices(state.space, indices)
     strategy = Strategy(args.strategy)
     value = mu(state, event, strategy)
-    doc = _dyadic_doc(value)
+    doc = {"num": value.num, "log2_den": value.log2_den, "decimal": float(value)}
     doc["exact"] = f"{value.numerator_at(args.n)}/{1 << args.n}"
     doc["reduced"] = str(value.as_fraction())
-    _emit_json(
+    _write(
         "measure",
         {"n": args.n, "event": indices, "strategy": strategy.value},
         {"mu": doc},
@@ -225,25 +257,23 @@ def cmd_interference(args) -> None:
     size = 1 << args.n
     pairs = size * (size - 1) >> 1
     _charge_document(pairs, f"interference document at n={args.n}", args.force)
-    charge(16 * pairs, f"interference rows at n={args.n}")  # one list held per row
+    charge(16 * pairs, f"interference rows at n={args.n}")  # the work per row written
     state = DecoherenceState(space)
-    rows = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            value, kind = interference(state, i, j)
-            rows.append([i, j, value.numerator_at(max(args.n - 1, 0)), kind.value])
-    params = {"n": args.n, "format": args.format, "log2_den": max(args.n - 1, 0)}
-    if args.format == "json":
-        _emit_json(
-            "interference",
-            params,
-            [
-                {"i": i, "j": j, "num": num, "log2_den": max(args.n - 1, 0), "class": kind}
-                for i, j, num, kind in rows
-            ],
-        )
-    else:
-        _emit_csv("interference", params, ["i", "j", "num", "class"], rows)
+    log2_den = max(args.n - 1, 0)
+
+    def rows():
+        for i in range(size):
+            for j in range(i + 1, size):
+                value, kind = interference(state, i, j)
+                num = value.numerator_at(log2_den)
+                yield {"i": i, "j": j, "num": num, "log2_den": log2_den, "class": kind.value}
+
+    _write(
+        "interference",
+        {"n": args.n, "format": args.format, "log2_den": log2_den},
+        _Rows(rows()),
+        columns=("i", "j", "num", "class"),
+    )
 
 
 def cmd_preclusion(args) -> None:
@@ -251,18 +281,14 @@ def cmd_preclusion(args) -> None:
     if args.max_card is not None and args.max_card < 0:
         raise UsageError("max-card must be nonnegative")
     events = enumerate_precluded(state, args.max_card)
-    params = {"n": args.n, "max_card": args.max_card, "format": args.format}
-    if args.format == "json":
-        _emit_json(
-            "preclusion",
-            params,
-            [{"cardinality": ev.cardinality, "indices": list(ev.to_tuple())} for ev in events],
-        )
-    else:
-        rows = [
-            [ev.cardinality, " ".join(map(str, ev.to_tuple()))] for ev in events
-        ]
-        _emit_csv("preclusion", params, ["cardinality", "indices"], rows)
+    # a CSV cell holds the members space-joined
+    members = list if args.format == "json" else lambda t: " ".join(map(str, t))
+    _write(
+        "preclusion",
+        {"n": args.n, "max_card": args.max_card, "format": args.format},
+        _Rows({"cardinality": ev.cardinality, "indices": members(ev.to_tuple())} for ev in events),
+        columns=("cardinality", "indices"),
+    )
 
 
 def cmd_limit(args) -> None:
@@ -272,54 +298,36 @@ def cmd_limit(args) -> None:
     if not 0 < args.tol < float("inf"):  # NaN fails both comparisons
         raise UsageError("--tol must be positive and finite")
     report = limit_mu_hat(event, args.n_max, window=args.window, tol=args.tol)
-    rows = [
-        [n, exact.num, exact.log2_den, repr(decimal)]
-        for (n, exact, decimal) in report.values
-    ]
-    params = {
-        "event": args.event,
-        "n_max": args.n_max,
-        "window": args.window,
-        "tol": args.tol,
-        "format": args.format,
-    }
-    verdict_doc = {
+    verdict = {
         "verdict": report.verdict.value,
         "estimate": report.estimate,
         "at_n": report.at_n,
         "sequence": report.sequence_kind,
         "provenance": "numerical-verdict",
     }
-    if args.format == "json":
-        _emit_json(
-            "limit",
-            params,
-            {
-                "values": [
-                    {"n": n, "num": e.num, "log2_den": e.log2_den, "decimal": d}
-                    for (n, e, d) in report.values
-                ],
-                **verdict_doc,
-            },
-        )
-    else:
-        sys.stdout.write(f"# verdict: {json.dumps(verdict_doc, sort_keys=True)}\n")
-        _emit_csv("limit", params, ["n", "num", "log2_den", "decimal"], rows)
+    rows = (
+        {"n": n, "num": e.num, "log2_den": e.log2_den, "decimal": d}
+        for (n, e, d) in report.values
+    )
+    _write(
+        "limit",
+        {"event": args.event, "n_max": args.n_max, "window": args.window, "tol": args.tol,
+         "format": args.format},
+        {"values": _Rows(rows), **verdict},
+        columns=("n", "num", "log2_den", "decimal"),
+        notes=(f"verdict: {json.dumps(verdict, sort_keys=True)}",),
+    )
 
 
 def cmd_variation(args) -> None:
     if not 1 <= args.n_max <= 64:
         raise UsageError("need 1 <= n-max <= 64")
-    rows = [[n, variation_lower_bound(n)] for n in range(1, args.n_max + 1)]
-    params = {"n_max": args.n_max, "format": args.format}
-    if args.format == "json":
-        _emit_json(
-            "variation",
-            params,
-            [{"n": n, "bound": bound} for n, bound in rows],
-        )
-    else:
-        _emit_csv("variation", params, ["n", "bound"], rows)
+    _write(
+        "variation",
+        {"n_max": args.n_max, "format": args.format},
+        _Rows({"n": n, "bound": variation_lower_bound(n)} for n in range(1, args.n_max + 1)),
+        columns=("n", "bound"),
+    )
 
 
 def cmd_example8(args) -> None:
@@ -327,33 +335,18 @@ def cmd_example8(args) -> None:
         raise UsageError("need 1 <= i-max <= 200")
     terms = repeated_block_measures(args.i_max)
     verdict = repeated_block_verdict(max(args.i_max, 130))
-    params = {"i_max": args.i_max, "format": args.format}
-    if args.format == "json":
-        _emit_json(
-            "example8",
-            params,
-            {
-                "terms": [
-                    {
-                        "i": t.index,
-                        "num": t.value.numerator,
-                        "den": t.value.denominator,
-                        "decimal": float(t.value),
-                        "provenance": t.provenance,
-                    }
-                    for t in terms
-                ],
-                "verdict": verdict.value,
-                "verdict_provenance": "numerical-verdict",
-            },
-        )
-    else:
-        sys.stdout.write(f"# verdict: {verdict.value}\n")
-        rows = [
-            [t.index, t.value.numerator, t.value.denominator, repr(float(t.value)), t.provenance]
-            for t in terms
-        ]
-        _emit_csv("example8", params, ["i", "num", "den", "decimal", "provenance"], rows)
+    rows = (
+        {"i": t.index, "num": t.value.numerator, "den": t.value.denominator,
+         "decimal": float(t.value), "provenance": t.provenance}
+        for t in terms
+    )
+    _write(
+        "example8",
+        {"i_max": args.i_max, "format": args.format},
+        {"terms": _Rows(rows), "verdict": verdict.value, "verdict_provenance": "numerical-verdict"},
+        columns=("i", "num", "den", "decimal", "provenance"),
+        notes=(f"verdict: {verdict.value}",),
+    )
 
 
 def cmd_quadratic(args) -> None:
@@ -367,8 +360,6 @@ def cmd_quadratic(args) -> None:
     elif args.builtin == "example13":
         system = odd_count_system()
         table = cardinality_squared_table(system)
-    elif args.builtin:
-        raise UsageError(f"unknown builtin {args.builtin!r}")
     else:
         system = _parse_system(args.file)
         if args.check_measure:
@@ -388,7 +379,7 @@ def cmd_quadratic(args) -> None:
         result["measure_counterexample"] = (
             None if mwitness is None else [sorted(system.indices_of(m)) for m in mwitness]
         )
-    _emit_json(
+    _write(
         "quadratic",
         {
             "builtin": args.builtin,
@@ -414,7 +405,7 @@ def cmd_integral(args) -> None:
         "eigen": IntegralStrategy.EIGEN,
     }[args.strategy]
     value = integral(state, rv, strategy)
-    _emit_json(
+    _write(
         "integral",
         {"n": args.n, "variable": args.variable, "strategy": args.strategy},
         {"integral": _fraction_doc(value)},
@@ -427,14 +418,14 @@ def cmd_eigen(args) -> None:
     state = DecoherenceState(space)
     even = state.eigenvector_exact(0)
     odd = state.eigenvector_exact(1)
-    _emit_json(
+    _write(
         "eigen",
         {"n": args.n},
         {
             "eigenvalue": {"num": 1, "log2_den": 1, "decimal": 0.5},
             "scale": f"2**((n-1)/2) with n={args.n}",
-            "even_vector": [[re, im] for re, im in even],
-            "odd_vector": [[re, im] for re, im in odd],
+            "even_vector": _Rows(even),
+            "odd_vector": _Rows(odd),
             "verified_exact": state.eigen_equation_holds(),
         },
     )
@@ -546,12 +537,16 @@ def main(argv=None) -> int:
         else:
             COMMANDS[args.subcommand](args)
             code = 0
+        sys.stdout.flush()  # so that a closed reader is seen here, not at exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ResourceLimitError as exc:
         print(f"resource bound: {exc}", file=sys.stderr)
         return RESOURCE_ERROR
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does: no error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush passes
+        code = 0
     except Exception:  # a library bug, not bad input: report it as one
         print("internal error:", file=sys.stderr)
         traceback.print_exc(file=sys.stderr)

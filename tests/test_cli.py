@@ -1,10 +1,15 @@
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -360,8 +365,8 @@ class Accepted(BaseException):
 
 # the largest horizon accepted before, the first one refused now, its units
 # and the budget: by default the printed document's entries or rows; under
-# --force the matrix entries held, 16 per interference row held, and the
-# eigenvectors' 16 per path
+# --force the work per matrix entry written, 16 per interference row written,
+# and the eigenvectors' 16 per path
 DOCUMENT_CHARGES = [
     (("matrix", "--n", "8"), ("matrix", "--n", "9"), 1 << 18, BUDGET >> 8),
     (("matrix", "--n", "12", "--force"), ("matrix", "--n", "13", "--force"), 1 << 26, BUDGET),
@@ -390,6 +395,137 @@ def test_document_charges(capsys, monkeypatch, accepted, refused, units, budget)
     with pytest.raises(Accepted):
         main(list(accepted))
     capsys.readouterr()
+
+
+# -- the document writer ---------------------------------------------------------------
+
+# every tabular command, with the empty tables of preclusion
+TABLES = [
+    ("matrix", "--n", "3"),
+    ("interference", "--n", "3"),
+    ("preclusion", "--n", "3"),
+    ("preclusion", "--n", "1"),
+    ("preclusion", "--n", "3", "--max-card", "1"),
+    ("limit", "--event", "at-most-ones:1", "--n-max", "12"),
+    ("variation", "--n-max", "6"),
+    ("example8", "--i-max", "6"),
+]
+
+
+@pytest.mark.parametrize("argv", TABLES + [("eigen", "--n", "3")])
+def test_json_documents_are_json_dumps(capsys, monkeypatch, argv):
+    # a batch of 7 chunks splits rows, and eigen has two row lists
+    monkeypatch.setattr(cli_module, "_BATCH", 7)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def csv_cell(value):
+    return " ".join(map(str, value)) if isinstance(value, list) else str(value)
+
+
+def csv_notes(command, result):
+    """The "#" lines a CSV document has before its command and params."""
+    if command == "matrix":
+        return [f"# denominator: 2**{result['log2_den']}"]
+    if command == "limit":
+        verdict = {key: value for key, value in result.items() if key != "values"}
+        return [f"# verdict: {json.dumps(verdict, sort_keys=True)}"]
+    if command == "example8":
+        return [f"# verdict: {result['verdict']}"]
+    return []
+
+
+# each table's CSV columns, and its rows as the JSON document has them
+CSV_TABLES = {
+    "matrix": ("j,k,re,im", lambda result: [
+        {"j": j, "k": k, "re": re, "im": im}
+        for j, row in enumerate(result["entries"]) for k, (re, im) in enumerate(row)
+    ]),
+    "interference": ("i,j,num,class", lambda result: result),
+    "preclusion": ("cardinality,indices", lambda result: result),
+    "limit": ("n,num,log2_den,decimal", lambda result: result["values"]),
+    "variation": ("n,bound", lambda result: result),
+    "example8": ("i,num,den,decimal,provenance", lambda result: result["terms"]),
+}
+
+
+@pytest.mark.parametrize("argv", TABLES)
+def test_csv_documents_match_json(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli_module, "_BATCH", 7)
+    doc = run_json(capsys, *argv)
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    command, params = argv[0], dict(doc["params"], format="csv")
+    lines = out.splitlines()
+    notes = csv_notes(command, doc["result"])
+    columns, table = CSV_TABLES[command]
+    assert lines[: len(notes) + 3] == notes + [
+        f"# command: qwalk {command}",
+        f"# params: {json.dumps(params, sort_keys=True)}",
+        columns,
+    ]
+    rows = table(doc["result"])
+    assert csv_rows(out) == [{c: csv_cell(row[c]) for c in columns.split(",")} for row in rows]
+    assert len(lines) == len(notes) + 3 + len(rows)
+
+
+def test_empty_tables(capsys):
+    for argv in (("preclusion", "--n", "1"), ("preclusion", "--n", "3", "--max-card", "1")):
+        assert run_json(capsys, *argv)["result"] == []
+        assert run_cli(capsys, *argv, "--format", "csv")[1].endswith("\ncardinality,indices\n")
+
+
+class CountingSink(io.TextIOBase):
+    """A stdout that counts the characters written and keeps none of them."""
+
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", [("matrix", "--n", "8"), ("interference", "--n", "8")])
+def test_documents_are_written_as_they_are_made(argv, fmt):
+    # a writer that held the rows or the whole text peaked at 7 to 16 times
+    # what it wrote; one batch at a time is a fixed amount below that
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and sink.written > 500_000
+    assert peak < sink.written
+
+
+@pytest.mark.parametrize(
+    "argv, lines", [(("matrix", "--n", "9", "--force"), 1), (("matrix", "--n", "2"), 0)]
+)
+def test_reader_closing_early_is_no_error(argv, lines):
+    # as `qwalk matrix --n 9 --force | head -1`, or a reader gone before the
+    # first byte: the writes after it has gone fail, and the command still
+    # exits 0 with nothing on stderr but its own lines
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # buffered, as stdout to a pipe is by default
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qwalk.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    for _ in range(lines):
+        assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert "internal error" not in err and "Exception ignored" not in err
+    assert "Traceback" not in err and "elapsed" in err
 
 
 # -- error paths ------------------------------------------------------------------------
@@ -435,6 +571,9 @@ def test_usage_error_quadratic_flags(capsys):
         capsys, "quadratic", "--builtin", "example12", "--file", "x"
     )
     assert code == 2
+    with pytest.raises(SystemExit) as exc:  # argparse knows the builtins
+        main(["quadratic", "--builtin", "example14"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_usage_error_unknown_subcommand(capsys):

@@ -183,14 +183,6 @@ def test_entry_sign_keeps_its_errors(n):
 # -- residue-class masks and the census ---------------------------------------
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_residue_masks_partition_the_space(n):
-    masks = _residue_masks(n)
-    full = (1 << (1 << n)) - 1
-    assert masks[0] | masks[1] | masks[2] | masks[3] == full
-    assert sum(m.bit_count() for m in masks) == 1 << n
-
-
 @pytest.mark.parametrize("n", range(1, 11))
 def test_residue_masks_match_string_oracle(n):
     masks = _residue_masks(n)
