@@ -21,12 +21,11 @@ inner product is real, and one value type, ``Dyadic``, holds them all.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from typing import Iterator, Sequence
 
 from .errors import BUDGET, charge
 from .exact import Dyadic, _Frozen, _new
-from .paths import PathSpace, _residue_masks, _residue_selectors, change_residue
+from .paths import PathSpace, _class_segments, _residue_masks, change_residue
 
 
 class Event(_Frozen):
@@ -310,29 +309,31 @@ class DecoherenceState:
         of the sign matrix is zero off its own end site and, on it, +1 at
         the columns sharing j's change residue and -1 elsewhere, so each
         component of row j times the vector is twice its sum over the
-        same-residue columns minus its sum over the whole site.  A row is
-        thus fixed by its site and residue, and its value is computed once
-        per (site, component, residue) and compared with every row of that
-        residue.  Every row of both sites is checked against every column of
+        same-residue columns minus its sum over the whole site: its class
+        sum less the other class's sum on that site.  A row is thus fixed by
+        its residue.  Each component is taken out of the vector on its own,
+        laid out by residue class (``paths._class_segments``) once to sum
+        the four classes and once to compare every row with its class's
+        value.  Every row of both sites is checked against every column of
         its site, so a stray nonzero entry on the wrong site fails its own
-        row.  O(2**n), so charged with the eigenvectors.
+        row.  O(2**n), so charged with the eigenvectors, which are built
+        one at a time.
         """
         n = self.space.n
-        vectors = [self.eigenvector_exact(parity) for parity in (0, 1)]
-        selectors = _residue_selectors(n)
         half = 1 << (n - 1)
-        for vec in vectors:
-            for site in (0, 1):
-                # the rows of this site by change residue: site and site + 2
-                classes = (selectors[site], selectors[site + 2])
-                for component in zip(*vec):
-                    col = component[site::2]
-                    col_total = sum(col)
-                    for same in classes:
-                        members = list(compress(col, same))
-                        row = sum(members) * 2 - col_total  # each row of this class
-                        if any(half * w != row for w in members):
-                            return False
+        for parity in (0, 1):
+            vec = self.eigenvector_exact(parity)
+            for part in (0, 1):
+                component = [z[part] for z in vec]
+                sums = [0, 0, 0, 0]
+                for r, members in _class_segments(component, n):
+                    sums[r] += sum(members)
+                # each row of residue r: its class sum twice less its site's sum
+                rows = [sums[r] - sums[r ^ 2] for r in range(4)]
+                for r, members in _class_segments(component, n):
+                    row = rows[r]
+                    if any(half * w != row for w in members):
+                        return False
         return True
 
     # -- vector measure and strong positivity --------------------------------

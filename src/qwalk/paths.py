@@ -3,12 +3,23 @@
 A path sits on site 0 at time 0 and on one of {0, 1} at each of the n later
 steps.  The step bits are the big-endian binary digits of the path's index,
 so path j literally *is* the integer j and the whole space is range(2**n).
+
+A path's change residue, its change count mod 4, splits over blocks of
+steps.  With hi its first n - B steps, lo its last B and h = hi & 1 the
+site lo starts from,
+
+    residue(hi << B | lo) = (residue(hi) + popcount(lo ^ (lo >> 1) ^ (h << (B - 1)))) & 3,
+
+so one ordering of the 2**B low parts per h lays out every block of 2**B
+consecutive paths by residue class, at any horizon (`_class_segments`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import accumulate, chain
+from operator import itemgetter
 
 from .errors import charge
 
@@ -77,28 +88,56 @@ def _residue_masks(n: int) -> tuple[int, int, int, int]:
     )
 
 
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+# The low steps of a path that one cached layout orders by residue class:
+# a block of 2**_BLOCK paths shares its high steps.
+_BLOCK = 12
 
 
 @cache
-def _residue_selectors(n: int) -> tuple[bytes, bytes, bytes, bytes]:
-    """For each change residue r, one byte per path ending on site r & 1, in
-    index order: 1 if its change count is congruent to r mod 4, else 0.
-
-    A path's change-count parity is its end site, so residues r and r + 2
-    split the paths of site r & 1, the stride-2 slice of indices starting
-    at r & 1.  Made for itertools.compress over that slice.  Each table is
-    the binary digits of residue mask r, read from the lowest bit up;
-    charged as the per-path table its readers hold beside it, 16 units per
-    path.
+def _layout(m: int, h: int):
+    """An itemgetter that orders the 2**m positions lo of a block by
+    t = popcount(lo ^ (lo >> 1) ^ (h << (m - 1))) & 3, index order within
+    each t, and the three positions where t steps up.  Held for m <= _BLOCK
+    only: under 0.4 MiB in all, whatever the horizon.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    charge(16 << n, f"residue table at n={n}")
-    top = (1 << n) - 1  # the digit of path j is at position top - j
-    return tuple(
-        format(mask, f"0{top + 1}b")[top - (r & 1) :: -2].encode().translate(_BINARY_DIGITS)
-        for r, mask in enumerate(_residue_masks(n))
+    top = h << (m - 1)
+    t = [(lo ^ (lo >> 1) ^ top).bit_count() & 3 for lo in range(1 << m)]
+    order = sorted(range(1 << m), key=t.__getitem__)
+    return itemgetter(*order), tuple(accumulate(map(t.count, range(3))))
+
+
+def _segments(block, m: int, h: int, o: int):
+    """The block's values in four class segments, each with its residue."""
+    get, (a, b, c) = _layout(m, h)
+    gathered = get(block)
+    return (
+        (o & 3, gathered[:a]),
+        (o + 1 & 3, gathered[a:b]),
+        (o + 2 & 3, gathered[b:c]),
+        (o + 3 & 3, gathered[c:]),
+    )
+
+
+def _class_segments(vals, n: int):
+    """The 2**n per-path values laid out by change residue: an iterable of
+    (r, segment) pairs whose segments hold, between them, the value of each
+    path exactly once, in a segment of its residue r.
+
+    By the block identity of the module docstring, with B = min(n, _BLOCK),
+    the block of the 2**B paths that share their first n - B steps hi is
+    gathered into four contiguous t-segments by the layout for h = hi & 1,
+    and segment t holds residue (o + t) & 3, o the residue of hi.  For
+    n <= _BLOCK that is one gather of the whole vector; above it, the
+    blocks are gathered one at a time as the pairs are read, so no
+    per-horizon table is held.
+    """
+    if n < 1 or len(vals) != 1 << n:
+        raise ValueError(f"need 2**n values for n >= 1, got {len(vals)} for n={n}")
+    if n <= _BLOCK:
+        return _segments(vals, n, 0, 0)
+    return chain.from_iterable(
+        _segments(vals[hi << _BLOCK : hi + 1 << _BLOCK], _BLOCK, hi & 1, change_residue(hi))
+        for hi in range(1 << n - _BLOCK)
     )
 
 

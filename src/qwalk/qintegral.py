@@ -23,8 +23,12 @@ The measure of a set of paths depends only on c0 - c2 and c1 - c3 of its
 census of change-count residues mod 4, so both fast routes read per-site
 signed weights: for each end site p and nonzero numerator, its paths at
 residue p less those at p + 2.  The weights are taken from the
-numerators, O(2**n), except for the two count variables, whose step
-structure gives them in O(n**2): `ones` from the ones counter's pair sweep,
+numerators, O(2**n), a block of 4096 paths at a time: a path's residue is
+that of its high steps plus that of its last 12 steps read after the last
+high step, so each block is gathered into its four residue classes by one
+of two cached orderings, whatever n is (``paths._class_segments``).  The
+two count variables are the exception: their step structure gives the
+weights in O(n**2), `ones` from the ones counter's pair sweep and
 `changes` from the binomial closed form.  Signed variables split
 canonically into positive and negative parts before any route runs: the
 levels above and below zero.  All values are exact rationals throughout.
@@ -37,7 +41,7 @@ from collections import _count_elements
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import compress, pairwise, product
+from itertools import pairwise, product
 from math import comb, gcd, lcm
 from typing import Callable
 
@@ -46,7 +50,7 @@ from .decoherence import DecoherenceState, Event
 from .errors import BUDGET, charge
 from .paths import (
     PathSpace,
-    _residue_selectors,
+    _class_segments,
     change_residue,
     changes_vector,
     ones_vector,
@@ -229,22 +233,26 @@ def _class_counts(vals, n: int) -> tuple[dict[int, int], dict[int, int]]:
     """For each end site p, a signed weight per nonzero numerator: its paths
     at change residue p less those at p + 2, dropped where they cancel.
 
-    Residues p and p + 2 live on site p, so their selectors pick from that
-    site's stride-2 slice.  Zeros are filtered out in C before any counting,
-    and no (value, residue) tuple is built.  The counts go into plain dicts
-    through the C loop that fills a Counter, without Counter's type checks.
+    Each residue's values come in contiguous segments: the block of the
+    2**12 paths with high steps hi, residue o, is gathered by low part lo
+    in order of t, the residue of lo read after hi's last step, and
+    segment t holds residue (o + t) & 3.  Zeros are filtered out in C
+    before any counting, and no (value, residue) tuple is built.  The
+    counts go into one plain dict per residue through the C loop that
+    fills a Counter, without Counter's type checks, and residue p + 2 is
+    then taken off residue p.
     """
-    selectors, out = _residue_selectors(n), ({}, {})
-    for p, weights in enumerate(out):
-        site, minus = vals[p::2], {}
-        _count_elements(weights, filter(None, compress(site, selectors[p])))
-        _count_elements(minus, filter(None, compress(site, selectors[p + 2])))
-        for v, paths in minus.items():
+    counts = ({}, {}, {}, {})
+    for r, segment in _class_segments(vals, n):
+        _count_elements(counts[r], filter(None, segment))
+    for p in (0, 1):
+        weights = counts[p]
+        for v, paths in counts[p + 2].items():
             if w := weights.get(v, 0) - paths:
                 weights[v] = w
             else:
                 del weights[v]
-    return out
+    return counts[0], counts[1]
 
 
 def _ones_class_counts(n: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -332,14 +333,19 @@ def test_eigen_equation_rejects_corrupted_vectors(monkeypatch, n):
         assert st.eigen_equation_holds()
 
 
-@pytest.mark.parametrize("n", (4, 6, 10))
+@pytest.mark.parametrize("n", (4, 6, 10, 14))
 def test_eigen_equation_checks_the_rows_of_every_residue(monkeypatch, n):
     # moving one unit between two entries of one residue class keeps every
-    # row sum, so only that class's own rows can fail
+    # row sum, so only that class's own rows can fail; the first two and
+    # the last two entries of a class, so that at n = 14 the last block,
+    # high steps 11, is read too
     st = state(n)
     exact = st.eigenvector_exact
-    for r in range(4):
-        j1, j2 = [j for j in range(1 << n) if changes_oracle(n, j) % 4 == r][:2]
+    classes = [[], [], [], []]
+    for j in range(1 << n):
+        classes[changes_oracle(n, j) % 4].append(j)
+    for r, pick in product(range(4), (slice(2), slice(-2, None))):
+        j1, j2 = classes[r][pick]
 
         def eigenvector(parity, r=r, j1=j1, j2=j2):
             vec = exact(parity)

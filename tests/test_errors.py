@@ -18,7 +18,7 @@ from qwalk import cylinder, decoherence, errors, paths, qintegral, qmeasure
 from qwalk.cylinder import ALL_ZEROS, AtMostKOnes, CylinderEvent, FinitePathSet, approximant, refine
 from qwalk.decoherence import DecoherenceState, Event
 from qwalk.errors import BUDGET, ResourceLimitError
-from qwalk.paths import PathSpace, _residue_selectors, changes_vector, ones_vector
+from qwalk.paths import PathSpace, changes_vector, ones_vector
 from qwalk.qintegral import (
     IntegralStrategy,
     RandomVariable,
@@ -105,8 +105,6 @@ def disjoint_triple(n: int):
 CHARGED = [
     ("event mask", None,
      lambda: Event.empty(PathSpace(24)), lambda: Event.empty(PathSpace(25)), 1 << 25),
-    ("residue table", paths,
-     lambda: _residue_selectors(20), lambda: _residue_selectors(21), 16 << 21),
     ("change-count vector", paths,
      lambda: changes_vector(PathSpace(20)), lambda: changes_vector(PathSpace(21)), 16 << 21),
     ("ones-count vector", paths,

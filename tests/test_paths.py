@@ -1,10 +1,14 @@
+import sys
+
 import pytest
 
 from qwalk.errors import ResourceLimitError
 from qwalk.paths import (
     PathSpace,
+    _class_segments,
+    _layout,
     _residue_masks,
-    _residue_selectors,
+    change_residue,
     change_residue_count_levels,
     change_residue_counts,
     changes_count,
@@ -118,21 +122,59 @@ def test_change_residue_table_matches_strings():
         assert _residue_masks(n) is masks  # cached per horizon
 
 
-def test_residue_selectors_pick_each_class_from_its_site():
+def landings(n: int, vals) -> list[list[int]]:
+    """For each residue r, the values that the class segments put at r."""
+    out = [[], [], [], []]
+    for r, segment in _class_segments(vals, n):
+        out[r].extend(segment)
+    return out
+
+
+def test_class_segments_pick_each_class_from_the_strings():
+    # each segment holds only paths of its residue, in index order; below
+    # the block width that is one gather of the whole space, four segments
     for n in range(1, 13):
-        selectors = _residue_selectors(n)
-        for r, selector in enumerate(selectors):
-            site = range(r & 1, 1 << n, 2)
-            assert list(selector) == [int(changes_oracle(n, j) % 4 == r) for j in site]
-        assert _residue_selectors(n) is selectors  # cached per horizon
-    for n in (16, 20):
-        selectors = _residue_selectors(n)
-        assert tuple(s.count(1) for s in selectors) == change_residue_counts(n)
-        assert all(len(s) == 1 << (n - 1) for s in selectors)
+        want = [[], [], [], []]
+        for j in range(1 << n):
+            want[changes_oracle(n, j) % 4].append(j)
+        assert landings(n, tuple(range(1 << n))) == want
+        assert len(_class_segments(tuple(range(1 << n)), n)) == 4
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_class_segments_land_every_path_once(n):
+    # across the block boundary: every index once, in a segment of its
+    # change residue, and the classes' sizes are the residue profile
+    seen = landings(n, tuple(range(1 << n)))
+    assert sorted(j for segment in seen for j in segment) == list(range(1 << n))
+    for r, members in enumerate(seen):
+        assert all(change_residue(j) == r for j in members)
+    assert tuple(map(len, seen)) == change_residue_counts(n)
+
+
+def test_class_segments_count_the_residue_profile_at_n20():
+    sizes = [0, 0, 0, 0]
+    for r, segment in _class_segments((1,) * (1 << 20), 20):
+        sizes[r] += sum(segment)
+    assert tuple(sizes) == change_residue_counts(20)
 
 
 def test_change_residue_table_range():
     with pytest.raises(ValueError):
-        _residue_selectors(0)
-    with pytest.raises(ResourceLimitError):
-        _residue_selectors(21)
+        _class_segments((0,), 0)
+    for n, size in ((3, 7), (3, 9), (13, 1 << 12), (20, 1 << 19)):
+        with pytest.raises(ValueError):
+            _class_segments((0,) * size, n)
+    # the held layouts do not grow with the horizon: one per width up to
+    # the block width and a second at the block width, each under 1 MiB
+    # with the index objects it holds
+    for n in (14, 16, 18):
+        for _ in _class_segments((0,) * (1 << n), n):
+            pass
+    assert _layout.cache_info().currsize <= 13
+    for m, h in [(m, 0) for m in range(1, 13)] + [(12, 1)]:
+        getter = _layout(m, h)[0]
+        assert _layout(m, h)[0] is getter  # cached per width
+        items = getter.__reduce__()[1]  # the positions the getter holds
+        assert sorted(items) == list(range(1 << m))
+        assert sys.getsizeof(items) + sum(map(sys.getsizeof, items)) < 1 << 20

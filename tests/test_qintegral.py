@@ -316,14 +316,15 @@ def test_definition_on_all_zero_variable(n):
 
 def test_definition_is_independent_of_the_census_routes(monkeypatch):
     # DEFINITION is the reference for TRACE and EIGEN, so it must give the
-    # literal double sum without the class counts, levels or residue
-    # selectors they read
+    # literal double sum without the class counts, levels or residue-class
+    # layout they read
     def refuse(*args):
         raise AssertionError("the definition route used a census-route helper")
 
-    for name in ("_class_counts", "_levels", "_trace", "_eigen", "_residue_selectors"):
+    for name in ("_class_counts", "_levels", "_trace", "_eigen", "_class_segments"):
         monkeypatch.setattr(qintegral, name, refuse)
-    monkeypatch.setattr(paths, "_residue_selectors", refuse)
+    for name in ("_class_segments", "_layout", "_segments"):
+        monkeypatch.setattr(paths, name, refuse)
     rng = random.Random(4545)
     for n in range(1, 9):
         if n >= 6:  # seeded_variables draws a sparse support of 64 paths
@@ -342,22 +343,38 @@ def test_definition_is_independent_of_the_census_routes(monkeypatch):
 def test_class_counts_are_string_scanned_censuses():
     # per end site p, each nonzero numerator's paths at residue p less its
     # paths at residue p + 2: no zero level and no zero weight, every
-    # residue on the site its parity names
+    # residue on the site its parity names; on both sides of the block
+    # width, with sparse, all-zero, negative and beyond-machine-word values
     rng = random.Random(61)
+    big = 1 << 64
+
+    def sparse(size):
+        vals = [0] * size
+        for j in rng.sample(range(size), min(40, size)):
+            vals[j] = rng.randint(-9, 9)
+        return tuple(vals)
+
+    kinds = (
+        lambda size: tuple(rng.choice((0, 0, -2, 1, 3)) for _ in range(size)),
+        sparse,
+        lambda size: (0,) * size,
+        lambda size: tuple(rng.choice((0, -big - 1, big + 3, 5 * big, 1)) for _ in range(size)),
+    )
     cancelled = 0
-    for n in (1, 2, 5, 9):
+    for n in (1, 2, 5, 9, 11, 12, 13, 14, 16):
         residues = [changes % 4 for changes in changes_table(n)]
-        for _ in range(10):
-            vals = tuple(rng.choice((0, 0, -2, 1, 3)) for _ in range(1 << n))
-            signed = ({}, {})
-            for j, (v, r) in enumerate(zip(vals, residues)):
-                assert r & 1 == j & 1
-                if v:
-                    site = signed[r & 1]
-                    site[v] = site.get(v, 0) + (1 if r < 2 else -1)
-            want = tuple({v: w for v, w in site.items() if w} for site in signed)
-            cancelled += sum(map(len, signed)) - sum(map(len, want))
-            assert qintegral._class_counts(vals, n) == want
+        for kind in kinds:
+            for _ in range(10 if n < 11 else 2):
+                vals = kind(1 << n)
+                signed = ({}, {})
+                for j, (v, r) in enumerate(zip(vals, residues)):
+                    assert r & 1 == j & 1
+                    if v:
+                        site = signed[r & 1]
+                        site[v] = site.get(v, 0) + (1 if r < 2 else -1)
+                want = tuple({v: w for v, w in site.items() if w} for site in signed)
+                cancelled += sum(map(len, signed)) - sum(map(len, want))
+                assert qintegral._class_counts(vals, n) == want, (n, vals[:8])
     assert cancelled  # some values' two residue counts cancel
 
 

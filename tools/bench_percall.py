@@ -105,7 +105,7 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         state = qw.DecoherenceState(qw.PathSpace(n))
         events = [(qw.Event(state.space, rng.getrandbits(1 << n)),) for _ in range(count)]
         ops.append((f"census n={n}", events, state.census, tuple))
-    # the exact eigen-equation check, over the cached residue selectors
+    # the exact eigen-equation check, over the residue-class layout of paths
     ops.append((
         "eigen_equation_holds n=1..10",
         [(qw.DecoherenceState(qw.PathSpace(n)),) for n in range(1, 11)],
@@ -239,6 +239,25 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
             qw.integral,
             fraction_parts,
         ))
+    # TRACE on each kind of variable apart, where counting the class weights
+    # is most of a call, and past 2**16 paths on all three
+    kinds_rng = random.Random(f"{SEED}:kinds")
+    state = qw.DecoherenceState(qw.PathSpace(16))
+    variables = _variables(qw, kinds_rng, state.space, 9)
+    for kind, name in enumerate(("rational", "sparse", "indicator")):
+        ops.append((
+            f"integral trace n=16 {name}",
+            [(state, v, strategies.TRACE) for v in variables[kind::3]],
+            qw.integral,
+            fraction_parts,
+        ))
+    state = qw.DecoherenceState(qw.PathSpace(18))
+    ops.append((
+        "integral trace n=18",
+        [(state, v, strategies.TRACE) for v in _variables(qw, kinds_rng, state.space, 3)],
+        qw.integral,
+        fraction_parts,
+    ))
     # the closed forms with cos(n*pi/4), and the variation witness
     ops.append((
         "complement closed form n<=512",
