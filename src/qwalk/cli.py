@@ -416,6 +416,7 @@ def cmd_eigen(args) -> None:
     space = _parse_horizon(args.n)
     _charge_document(2 << args.n, f"eigen document at n={args.n}", args.force)
     state = DecoherenceState(space)
+    verified = state.eigen_equation_holds()  # before the command's own vectors are held
     even = state.eigenvector_exact(0)
     odd = state.eigenvector_exact(1)
     _write(
@@ -426,7 +427,7 @@ def cmd_eigen(args) -> None:
             "scale": f"2**((n-1)/2) with n={args.n}",
             "even_vector": _Rows(even),
             "odd_vector": _Rows(odd),
-            "verified_exact": state.eigen_equation_holds(),
+            "verified_exact": verified,
         },
     )
 

@@ -186,26 +186,39 @@ SymbolicEvent = Union[
 
 ALL_ZEROS = EventualPath((), 0)
 
-# every finite prefix extends into these events, so their hulls are full
-_FULL_HULLS = (ComplementOfFinitePathSet, FinitelyManyOnes, InfinitelyManyOnes)
+
+def _description(event: SymbolicEvent) -> tuple[FinitePathSet | AtMostKOnes, bool]:
+    """The one reader of the event families: the path set or at-most-K
+    counter that describes the event, and whether the event is its
+    complement.  Finitely or infinitely many ones are the complement of no
+    path; every finite prefix extends into a complement, so its hulls are
+    full.  Any other object is not an event."""
+    if isinstance(event, (FinitePathSet, AtMostKOnes)):
+        return event, False
+    if isinstance(event, ComplementOfFinitePathSet):
+        return FinitePathSet(event.paths), True
+    if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
+        return FinitePathSet(()), True
+    raise ValueError(f"unsupported symbolic event {event!r}")
 
 
-def _automaton(event: SymbolicEvent, n: int):
-    """The step automaton (moves, start) of a hull-described event, exact for
+def _automaton(event: FinitePathSet | AtMostKOnes, n: int):
+    """The step automaton (moves, start) of a path set or counter, exact for
     its first n steps: moves[s] holds the states after a 0-step and a
     1-step, None where no member continues; the level-n hull is the step
     strings whose run never meets None.  At-most-K counts ones up to
     min(K, n).  A finite path set's states are sets of (path, steps read)
     pairs, steps capped at min(prefix length, n), so a prefix reaches one
-    state however its paths are given; a complement answers with its inner
-    set's automaton."""
+    state however its paths are given.  A depth holds each path at most
+    once, and past the longest capped prefix L a state splits once by its
+    next bit, so the build is first charged 16 units for P * (L + 2) pairs."""
     if isinstance(event, AtMostKOnes):
         k = min(event.limit, n)  # state s: s ones read
         return [(s, s + 1 if s < k else None) for s in range(k + 1)], 0
-    if not isinstance(event, (FinitePathSet, ComplementOfFinitePathSet)):
-        raise ValueError(f"unsupported symbolic event {event!r}")
     paths = event.paths
     ends = [min(len(p.prefix), n) for p in paths]
+    held = len(paths) * (max(ends, default=0) + 2)
+    charge(16 * held, f"path-set automaton of {len(paths)} paths to level {n}")
     states = [frozenset((j, 0) for j in range(len(paths)))]
     number = {states[0]: 0}
     moves = []
@@ -223,12 +236,13 @@ def _automaton(event: SymbolicEvent, n: int):
     return moves, 0
 
 
-def _sweep(moves, start, n_max: int):
+def _sweep(moves, start, n_max: int) -> tuple[list, dict]:
     """Signed census pairs (c0 - c2, c1 - c3) at levels 1..n_max of the
     automaton's hulls, one pair per live state: a step off the last site,
     the residue's parity, is a change, so a 0-step maps (u, v) to (u - v, 0)
     and a 1-step to (0, u + v), and a level's pair is the sum of what its
-    steps carry.  The sweep returns level n_max's pair per live state."""
+    steps carry.  Returns the level pairs and level n_max's pair per state."""
+    levels = []
     live = {start: (1, 0)}  # the empty path: no change, on site 0
     for _ in range(n_max):
         grown = {}
@@ -246,19 +260,8 @@ def _sweep(moves, start, n_max: int):
                 b = grown.get(one)
                 grown[one] = (0, y) if b is None else (b[0], b[1] + y)
         live = grown
-        yield even, odd
-    return live
-
-
-def _state_pairs(moves, start, n: int) -> dict:
-    """The signed pair of the level-n paths that end in each live state,
-    from the one sweep: the value it returns once its levels are drained."""
-    sweep = _sweep(moves, start, n)
-    while True:
-        try:
-            next(sweep)
-        except StopIteration as end:
-            return end.value
+        levels.append((even, odd))
+    return levels, live
 
 
 def _hull_mask(moves, start, n: int) -> int:
@@ -300,24 +303,28 @@ def _at_most_members(k: int, n: int) -> int:
     return sum(comb(n, t) for t in range(min(k, n) + 1))
 
 
-def _limit_pairs(event: SymbolicEvent, n_max: int):
+def _limit_pairs(event: SymbolicEvent, n_max: int) -> list:
     """Signed pairs of the event's limit terms at levels 1..n_max, in one
     pass: its hulls, or for a complement the whole space less the inner
-    set's hulls.  An at-most-k table is refused before the sweep, at the
-    first level whose hull has more than COMBINATION_CAP members."""
-    full = change_residue_count_levels(n_max)
-    if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
-        return ((c0 - c2, c1 - c3) for c0, c1, c2, c3 in full)
-    if isinstance(event, AtMostKOnes) and _at_most_members(event.limit, n_max) > COMBINATION_CAP:
-        k = event.limit
+    set's hulls.  Every limit-table refusal is made here, before the sweep:
+    a table past LIMIT_MAX_LEVEL, and an at-most-k table at the first level
+    whose hull has more than COMBINATION_CAP members."""
+    inner, complement = _description(event)
+    if n_max > LIMIT_MAX_LEVEL:
+        raise ResourceLimitError(f"limit level {n_max} is past the cap of {LIMIT_MAX_LEVEL}")
+    if isinstance(inner, AtMostKOnes) and _at_most_members(inner.limit, n_max) > COMBINATION_CAP:
+        k = inner.limit
         n = next(n for n in range(1, n_max + 1) if _at_most_members(k, n) > COMBINATION_CAP)
         raise ResourceLimitError(
             f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
         )
-    pairs = _sweep(*_automaton(event, n_max), n_max)
-    if isinstance(event, ComplementOfFinitePathSet):
-        return ((c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs))
-    return pairs
+    if complement and not inner.paths:  # the whole space: no automaton to sweep
+        return [(c0 - c2, c1 - c3) for c0, c1, c2, c3 in change_residue_count_levels(n_max)]
+    pairs, _ = _sweep(*_automaton(inner, n_max), n_max)
+    if not complement:
+        return pairs
+    full = change_residue_count_levels(n_max)
+    return [(c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs)]
 
 
 def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
@@ -325,20 +332,21 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     the event.  Hulls decrease with n and contain the event."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
+    inner, complement = _description(event)
     if n == 0:  # the empty prefix, unless no path extends it
-        empty = isinstance(event, FinitePathSet) and not event.paths
+        empty = not complement and isinstance(inner, FinitePathSet) and not inner.paths
         return CylinderEvent.from_indices(0, () if empty else (0,))
     charge(1 << n, f"level-{n} approximant base")
     space = PathSpace(n)
-    if isinstance(event, _FULL_HULLS):
+    if complement:
         return CylinderEvent(n, Event.full(space))
-    if isinstance(event, FinitePathSet):  # a bit for each path's prefix
+    if isinstance(inner, FinitePathSet):  # a bit for each path's prefix
         bits = bytearray(((1 << n) + 7) >> 3)  # set in place: one mask built
-        for j in {p.index_at(n) for p in event.paths}:
+        for j in {p.index_at(n) for p in inner.paths}:
             bits[j >> 3] |= 1 << (j & 7)
         mask = int.from_bytes(bits, "little")
     else:
-        mask = _hull_mask(*_automaton(event, n), n)
+        mask = _hull_mask(*_automaton(inner, n), n)
     return CylinderEvent(n, Event(space, mask))
 
 
@@ -351,17 +359,6 @@ class DisjointWitness:
     at_level: int | None
 
 
-def _live_width(event: SymbolicEvent, n: int) -> int:
-    """A bound, known before it is built, on the states of the event's
-    level-n hull automaton a run reaches at one depth: min(K, n) + 1 for a
-    counter, one a path (or the start) for a path set, one for a full hull."""
-    if isinstance(event, AtMostKOnes):
-        return min(event.limit, n) + 1
-    if isinstance(event, FinitePathSet):
-        return max(len(event.paths), 1)
-    return 1  # a full hull; `_automaton` refuses an event of any other kind
-
-
 def strongly_disjoint(a: SymbolicEvent, b: SymbolicEvent, n_max: int) -> DisjointWitness:
     """Least level at which the two events' cylindrical hulls are disjoint,
     by a walk over the pairs of states their hull automata reach after each
@@ -369,13 +366,19 @@ def strongly_disjoint(a: SymbolicEvent, b: SymbolicEvent, n_max: int) -> Disjoin
     one unit per level and pair of live states before either is built."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    if isinstance(a, _FULL_HULLS) and isinstance(b, _FULL_HULLS):
+    described = [_description(a), _description(b)]
+    if described[0][1] and described[1][1]:  # two complements: two full hulls
         return DisjointWitness(False, None)
-    width_a, width_b = _live_width(a, n_max), _live_width(b, n_max)
+    width_a, width_b = [  # the live states a depth can hold
+        1 if complement
+        else min(inner.limit, n_max) + 1 if isinstance(inner, AtMostKOnes)
+        else max(len(inner.paths), 1)
+        for inner, complement in described
+    ]
     what = f"disjointness walk of {width_a} x {width_b} live states to level {n_max}"
     charge(n_max * width_a * width_b, what)
     full = ([(0, 0)], 0)  # a one-state automaton whose every step string is live
-    automata = (full if isinstance(e, _FULL_HULLS) else _automaton(e, n_max) for e in (a, b))
+    automata = [full if complement else _automaton(inner, n_max) for inner, complement in described]
     level = _first_dead_level(*automata, n_max)
     return DisjointWitness(level is not None, level)
 
@@ -400,14 +403,12 @@ def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
     the complements of the inner set's hulls, so its terms are the measures
     of those complements; both exact, via signed census pairs only.  The
     term ends the sweep `limit_mu_hat` tabulates, at that table's cost, so
-    it is refused past LIMIT_MAX_LEVEL like the table.  At-most-K terms
-    past COMBINATION_CAP hull members raise ResourceLimitError.
+    it is refused where the table is: past LIMIT_MAX_LEVEL, and for
+    at-most-K past COMBINATION_CAP hull members.
     """
     if n < 1:
         raise ValueError("need level >= 1")
-    if n > LIMIT_MAX_LEVEL:
-        raise ResourceLimitError(f"limit terms are capped at n <= {LIMIT_MAX_LEVEL}")
-    *_, (u, v) = _limit_pairs(event, n)
+    u, v = _limit_pairs(event, n)[-1]
     return _pair_mu(u, v, n)
 
 
@@ -467,12 +468,10 @@ def limit_mu_hat(
 
     One pair sweep yields every level's term, each equal to
     `limit_term(event, n)`; a whole table costs what its last term does,
-    and an at-most-K table past COMBINATION_CAP members is refused.
+    and is refused where that term is.
     """
     if not 2 <= window <= n_max:
         raise ValueError("need n_max >= window >= 2")
-    if n_max > LIMIT_MAX_LEVEL:
-        raise ResourceLimitError(f"limit tables are capped at n <= {LIMIT_MAX_LEVEL}")
     rows = []
     for n, (u, v) in enumerate(_limit_pairs(event, n_max), start=1):
         exact = _pair_mu(u, v, n)
@@ -519,7 +518,7 @@ def repeated_block_measures(i_max: int) -> list[BlockMeasure]:
     ratio = Fraction(9, 8)
     out = []
     direct = min(i_max, BLOCK_DIRECT_TERMS)
-    pairs = list(_sweep(_BLOCK_MOVES, 0, 3 * direct))
+    pairs, _ = _sweep(_BLOCK_MOVES, 0, 3 * direct)
     for i in range(1, direct + 1):
         value = _pair_mu(*pairs[3 * i - 1], 3 * i).as_fraction()
         if value != ratio ** i:

@@ -17,7 +17,6 @@ from itertools import combinations, permutations
 from math import lcm
 from typing import Iterable, Mapping
 
-from .cylinder import DisjointWitness, strongly_disjoint  # noqa: F401 -- re-exported
 from .errors import charge
 
 UNIVERSE_MAX = 24  # a limit of the representation, not a cost: members are charged apart

@@ -34,6 +34,7 @@ from .cylinder import (
     refine,
     repeated_block_measures,
     repeated_block_verdict,
+    strongly_disjoint,
     variation_lower_bound,
 )
 from .decoherence import DecoherenceState, Event
@@ -75,7 +76,6 @@ from .quadratic import (
     is_q_measure,
     is_quadratic_algebra,
     odd_count_system,
-    strongly_disjoint,
     three_type_system,
 )
 

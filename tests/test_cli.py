@@ -505,6 +505,24 @@ def test_documents_are_written_as_they_are_made(argv, fmt):
     assert peak < sink.written
 
 
+def test_eigen_checks_before_it_holds_its_vectors():
+    # the exact check builds each eigenvector again; run before the command
+    # holds its own two, its copies are gone by the time those are built:
+    # a warm run peaks at about 0.39 of what it writes, and at 0.6 with the
+    # check run after the vectors are built
+    for _ in range(2):  # the first run fills the caches of the horizon
+        sink = CountingSink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["eigen", "--n", "14", "--force"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and sink.written > 1_000_000
+    assert peak < sink.written / 2
+
+
 @pytest.mark.parametrize(
     "argv, lines", [(("matrix", "--n", "9", "--force"), 1), (("matrix", "--n", "2"), 0)]
 )

@@ -1,5 +1,6 @@
 import math
 import random
+import typing
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from qwalk.cylinder import (
     FinitelyManyOnes,
     InfinitelyManyOnes,
     LimitVerdict,
+    SymbolicEvent,
     approximant,
     change_residue_profile_closed_form,
     classify_sequence,
@@ -46,7 +48,6 @@ from qwalk.cylinder import (
     _hull_mask,
     _limit_pairs,
     _root_two_cos,
-    _state_pairs,
     _sweep,
 )
 from qwalk.decoherence import Event
@@ -393,11 +394,16 @@ def test_limit_validation():
         limit_mu_hat(AtMostKOnes(1), 2, window=5)
     with pytest.raises(ResourceLimitError):
         limit_mu_hat(AtMostKOnes(1), 1000)
-    # a single term costs its whole sweep, so it has the table's bound
+    # a single term costs its whole sweep, so it has the table's bound, and
+    # both are refused by the one message
+    past = f"limit level {LIMIT_MAX_LEVEL + 1} is past the cap of {LIMIT_MAX_LEVEL}"
     for event in (FinitePathSet((ALL_ZEROS,)), ComplementOfFinitePathSet((ALL_ZEROS,))):
         limit_term(event, LIMIT_MAX_LEVEL)
-        with pytest.raises(ResourceLimitError):
+        limit_mu_hat(event, LIMIT_MAX_LEVEL)
+        with pytest.raises(ResourceLimitError, match=past):
             limit_term(event, LIMIT_MAX_LEVEL + 1)
+        with pytest.raises(ResourceLimitError, match=past):
+            limit_mu_hat(event, LIMIT_MAX_LEVEL + 1)
 
 
 def test_classify_sequence_rules():
@@ -448,7 +454,7 @@ def sweep(event, n_max):
 
 def at_most_sweep(k, n_max):
     """The at-most-k automaton's pairs, with no refusal at the cap."""
-    return list(_sweep(*_automaton(AtMostKOnes(k), n_max), n_max))
+    return _sweep(*_automaton(AtMostKOnes(k), n_max), n_max)[0]
 
 
 def test_at_most_sweep_matches_enumeration():
@@ -622,7 +628,7 @@ def test_sweep_and_hull_match_every_step_string_seeded(monkeypatch):
     monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
     monkeypatch.setattr(cylinder, "BUDGET", 0)  # count the bits at every level
     for moves, start in random_step_tables(1616):
-        table = list(_sweep(moves, start, 16))
+        table = _sweep(moves, start, 16)[0]
         tails = {  # (state, steps): the mask of its live step strings
             (s, m): sum(1 << j for j, t in enumerate(run) if t is not None)
             for s in range(len(moves))
@@ -646,7 +652,7 @@ def test_sweep_and_hull_match_every_step_string_seeded(monkeypatch):
                 counts[changes_table(n)[j] % 4] += 1
                 by_state.setdefault(reached[j], [0, 0, 0, 0])[changes_table(n)[j] % 4] += 1
             assert table[n - 1] == pair(counts)
-            states = _state_pairs(moves, start, n)
+            states = _sweep(moves, start, n)[1]
             assert states == {s: pair(c) for s, c in by_state.items()}
 
 
@@ -678,6 +684,67 @@ def test_sweep_rejects_unknown_events():
         approximant(object(), 3)
     with pytest.raises(ValueError):
         strongly_disjoint(object(), FinitelyManyOnes(), 3)
+
+
+def test_every_family_is_read_by_every_entry():
+    """One instance of each family in the SymbolicEvent union is accepted
+    wherever a symbolic event is; any other object is refused, also at
+    level 0, where no automaton is needed."""
+    instances = {
+        FinitePathSet: FinitePathSet((ALL_ZEROS,)),
+        AtMostKOnes: AtMostKOnes(1),
+        ComplementOfFinitePathSet: ComplementOfFinitePathSet((ALL_ZEROS,)),
+        FinitelyManyOnes: FinitelyManyOnes(),
+        InfinitelyManyOnes: InfinitelyManyOnes(),
+    }
+    families = typing.get_args(SymbolicEvent)
+    assert set(families) == set(instances)
+    for family in families:
+        event = instances[family]
+        assert approximant(event, 0).level == 1 and approximant(event, 3).level == 3
+        assert limit_mu_hat(event, 8).values[-1][1] == limit_term(event, 8)
+        for other in instances.values():
+            assert isinstance(strongly_disjoint(event, other, 4), DisjointWitness)
+    with pytest.raises(ValueError):
+        approximant(object(), 0)
+
+
+def path_set_states_oracle(paths, n: int) -> set:
+    """The states of a path set's level-n automaton, as sets of (path,
+    steps read) pairs: the paths grouped on the bits they read at each
+    depth, a path reading its bit after min(steps, prefix length, n)."""
+    ends = [min(len(p.prefix), n) for p in paths]
+    states = {frozenset((j, 0) for j in range(len(paths)))}
+    for d in range(1, max(ends, default=0) + 3):
+        groups = {}
+        for j, p in enumerate(paths):
+            read = tuple(p.step(min(t, ends[j]) + 1) for t in range(d))
+            groups.setdefault(read, set()).add((j, min(d, ends[j])))
+        states.update(map(frozenset, groups.values()))
+    return states
+
+
+def test_path_set_automaton_holds_at_most_its_charge(monkeypatch):
+    """P paths are charged 16 units for each of the P * (L + 2) pairs their
+    automaton can hold, L the longest prefix read; the states it builds
+    hold no more, and some sets hold exactly that many."""
+    charged = []
+    monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
+    split = (EventualPath((1, 0, 1), 0), EventualPath((1, 0, 1), 1))  # two at every depth
+    cases = [(split, 8)] + [
+        (paths, n) for seed in (7, 11, 13) for paths in seeded_path_sets(seed) for n in (1, 4, 30)
+    ]
+    tight = 0
+    for paths, n in cases:
+        charged.clear()
+        moves, _ = _automaton(FinitePathSet(paths), n)
+        states = path_set_states_oracle(paths, n)
+        assert len(states) == len(moves)
+        bound = len(paths) * (max((min(len(p.prefix), n) for p in paths), default=0) + 2)
+        held = sum(map(len, states))
+        assert charged == [16 * bound] and held <= bound
+        tight += held == bound
+    assert tight > 1
 
 
 def test_disjointness_walk_is_charged_before_any_automaton(monkeypatch):

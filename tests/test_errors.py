@@ -15,7 +15,17 @@ import pytest
 
 import qwalk
 from qwalk import cylinder, decoherence, errors, paths, qintegral, qmeasure
-from qwalk.cylinder import ALL_ZEROS, AtMostKOnes, CylinderEvent, FinitePathSet, approximant, refine
+from qwalk.cylinder import (
+    ALL_ZEROS,
+    AtMostKOnes,
+    CylinderEvent,
+    EventualPath,
+    FinitePathSet,
+    approximant,
+    limit_term,
+    refine,
+    strongly_disjoint,
+)
 from qwalk.decoherence import DecoherenceState, Event
 from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.paths import PathSpace, changes_vector, ones_vector
@@ -28,18 +38,17 @@ from qwalk.qintegral import (
     psd_check,
 )
 from qwalk.qmeasure import Strategy, enumerate_precluded, mu, preclusion_count
-from qwalk.quadratic import SetSystem, strongly_disjoint
+from qwalk.quadratic import SetSystem
 
 SRC = Path(qwalk.__file__).resolve().parent
 
 # (module, function) that may build a ResourceLimitError: the check itself,
-# the interpreter's digit limit, the chosen limit-table length and the
-# at-most-K table cap a benchmark probe pins
+# the interpreter's digit limit, and the one function that refuses limit
+# tables, past the chosen table length or the at-most-K cap a benchmark
+# probe pins
 NOT_CHARGED = {
     ("errors", "charge"),
     ("cli", "_fraction_doc"),
-    ("cylinder", "limit_term"),
-    ("cylinder", "limit_mu_hat"),
     ("cylinder", "_limit_pairs"),
 }
 
@@ -94,6 +103,12 @@ def entry_sum(rows: int, cols: int):
 ONE_PATH = FinitePathSet((ALL_ZEROS,))
 
 
+def long_paths(count: int) -> FinitePathSet:
+    rng = random.Random(count)
+    bits = lambda: tuple(rng.getrandbits(1) for _ in range(512))
+    return FinitePathSet(tuple(EventualPath(bits(), 0) for _ in range(count)))
+
+
 def disjoint_triple(n: int):
     space = PathSpace(n)
     units = [(0,) * j + (1,) + (0,) * (space.size - j - 1) for j in range(3)]
@@ -135,6 +150,9 @@ CHARGED = [
     ("disjointness walk of two counters", cylinder,
      lambda: strongly_disjoint(AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12),
      lambda: strongly_disjoint(AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12 + 1), 12 * (BUDGET // 12 + 1)),
+    # 16 per (path, steps read) pair the states can hold: P * (512 + 2)
+    ("path-set automaton", cylinder,
+     lambda: limit_term(long_paths(2040), 512), lambda: limit_term(long_paths(2041), 512), 16 * 2041 * 514),
     ("cylinder base", None,
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 24),
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 25), 1 << 25),

@@ -10,14 +10,15 @@ from qwalk.cylinder import (
     ALL_ZEROS,
     AtMostKOnes,
     ComplementOfFinitePathSet,
+    DisjointWitness,
     EventualPath,
     FinitePathSet,
     FinitelyManyOnes,
     InfinitelyManyOnes,
     approximant,
+    strongly_disjoint,
 )
 from qwalk.quadratic import (
-    DisjointWitness,
     QMeasureTable,
     SetSystem,
     _qualifying_triples,
@@ -26,7 +27,6 @@ from qwalk.quadratic import (
     is_quadratic_algebra,
     odd_count_system,
     parse_system_file,
-    strongly_disjoint,
     three_type_system,
 )
 
