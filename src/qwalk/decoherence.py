@@ -20,7 +20,6 @@ inner product is real, and one value type, ``Dyadic``, holds them all.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import BUDGET, charge
@@ -169,14 +168,15 @@ _set_steps = VectorMeasureValue.steps.__set__
 def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
     """Exact positive-semidefiniteness of a small symmetric integer matrix.
 
-    An LDL^T factorization in exact rationals, with no pivoting: a negative
+    An LDL^T factorization with no pivoting, by fraction-free (Bareiss)
+    elimination, which keeps the signs of the rational pivots: a negative
     pivot means not PSD, and so does a zero pivot with a nonzero entry left
     in its column (a PSD matrix has a zero row wherever it has a zero
-    diagonal).  A positive pivot leaves the Schur complement of its row,
-    which is PSD iff the matrix is.
+    diagonal); a zero column is skipped.  A positive pivot leaves the Schur
+    complement of its row, times that pivot, which is PSD iff the matrix is.
     """
-    m = [[Fraction(x) for x in row] for row in gram]
-    k = len(m)
+    m = [list(row) for row in gram]
+    k, prev = len(m), 1
     for step in range(k):
         d = m[step][step]
         if d < 0:
@@ -185,11 +185,11 @@ def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
             if any(m[r][step] for r in range(step + 1, k)):
                 return False
             continue
-        for r in range(step + 1, k):
-            f = m[r][step] / d
-            if f:
-                for c in range(step + 1, k):
-                    m[r][c] -= f * m[step][c]
+        for row in m[step + 1 :]:
+            f = row[step]
+            for c in range(step + 1, k):
+                row[c] = (row[c] * d - f * m[step][c]) // prev
+        prev = d
     return True
 
 
@@ -349,8 +349,8 @@ class DecoherenceState:
         The matrix is a Gram matrix of two-component vectors, hence PSD by
         construction; the check exists to catch implementation bugs, not
         mathematical failures.  It factors the integer matrix of the
-        2**n-scaled functionals, which has the same signature: at most k**3
-        Fraction elimination steps for k events.
+        2**n-scaled functionals, which has the same signature, by
+        fraction-free elimination: at most k**3 integer steps for k events.
         """
         charge(16 * len(events) ** 3, f"strong-positivity check of {len(events)} events")
         vectors = [self.vector_measure(ev) for ev in events]

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from itertools import pairwise, product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from typing import Callable
 
 from .cylinder import AtMostKOnes, _automaton, _sweep
@@ -381,50 +381,50 @@ def _min_hat_row(vec: list[int], i: int) -> list[int]:
     return [0] * len(vec)
 
 
-def _exact_determinant(matrix: list[list[Fraction]]) -> Fraction:
-    """Fraction Gaussian elimination with partial pivoting (independent of
-    the telescoping shortcut it is used to confirm)."""
+def _exact_determinant(matrix: list[list[int]]) -> int:
+    """Fraction-free (Bareiss) elimination of an integer matrix, swapping
+    rows at a zero pivot (independent of the telescoping shortcut it is used
+    to confirm): each update divides exactly by the previous pivot, and the
+    last pivot is the determinant."""
     m = [row[:] for row in matrix]
-    size = len(m)
-    det = Fraction(1)
+    size, sign, prev = len(m), 1, 1
     for col in range(size):
-        pivot_row = next((r for r in range(col, size) if m[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, size) if m[r][col]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
-            det = -det
-        pivot = m[col][col]
-        det *= pivot
-        for r in range(col + 1, size):
-            factor = m[r][col] / pivot
-            if factor:
-                for c in range(col, size):
-                    m[r][c] -= factor * m[col][c]
-    return det
+            sign = -sign
+        top = m[col]
+        pivot = top[col]
+        for row in m[col + 1 :]:
+            f = row[col]
+            for c in range(col + 1, size):
+                row[c] = (row[c] * pivot - f * top[c]) // prev
+        prev = pivot
+    return sign * prev
 
 
 def min_matrix_det_check(values) -> bool:
     """Confirm the telescoping determinant of a sorted min matrix.
 
     For nonnegative sorted a_1 <= ... <= a_m, the matrix of pairwise minima
-    has determinant a_1 * (a_2 - a_1) * ... * (a_m - a_{m-1}); the left side
-    is recomputed by exact elimination, at most m**3 Fraction steps for m
-    values.
+    has determinant a_1 * (a_2 - a_1) * ... * (a_m - a_{m-1}).  Over the lcm
+    denominator both sides scale by den**m, so the numerators' integer
+    elimination, at most m**3 steps, is compared with their telescoped product.
     """
     vals = [Fraction(v) for v in values]
     charge(16 * len(vals) ** 3, f"min-matrix check of {len(vals)} values")
     if not vals:
         raise ValueError("need at least one value")
-    if any(v < 0 for v in vals):
+    den = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (den // v.denominator) for v in vals]
+    if any(a < 0 for a in nums):
         raise ValueError("min-matrix values must be nonnegative")
-    if any(a > b for a, b in zip(vals, vals[1:])):
+    if any(a > b for a, b in pairwise(nums)):
         raise ValueError("values must be sorted ascending")
-    matrix = [[min(a, b) for b in vals] for a in vals]
-    telescoped = vals[0]
-    for a, b in zip(vals, vals[1:]):
-        telescoped *= b - a
-    return _exact_determinant(matrix) == telescoped
+    telescoped = prod((b - a for a, b in pairwise(nums)), start=nums[0])
+    return _exact_determinant([[a if a < b else b for b in nums] for a in nums]) == telescoped
 
 
 def psd_check(variable: RandomVariable) -> bool:
@@ -462,36 +462,35 @@ def disjoint_support_grade2_check(
     h: RandomVariable,
 ) -> bool:
     """For disjointly supported variables, confirm both grade-2 identities:
-    the min-matrix identity entry by entry, and the integral identity."""
+    the min-matrix identity entry by entry, once per pair of distinct value
+    keys (f_i, g_i, h_i), on which the seven entries at (i, j) depend, and
+    the integral identity."""
     for rv in (f, g, h):
         if rv.space != state.space:
             raise ValueError("variable lives over a different path space")
     sf, sg, sh = (set(rv.support()) for rv in (f, g, h))
     if sf & sg or sf & sh or sg & sh:
         raise ValueError("variables must have pairwise disjoint supports")
-    # seven min-matrix rows of 2**n entries for each of the 2**n paths
+    # seven min-matrix rows of d entries for each of d <= 2**n distinct keys
     charge(7 << 2 * state.space.n, f"entrywise identity check at n={state.space.n}")
 
     den = lcm(f.denominator, g.denominator, h.denominator)
-    vecs = {"f": f._over(den), "g": g._over(den), "h": h._over(den)}
-    sums = {
-        "fg": [a + b for a, b in zip(vecs["f"], vecs["g"])],
-        "fh": [a + b for a, b in zip(vecs["f"], vecs["h"])],
-        "gh": [a + b for a, b in zip(vecs["g"], vecs["h"])],
-        "fgh": [a + b + c for a, b, c in zip(vecs["f"], vecs["g"], vecs["h"])],
-    }
+    keys = dict.fromkeys(zip(f._over(den), g._over(den), h._over(den)))
+    vf, vg, vh = zip(*keys)
+    vfg, vfh, vgh = ([a + b for a, b in zip(x, y)] for x, y in ((vf, vg), (vf, vh), (vg, vh)))
+    vfgh = [a + b for a, b in zip(vfg, vh)]
 
-    for i in range(state.space.size):
-        lhs = _min_hat_row(sums["fgh"], i)
+    for i in range(len(vf)):
+        lhs = _min_hat_row(vfgh, i)
         rhs = [
             a + b + c - x - y - z
             for a, b, c, x, y, z in zip(
-                _min_hat_row(sums["fg"], i),
-                _min_hat_row(sums["fh"], i),
-                _min_hat_row(sums["gh"], i),
-                _min_hat_row(vecs["f"], i),
-                _min_hat_row(vecs["g"], i),
-                _min_hat_row(vecs["h"], i),
+                _min_hat_row(vfg, i),
+                _min_hat_row(vfh, i),
+                _min_hat_row(vgh, i),
+                _min_hat_row(vf, i),
+                _min_hat_row(vg, i),
+                _min_hat_row(vh, i),
             )
         ]
         if lhs != rhs:

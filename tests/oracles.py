@@ -5,7 +5,8 @@ by counting characters and substrings in them, or, where the strings are
 too many to list, by counting them in closed form, so agreement with the
 library is a genuine cross-check rather than the same arithmetic twice.  The set-system
 references at the end walk member triples by index, or decide the grade-2
-identity on a power set through the Moebius inverse.
+identity on a power set through the Moebius inverse; the last one decides
+positive-semidefiniteness by elimination in rationals.
 """
 
 from fractions import Fraction
@@ -204,3 +205,26 @@ def grade2_by_moebius(universe_size: int, values) -> bool:
     return inverse[0] == 0 and all(
         not v for mask, v in enumerate(inverse) if mask.bit_count() >= 3
     )
+
+
+def psd_by_fraction_ldl(gram) -> bool:
+    """Whether a small symmetric integer matrix is PSD, by an LDL^T
+    factorization in exact rationals with no pivoting: a negative pivot, or
+    a zero pivot with a nonzero entry left in its column, means not PSD,
+    and a positive pivot leaves the Schur complement of its row."""
+    m = [[Fraction(x) for x in row] for row in gram]
+    k = len(m)
+    for step in range(k):
+        d = m[step][step]
+        if d < 0:
+            return False
+        if d == 0:
+            if any(m[r][step] for r in range(step + 1, k)):
+                return False
+            continue
+        for r in range(step + 1, k):
+            f = m[r][step] / d
+            if f:
+                for c in range(step + 1, k):
+                    m[r][c] -= f * m[step][c]
+    return True

@@ -18,7 +18,12 @@ from qwalk.paths import PathSpace, _residue_masks
 from qwalk.qmeasure import mu
 
 
-from oracles import census_of_indices_oracle, changes_oracle, entry_sign_oracle
+from oracles import (
+    census_of_indices_oracle,
+    changes_oracle,
+    entry_sign_oracle,
+    psd_by_fraction_ldl,
+)
 
 
 def state(n: int) -> DecoherenceState:
@@ -510,6 +515,37 @@ def test_exact_guard_zero_pivot_with_nonzero_column():
 def test_exact_guard_zero_matrix():
     assert psd_by_ldl([[0, 0], [0, 0]])
     assert psd_by_ldl([[0] * 12 for _ in range(12)])
+
+
+def test_exact_guard_matches_fraction_ldl_seeded():
+    # Gram matrices of vector measures (empty and repeated events give zero
+    # and repeated rows), the same with one diagonal entry lowered by one,
+    # and random symmetric matrices, mostly indefinite
+    rng = random.Random(2501)
+    verdicts = {"gram": set(), "dented": set(), "symmetric": set()}
+    for _ in range(200):
+        st = state(rng.randint(2, 5))
+        size = st.space.size
+        events = [
+            Event(st.space, 0 if rng.random() < 0.15 else rng.getrandbits(size))
+            for _ in range(rng.randint(1, 8))
+        ]
+        events += rng.sample(events, rng.randint(0, len(events)))
+        vectors = [st.vector_measure(ev) for ev in events]
+        gram = [[x.even * y.even + x.odd * y.odd for y in vectors] for x in vectors]
+        dented = [row[:] for row in gram]
+        i = rng.randrange(len(dented))
+        dented[i][i] -= 1
+        k = rng.randint(1, 6)
+        symmetric = [[0] * k for _ in range(k)]
+        for r in range(k):
+            for c in range(r, k):
+                symmetric[r][c] = symmetric[c][r] = rng.randint(-5, 5)
+        for name, matrix in (("gram", gram), ("dented", dented), ("symmetric", symmetric)):
+            verdict = psd_by_ldl(matrix)
+            assert verdict == psd_by_fraction_ldl(matrix), (name, matrix)
+            verdicts[name].add(verdict)
+    assert verdicts == {"gram": {True}, "dented": {False, True}, "symmetric": {False, True}}
 
 
 def test_exact_guard_rank_two_family_of_twelve():

@@ -3,6 +3,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 import pytest
 
@@ -588,6 +589,51 @@ def test_min_matrix_det_random_with_cofactor_oracle():
         assert cofactor_det(matrix) == telescoped
 
 
+def test_exact_determinant_matches_cofactor_expansion():
+    # seeded integer matrices of sizes 1-6 with negative entries, singular
+    # ones (a repeated row, a zero column) and ones whose leading pivot is
+    # zero, so that elimination has to swap rows
+    rng = random.Random(2502)
+    shapes = set()
+    for _ in range(300):
+        size = rng.randint(1, 6)
+        matrix = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size)]
+        shape = rng.randrange(4)
+        if shape == 1 and size > 1:
+            matrix[rng.randrange(1, size)] = matrix[0][:]
+        elif shape == 2:
+            col = rng.randrange(size)
+            for row in matrix:
+                row[col] = 0
+        elif shape == 3 and size > 1:
+            matrix[0][0] = 0
+        det = qintegral._exact_determinant(matrix)
+        assert isinstance(det, int)
+        assert det == cofactor_det(matrix), matrix
+        shapes.add((shape, det == 0))
+    assert {(0, False), (1, True), (2, True), (3, False)} <= shapes
+    assert qintegral._exact_determinant([[0, 2], [3, 4]]) == -6
+    assert qintegral._exact_determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+
+
+def test_min_matrix_det_mixed_denominators(monkeypatch):
+    rng = random.Random(2503)
+    for _ in range(60):
+        values = sorted(
+            Fraction(rng.randint(0, 30), rng.randint(1, 6)) for _ in range(rng.randint(1, 7))
+        )
+        assert min_matrix_det_check(values)
+        matrix = [[min(a, b) for b in values] for a in values]
+        telescoped = values[0]
+        for a, b in zip(values, values[1:]):
+            telescoped *= b - a
+        assert cofactor_det(matrix) == telescoped
+    # the telescoped side is compared with the elimination, not with itself
+    real_det = qintegral._exact_determinant
+    monkeypatch.setattr(qintegral, "_exact_determinant", lambda m: real_det(m) + 1)
+    assert not min_matrix_det_check([Fraction(1, 2), Fraction(4, 3), Fraction(5, 2)])
+
+
 def test_min_matrix_det_validation():
     with pytest.raises(ValueError):
         min_matrix_det_check([-1, 2])
@@ -639,36 +685,102 @@ def test_min_matrix_entry_split():
 # -- disjoint-support identities --------------------------------------------------------
 
 
+def disjoint_triple(rng, n: int, denominators=(1,)):
+    """Three seeded variables with disjoint supports, values in -6..6 over
+    the given denominators, so that value keys repeat."""
+    size = 1 << n
+    owner = [rng.randrange(3) for _ in range(size)]
+    return [
+        rv(n, [
+            Fraction(rng.randint(-6, 6), rng.choice(denominators)) if owner[j] == part else 0
+            for j in range(size)
+        ])
+        for part in range(3)
+    ]
+
+
+def seven_variables(f, g, h):
+    return [f + g + h, f + g, f + h, g + h, f, g, h]
+
+
+def value_keys(f, g, h):
+    """The distinct (f_j, g_j, h_j), first seen first, and for each path
+    the position of its key."""
+    keys = {}
+    position = [keys.setdefault(key, len(keys)) for key in zip(f.values, g.values, h.values)]
+    return list(keys), position
+
+
 def test_disjoint_support_rows_match_min_matrix_entries(monkeypatch):
-    # every row the entrywise identity compares is the min-matrix row of
-    # one of its seven vectors; check each against the entry oracle
+    # every row the entrywise identity compares is the min-matrix row, over
+    # the distinct value keys, of one of its seven variables; check each
+    # against the entry oracle at the first path of each key, and that all
+    # seven rows of every key are compared
     built = []
 
     def recording_row(vec, i):
         row = real_row(vec, i)
-        built.append((tuple(vec), i, row))
+        built.append((list(vec), i, row))
         return row
 
     real_row = qintegral._min_hat_row
     monkeypatch.setattr(qintegral, "_min_hat_row", recording_row)
     rng = random.Random(19)
+    signs, repeats = set(), set()
     for n in (2, 4, 6):
         st = state(n)
-        size = 1 << n
-        for _ in range(3):
-            owner = [rng.randrange(3) for _ in range(size)]
-            variables = [
-                rv(n, [rng.randint(-6, 6) if owner[j] == part else 0 for j in range(size)])
-                for part in range(3)
-            ]
-            assert disjoint_support_grade2_check(st, *variables)
-    signs = set()
-    for vec, i, row in built:
-        f = RandomVariable(PathSpace(len(vec).bit_length() - 1), vec)
-        assert f.numerators == vec
-        assert row == [min_matrix_entry(f, i, j) for j in range(len(vec))]
-        signs.add((vec[i] > 0) - (vec[i] < 0))
+        for denominators in ((1,), (1, 2), (1, 2, 3)):
+            f, g, h = disjoint_triple(rng, n, denominators)
+            built.clear()
+            assert disjoint_support_grade2_check(st, f, g, h)
+            keys, position = value_keys(f, g, h)
+            first = [position.index(k) for k in range(len(keys))]
+            repeats.add(len(keys) < st.space.size)
+            den = lcm(f.denominator, g.denominator, h.denominator)
+            seven = seven_variables(f, g, h)
+            by_vector = {}
+            for var in seven:
+                values = var.values
+                by_vector.setdefault(tuple(values[p] * den for p in first), var)
+            compared = set()
+            for vec, i, row in built:
+                var = by_vector[tuple(vec)]
+                assert row == [min_matrix_entry(var, first[i], p) * den for p in first]
+                compared.add((tuple(vec), i))
+                signs.add((vec[i] > 0) - (vec[i] < 0))
+            assert compared == {(vec, i) for vec in by_vector for i in range(len(keys))}
+            assert len(built) == 7 * len(keys)
+            # every pair of paths has the entries of its pair of keys
+            for var in seven:
+                for i in range(st.space.size):
+                    for j in range(st.space.size):
+                        assert min_matrix_entry(var, i, j) == min_matrix_entry(
+                            var, first[position[i]], first[position[j]]
+                        )
     assert signs == {-1, 0, 1}
+    assert repeats == {False, True}
+
+
+def test_disjoint_support_compares_every_key_pair(monkeypatch):
+    # one corrupted entry at any pair of key positions must fail the check
+    real_row = qintegral._min_hat_row
+    st = state(4)
+    f, g, h = disjoint_triple(random.Random(2504), 4)
+    keys, _ = value_keys(f, g, h)
+    assert 4 <= len(keys) < st.space.size
+    assert disjoint_support_grade2_check(st, f, g, h)
+    for p, q in product(range(len(keys)), repeat=2):
+
+        def corrupted_row(vec, i):
+            row = real_row(vec, i)
+            if i == p and len(built) % 7 == 0:
+                row[q] += 1
+            built.append(i)
+            return row
+
+        built = []
+        monkeypatch.setattr(qintegral, "_min_hat_row", corrupted_row)
+        assert not disjoint_support_grade2_check(st, f, g, h), (p, q)
 
 
 def test_disjoint_support_with_zero_function():

@@ -37,6 +37,7 @@ import platform
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from statistics import median
 from time import perf_counter_ns
@@ -332,6 +333,43 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         qw.strongly_disjoint,
         lambda w: (w.witnessed, w.at_level),
     ))
+    # the two min-matrix checks: an integer elimination, and the entrywise
+    # identity over pairs of distinct value keys
+    min_rng = random.Random(f"{SEED}:min-matrix")
+    # values as in the verify suite, and 40 values that are all but surely
+    # distinct, so that the elimination runs to its last pivot
+    for m, top, count in ((8, 12, 200), (40, 10**6, 5)):
+        ops.append((
+            f"min_matrix_det_check {m} values",
+            [
+                (sorted(
+                    Fraction(min_rng.randint(0, top), min_rng.choice((1, 2, 3))) for _ in range(m)
+                ),)
+                for _ in range(count)
+            ],
+            qw.min_matrix_det_check,
+            bool,
+        ))
+    for n, count in ((6, 50), (10, 2)):
+        state = qw.DecoherenceState(qw.PathSpace(n))
+        triples = []
+        for _ in range(count):
+            order = list(range(state.space.size))
+            min_rng.shuffle(order)
+            triples.append((state, *(
+                qw.RandomVariable(
+                    state.space,
+                    tuple(min_rng.randint(-6, 6) if j in part else 0 for j in range(len(order))),
+                    2,
+                )
+                for part in (set(order[i::3]) for i in range(3))
+            )))
+        ops.append((
+            f"disjoint_support_grade2_check n={n}",
+            triples,
+            qw.disjoint_support_grade2_check,
+            bool,
+        ))
     return ops
 
 
