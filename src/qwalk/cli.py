@@ -13,12 +13,10 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 bound exceeded, 4 internal error.  User input is validated here, before
 anything is charged or the library sees it, and raises UsageError; any
 other exception from the library is a bug and exits 4 with its traceback
-on stderr.  Resource bounds are the library's cost charges (errors.charge);
-by default matrix, interference and eigen also charge one unit per entry or
-row of the document they print against BUDGET >> 8.  --force lifts that
-bound; the library's charges still refuse, and so do the charges on the
-work per entry or row that matrix and interference write: one unit per
-matrix entry, 16 per interference row.
+on stderr.  Resource bounds are the library's cost charges (errors.charge)
+and three of the command line's own, against the same budget: one unit per
+matrix entry written, 16 per interference row written, and 16 per digit the
+exponents of a variable file add.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 import time
 import traceback
@@ -46,7 +45,7 @@ from .cylinder import (
     variation_lower_bound,
 )
 from .decoherence import DecoherenceState, Event
-from .errors import BUDGET, ResourceLimitError, charge
+from .errors import ResourceLimitError, charge
 from .paths import MAX_STEPS, PathSpace
 from .qintegral import IntegralStrategy, RandomVariable, integral
 from .qmeasure import Strategy, enumerate_precluded, interference, mu
@@ -65,20 +64,12 @@ RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
 _BATCH = 1 << 10  # JSON chunks or CSV rows per write
+# a decimal with an exponent, as Fraction() reads one
+_EXPONENT = re.compile(r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)")
 
 
 class UsageError(Exception):
     pass
-
-
-def _charge_document(units: int, what: str, force: bool) -> None:
-    """Charge a printed document one unit per entry or row against
-    BUDGET >> 8.  Under --force only the cost goes to stderr: the charges
-    on what the document is built from bound it."""
-    if not force:
-        charge(units, what, BUDGET >> 8)
-    elif units > BUDGET >> 8:
-        print(f"forcing {what}: estimated cost {units} units", file=sys.stderr)
 
 
 def _fraction_doc(value: Fraction) -> dict:
@@ -177,6 +168,11 @@ def _parse_values_file(path: str, space: PathSpace) -> list[Fraction]:
     if len(tokens) != space.size:
         raise UsageError(f"variable file must hold {space.size} values, got {len(tokens)}")
     try:
+        # a value's exponent builds a power of ten: charge 16 units for each
+        # digit it adds beyond its token's own length, before any is built
+        marked = (tok for tok in tokens if "e" in tok or "E" in tok)
+        added = (abs(int(m[1])) - len(m[0]) for m in map(_EXPONENT.fullmatch, marked) if m)
+        charge(16 * sum(max(digits, 0) for digits in added), f"exponents in {path!r}")
         return [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad value in {path!r}: {exc}") from None
@@ -218,7 +214,6 @@ def _parse_limit_event(raw: str):
 
 def cmd_matrix(args) -> None:
     space = _parse_horizon(args.n)
-    _charge_document(1 << 2 * args.n, f"matrix document at n={args.n}", args.force)
     charge(1 << 2 * args.n, f"matrix entries at n={args.n}")  # the work per entry written
     sign = DecoherenceState(space).entry_sign
     paths = range(1 << args.n)
@@ -256,7 +251,6 @@ def cmd_interference(args) -> None:
     space = _parse_horizon(args.n)
     size = 1 << args.n
     pairs = size * (size - 1) >> 1
-    _charge_document(pairs, f"interference document at n={args.n}", args.force)
     charge(16 * pairs, f"interference rows at n={args.n}")  # the work per row written
     state = DecoherenceState(space)
     log2_den = max(args.n - 1, 0)
@@ -414,7 +408,6 @@ def cmd_integral(args) -> None:
 
 def cmd_eigen(args) -> None:
     space = _parse_horizon(args.n)
-    _charge_document(2 << args.n, f"eigen document at n={args.n}", args.force)
     state = DecoherenceState(space)
     verified = state.eigen_equation_holds()  # before the command's own vectors are held
     even = state.eigenvector_exact(0)
@@ -458,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matrix", help="emit the scaled decoherence matrix")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("measure", help="q-measure of an event")
     p.add_argument("--n", type=int, required=True)
@@ -468,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("interference", help="full pair classification table")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="json")
-    p.add_argument("--force", action="store_true")
 
     p = sub.add_parser("preclusion", help="enumerate measure-zero events")
     p.add_argument("--n", type=int, required=True)
@@ -507,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eigen", help="rank-two eigenvectors, exact")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--force", action="store_true")
 
     sub.add_parser("verify", help="run the full reproduction suite")
 

@@ -16,7 +16,7 @@ class ResourceLimitError(RuntimeError):
     """
 
 
-def charge(units: int, what: str, budget: int = BUDGET) -> None:
+def charge(units: int, what: str) -> None:
     """Refuse `what` when its predicted `units` exceed the budget."""
-    if units > budget:
-        raise ResourceLimitError(f"{what} costs {units} units, over the budget of {budget}")
+    if units > BUDGET:
+        raise ResourceLimitError(f"{what} costs {units} units, over the budget of {BUDGET}")

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -323,6 +324,42 @@ def test_integral_beyond_the_digit_limit_is_a_resource_bound(tmp_path, capsys):
     assert "resource bound" in err and "4300" in err
 
 
+def test_integral_exponents_are_charged_before_they_are_built(tmp_path, capsys, monkeypatch):
+    # Fraction builds 10**999999999 before any digit limit could refuse it;
+    # the charge is 16 units per digit the exponents add beyond their tokens
+    path = tmp_path / "values.txt"
+    path.write_text("1e999999999 2 3 4\n")
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (3, "")
+    assert f"costs {16 * (999_999_999 - 11)} units, over the budget of {BUDGET}" in err
+
+    # the values of a file without large exponents are read as before
+    path.write_text("0.25\n-1/2\n2.5e-1\n3\n")
+    want = integral_double_sum_oracle(2, [Fraction(1, 4), Fraction(-1, 2), Fraction(1, 4), 3])
+    doc = run_json(capsys, "integral", "--n", "2", "--variable", str(path))["result"]["integral"]
+    assert (doc["num"], doc["den"]) == (want.numerator, want.denominator)
+
+    # summed over the file: two exponents adding 2**19 digits each are the
+    # whole budget, and one more digit is refused
+    charge = errors_module.charge
+
+    def charged(units, what):
+        charge(units, what)
+        raise Accepted(units)
+
+    monkeypatch.setattr(cli_module, "charge", charged)
+    path.write_text("1e524296 -1E+524_299 3 4\n")
+    with pytest.raises(Accepted) as stop:
+        main(["integral", "--n", "2", "--variable", str(path)])
+    assert stop.value.args[0] == BUDGET
+    path.write_text("1e524296 1e-524298 3 4\n")
+    code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
+    assert (code, out) == (3, "")
+    assert f"costs {BUDGET + 16} units, over the budget of {BUDGET}" in err
+
+
 def test_eigen_output(capsys):
     doc = run_json(capsys, "eigen", "--n", "2")
     assert doc["result"]["verified_exact"] is True
@@ -332,7 +369,7 @@ def test_eigen_output(capsys):
 
 def test_eigen_verified_up_to_the_check_cap(capsys):
     assert run_json(capsys, "eigen", "--n", "10")["result"]["verified_exact"] is True
-    doc = run_json(capsys, "eigen", "--n", "12", "--force")
+    doc = run_json(capsys, "eigen", "--n", "12")
     assert doc["result"]["verified_exact"] is True
     assert len(doc["result"]["even_vector"]) == 1 << 12
 
@@ -363,31 +400,26 @@ class Accepted(BaseException):
     """Raised in place of the work once a document's charge has passed."""
 
 
-# the largest horizon accepted before, the first one refused now, its units
-# and the budget: by default the printed document's entries or rows; under
-# --force the work per matrix entry written, 16 per interference row written,
-# and the eigenvectors' 16 per path
-DOCUMENT_CHARGES = [
-    (("matrix", "--n", "8"), ("matrix", "--n", "9"), 1 << 18, BUDGET >> 8),
-    (("matrix", "--n", "12", "--force"), ("matrix", "--n", "13", "--force"), 1 << 26, BUDGET),
-    (("interference", "--n", "8"), ("interference", "--n", "9"), 512 * 511 // 2, BUDGET >> 8),
-    (("interference", "--n", "10", "--force"), ("interference", "--n", "11", "--force"),
-     16 * (2048 * 2047 // 2), BUDGET),
-    (("eigen", "--n", "10"), ("eigen", "--n", "16"), 2 << 16, BUDGET >> 8),
-    (("eigen", "--n", "12", "--force"), ("eigen", "--n", "21", "--force"), 16 << 21, BUDGET),
-]
+# the largest horizon accepted, the first one refused and its units: the
+# work per matrix entry written, 16 per interference row written, and the
+# eigenvectors' 16 per path
+DOCUMENT_CHARGES = {
+    "matrix": (("matrix", "--n", "12"), ("matrix", "--n", "13"), 1 << 26),
+    "interference": (("interference", "--n", "10"), ("interference", "--n", "11"), 16 * (2048 * 2047 // 2)),
+    "eigen": (("eigen", "--n", "20"), ("eigen", "--n", "21"), 16 << 21),
+}
 
 
-@pytest.mark.parametrize("accepted, refused, units, budget", DOCUMENT_CHARGES)
-def test_document_charges(capsys, monkeypatch, accepted, refused, units, budget):
+@pytest.mark.parametrize("accepted, refused, units", DOCUMENT_CHARGES.values(), ids=DOCUMENT_CHARGES)
+def test_document_charges(capsys, monkeypatch, accepted, refused, units):
     code, out, err = run_cli(capsys, *refused)
     assert (code, out) == (3, "")
-    assert f"costs {units} units, over the budget of {budget}" in err
+    assert f"costs {units} units, over the budget of {BUDGET}" in err
 
     charge = errors_module.charge
 
-    def charged(units, what, budget=BUDGET):
-        charge(units, what, budget)
+    def charged(units, what):
+        charge(units, what)
         raise Accepted(units)
 
     for module in (cli_module, decoherence_module):
@@ -515,7 +547,7 @@ def test_eigen_checks_before_it_holds_its_vectors():
         tracemalloc.start()
         try:
             with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["eigen", "--n", "14", "--force"])
+                code = main(["eigen", "--n", "14"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -524,10 +556,10 @@ def test_eigen_checks_before_it_holds_its_vectors():
 
 
 @pytest.mark.parametrize(
-    "argv, lines", [(("matrix", "--n", "9", "--force"), 1), (("matrix", "--n", "2"), 0)]
+    "argv, lines", [(("matrix", "--n", "9"), 1), (("matrix", "--n", "2"), 0)]
 )
 def test_reader_closing_early_is_no_error(argv, lines):
-    # as `qwalk matrix --n 9 --force | head -1`, or a reader gone before the
+    # as `qwalk matrix --n 9 | head -1`, or a reader gone before the
     # first byte: the writes after it has gone fail, and the command still
     # exits 0 with nothing on stderr but its own lines
     env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
@@ -554,7 +586,7 @@ def test_reader_closing_early_is_no_error(argv, lines):
     [
         ("matrix", "--n", "100"),
         ("measure", "--n", "64", "--event", "0"),
-        ("interference", "--n", "0", "--force"),
+        ("interference", "--n", "0"),
         ("eigen", "--n", "64"),
         ("integral", "--n", "64", "--variable", "ones"),
     ],
@@ -659,18 +691,23 @@ def test_library_value_error_is_an_internal_error(capsys, monkeypatch):
 def test_resource_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "preclusion", "--n", "7")
     assert code == 3 and "resource bound" in err
-    code, _, err = run_cli(capsys, "matrix", "--n", "11")
-    assert code == 3
-    code, _, err = run_cli(capsys, "matrix", "--n", "13", "--force")
-    assert code == 3  # beyond even the hard cap
+    code, out, err = run_cli(capsys, "matrix", "--n", "13")
+    assert (code, out) == (3, "") and "resource bound" in err
 
 
-def test_force_lifts_soft_cap(capsys):
-    code, out, err = run_cli(capsys, "matrix", "--n", "9", "--format", "json", "--force")
-    assert code == 0
-    assert "estimated cost" in err
-    doc = json.loads(out)
-    assert len(doc["result"]["entries"]) == 512
+def test_no_document_bound_below_the_charges(capsys):
+    # a document is bounded only by the charges on its work: 2**18 entries
+    # pass, with no cost line on stderr
+    code, out, err = run_cli(capsys, "matrix", "--n", "9", "--format", "json")
+    assert code == 0 and "estimated cost" not in err
+    assert len(json.loads(out)["result"]["entries"]) == 512
+
+
+@pytest.mark.parametrize("command", ["matrix", "interference", "eigen"])
+def test_force_is_a_usage_error(capsys, command):
+    with pytest.raises(SystemExit) as exc:  # argparse knows no such flag
+        main([command, "--n", "2", "--force"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 def test_verify_smoke_subset(capsys, monkeypatch):

@@ -1,13 +1,16 @@
 """Every cost refusal is one `errors.charge` against one budget.
 
 The scan reads the source: a ResourceLimitError built anywhere but in
-`charge` must be one of the bounds that are not costs.  The boundary cases
+`charge` must be one of the bounds that are not costs, and every call of
+`charge` passes its units and what they pay for, nothing else, so no call
+compares against a budget of its own.  The boundary cases
 compute each charged operation's units from counts alone: the largest
 input accepted before the bounds became charges still runs, and the first
 input past the budget is refused with its units and the budget named.
 """
 
 import ast
+import inspect
 import random
 from pathlib import Path
 
@@ -82,6 +85,30 @@ def test_every_cost_refusal_is_a_charge():
     }
     assert ("errors", "charge") in {(module, function) for module, function, _ in built}
     assert {(m, f, line) for m, f, line in built if (m, f) not in NOT_CHARGED} == set()
+
+
+def charge_calls(path: Path):
+    """(line, positional arguments, keywords) of each call of `charge`."""
+    return [
+        (node.lineno, node.args, node.keywords)
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "charge"
+    ]
+
+
+def test_every_charge_is_against_the_one_budget():
+    assert list(inspect.signature(errors.charge).parameters) == ["units", "what"]
+    calls = {
+        (path.stem, line): (args, keywords)
+        for path in sorted(SRC.glob("*.py"))
+        for line, args, keywords in charge_calls(path)
+    }
+    assert len({module for module, _ in calls}) == 7  # every module that charges
+    assert {
+        site for site, (args, keywords) in calls.items()
+        if len(args) != 2 or keywords or any(isinstance(arg, ast.Starred) for arg in args)
+    } == set()
 
 
 class Accepted(BaseException):
@@ -195,8 +222,8 @@ def test_charge_boundaries(monkeypatch, module, accepted, refused, units):
     assert f"costs {units} units, over the budget of {BUDGET}" in str(info.value)
     if module is not None:
 
-        def charged(units, what, budget=BUDGET):
-            errors.charge(units, what, budget)
+        def charged(units, what):
+            errors.charge(units, what)
             raise Accepted(units)
 
         monkeypatch.setattr(module, "charge", charged)

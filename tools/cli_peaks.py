@@ -40,11 +40,11 @@ ROOT = Path(__file__).resolve().parent.parent
 TURNS = 3
 ROWS = [
     ("preclusion", "--n", "6", "--max-card", "4"),
-    ("matrix", "--n", "10", "--force"),
-    ("matrix", "--n", "10", "--force", "--format", "csv"),
-    ("interference", "--n", "9", "--force"),
-    ("interference", "--n", "10", "--force", "--format", "csv"),
-    ("eigen", "--n", "20", "--force"),
+    ("matrix", "--n", "10"),
+    ("matrix", "--n", "10", "--format", "csv"),
+    ("interference", "--n", "9"),
+    ("interference", "--n", "10", "--format", "csv"),
+    ("eigen", "--n", "20"),
     ("verify",),
 ]
 
