@@ -14,9 +14,7 @@ bound exceeded, 4 internal error.  User input is validated here, before
 anything is charged or the library sees it, and raises UsageError; any
 other exception from the library is a bug and exits 4 with its traceback
 on stderr.  Resource bounds are the library's cost charges (errors.charge)
-and three of the command line's own, against the same budget: one unit per
-matrix entry written, 16 per interference row written, and 16 per digit the
-exponents of a variable file add.
+and three of the command line's own, all against the same budget.
 """
 
 from __future__ import annotations
@@ -25,10 +23,10 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 import time
 import traceback
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, islice
 from operator import itemgetter
@@ -64,8 +62,6 @@ RESOURCE_ERROR = 3
 INTERNAL_ERROR = 4
 
 _BATCH = 1 << 10  # JSON chunks or CSV rows per write
-# a decimal with an exponent, as Fraction() reads one
-_EXPONENT = re.compile(r"[-+]?(?=\.?\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?[eE]([-+]?\d+(?:_\d+)*)")
 
 
 class UsageError(Exception):
@@ -168,11 +164,24 @@ def _parse_values_file(path: str, space: PathSpace) -> list[Fraction]:
     if len(tokens) != space.size:
         raise UsageError(f"variable file must hold {space.size} values, got {len(tokens)}")
     try:
-        # a value's exponent builds a power of ten: charge 16 units for each
-        # digit it adds beyond its token's own length, before any is built
-        marked = (tok for tok in tokens if "e" in tok or "E" in tok)
-        added = (abs(int(m[1])) - len(m[0]) for m in map(_EXPONENT.fullmatch, marked) if m)
-        charge(16 * sum(max(digits, 0) for digits in added), f"exponents in {path!r}")
+        # An exponent e follows a token's last e or E.  Fraction() builds
+        # 10**|e|, W = (|e| - 1) // 9 words past the first: W**2 bounds its
+        # squarings and the words it holds, and the lowest e < 0 puts W more
+        # words in every value over the common denominator.
+        exponents = Counter(tok.lower().rpartition("e")[2] for tok in tokens if "e" in tok or "E" in tok)
+        words = {e: max(abs(e) - 1, 0) // 9 for e in map(int, exponents)}
+        units = sum(words[int(e)] ** 2 * count for e, count in exponents.items())
+        try:
+            charge(units + space.size * words.get(min((0, *words)), 0), f"exponents in {path!r}")
+        except ResourceLimitError:
+            # a bad token is a usage error first: each is read with exponent
+            # 0, and one that fails as it is, refused before a power is built
+            for tok in tokens:
+                try:
+                    Fraction(tok.lower().rpartition("e")[0] + "e0" if "e" in tok or "E" in tok else tok)
+                except ValueError:
+                    Fraction(tok)
+            raise
         return [Fraction(tok) for tok in tokens]
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad value in {path!r}: {exc}") from None

@@ -324,16 +324,23 @@ def test_integral_beyond_the_digit_limit_is_a_resource_bound(tmp_path, capsys):
     assert "resource bound" in err and "4300" in err
 
 
-def test_integral_exponents_are_charged_before_they_are_built(tmp_path, capsys, monkeypatch):
-    # Fraction builds 10**999999999 before any digit limit could refuse it;
-    # the charge is 16 units per digit the exponents add beyond their tokens
+def test_integral_exponents_are_charged_before_they_are_built(tmp_path, capsys):
+    # Fraction builds 10**999999999 before any digit limit could refuse it:
+    # 111111110 words beyond the first, charged squared
     path = tmp_path / "values.txt"
     path.write_text("1e999999999 2 3 4\n")
     started = time.perf_counter()
     code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
     assert time.perf_counter() - started < 1
     assert (code, out) == (3, "")
-    assert f"costs {16 * (999_999_999 - 11)} units, over the budget of {BUDGET}" in err
+    assert f"costs {111_111_110 ** 2} units, over the budget of {BUDGET}" in err
+
+    # a bad token beside it, or a bad head or exponent of its own, is a
+    # usage error before it is a cost
+    for text in ("1e999999999 x 3 4", "1e999999999 1ex 3 4", "xe999999999 2 3 4", "1/2e999999999 2 3 4"):
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
+        assert (code, out) == (2, "") and "bad value" in err, text
 
     # the values of a file without large exponents are read as before
     path.write_text("0.25\n-1/2\n2.5e-1\n3\n")
@@ -341,8 +348,9 @@ def test_integral_exponents_are_charged_before_they_are_built(tmp_path, capsys, 
     doc = run_json(capsys, "integral", "--n", "2", "--variable", str(path))["result"]["integral"]
     assert (doc["num"], doc["den"]) == (want.numerator, want.denominator)
 
-    # summed over the file: two exponents adding 2**19 digits each are the
-    # whole budget, and one more digit is refused
+
+def charged_exponents(monkeypatch, argv):
+    """The units of the exponent charge that `argv` passes, or its refusal."""
     charge = errors_module.charge
 
     def charged(units, what):
@@ -350,14 +358,56 @@ def test_integral_exponents_are_charged_before_they_are_built(tmp_path, capsys, 
         raise Accepted(units)
 
     monkeypatch.setattr(cli_module, "charge", charged)
-    path.write_text("1e524296 -1E+524_299 3 4\n")
-    with pytest.raises(Accepted) as stop:
-        main(["integral", "--n", "2", "--variable", str(path)])
-    assert stop.value.args[0] == BUDGET
-    path.write_text("1e524296 1e-524298 3 4\n")
-    code, out, err = run_cli(capsys, "integral", "--n", "2", "--variable", str(path))
-    assert (code, out) == (3, "")
-    assert f"costs {BUDGET + 16} units, over the budget of {BUDGET}" in err
+    with pytest.raises((Accepted, ResourceLimitError)) as stop:
+        cli_module.cmd_integral(cli_module.build_parser().parse_args(argv))
+    return stop.value
+
+
+@pytest.mark.parametrize(
+    "text, units",
+    [
+        # 10**36865 is 4096 words beyond the first: 4096**2 is the budget
+        ("1e36865 2 3 4", BUDGET),
+        ("1e36874 2 3 4", 4097**2),
+        # a negative exponent also puts each of the 4 values over 10**36847,
+        # 4094 words more
+        ("1e-36847 1e19 3 4", 4094**2 + 2**2 + 4 * 4094),
+        ("1e-36847 1e28 3 4", 4094**2 + 3**2 + 4 * 4094),
+        ("1e36847 1e28 3 4", 4094**2 + 3**2),
+        ("1E+3_6865 -2e-1 1e0 3", BUDGET),
+    ],
+)
+def test_integral_exponent_charge_boundaries(tmp_path, monkeypatch, text, units):
+    path = tmp_path / "values.txt"
+    path.write_text(text)
+    stop = charged_exponents(monkeypatch, ["integral", "--n", "2", "--variable", str(path)])
+    if units <= BUDGET:
+        assert stop.args == (units,)
+    else:
+        assert f"costs {units} units, over the budget of {BUDGET}" in str(stop)
+
+
+@pytest.mark.parametrize(
+    "token, units", [("1e-6", 0), ("1e-9", 0), ("2.5e-1", 0), ("1e-30", (3**2 + 3) << 20)]
+)
+def test_ordinary_exponents_are_accepted_at_n20(tmp_path, monkeypatch, token, units):
+    # 2**20 values, as many as a variable may hold: a power of ten that fits
+    # in one word costs nothing, and 10**30 costs 3 words beyond the first,
+    # squared per token, and 3 more in each value over the denominator
+    path = tmp_path / "values.txt"
+    path.write_text(f"{token}\n" * (1 << 20))
+    stop = charged_exponents(monkeypatch, ["integral", "--n", "20", "--variable", str(path)])
+    assert stop.args == (units,)
+
+
+@pytest.mark.parametrize("token", ["1e-9", "1e-30"])
+def test_integral_of_a_constant_file(tmp_path, capsys, token):
+    # the whole space has measure 1, so a constant integrates to itself
+    path = tmp_path / "values.txt"
+    path.write_text(f"{token}\n" * (1 << 16))
+    doc = run_json(capsys, "integral", "--n", "16", "--variable", str(path))["result"]["integral"]
+    want = Fraction(token)
+    assert (doc["num"], doc["den"]) == (want.numerator, want.denominator)
 
 
 def test_eigen_output(capsys):
