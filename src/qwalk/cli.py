@@ -11,7 +11,9 @@ command with exit 0.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
 bound exceeded, 4 internal error.  User input is validated here, before
-anything is charged or the library sees it, and raises UsageError; any
+anything is charged or the library sees it, and raises UsageError; the
+one exception is a variable file's contents, which are read only after
+the variable they fill is charged from its horizon.  Any
 other exception from the library is a bug and exits 4 with its traceback
 on stderr.  Resource bounds are the library's cost charges (errors.charge)
 and three of the command line's own, all against the same budget.
@@ -45,7 +47,7 @@ from .cylinder import (
 from .decoherence import DecoherenceState, Event
 from .errors import ResourceLimitError, charge
 from .paths import MAX_STEPS, PathSpace
-from .qintegral import IntegralStrategy, RandomVariable, integral
+from .qintegral import IntegralStrategy, RandomVariable, _charge_values, integral
 from .qmeasure import Strategy, enumerate_precluded, interference, mu
 from .quadratic import (
     cardinality_squared_table,
@@ -158,7 +160,9 @@ def _parse_event_indices(raw: str, n: int) -> list[int]:
 
 def _parse_values_file(path: str, space: PathSpace) -> list[Fraction]:
     try:
-        tokens = open(path, "r", encoding="utf-8").read().split()
+        with open(path, "r", encoding="utf-8") as file:
+            _charge_values(space)  # the variable it fills, before a byte is read
+            tokens = file.read().split()
     except OSError as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
     if len(tokens) != space.size:

@@ -3,19 +3,25 @@
 Every entry is (+1, -1 or 0) / 2**n: zero when the two paths end on
 different sites, and otherwise a sign fixed by whether their change counts
 agree mod 4.  Consequently every event-level sum reduces to the four-way
-census of change-count residues among the event's members, and that census
-is the workhorse of this module: it *is* the rank-two structure of the
-matrix.  An event's census is four popcounts of its membership mask against
-the four residue-class masks of the path space, which ``paths`` builds once
-per horizon by a recurrence on n and caches.  The two eigenvector
-components of an event are
+census (c0, c1, c2, c3) of change-count residues among the event's members,
+and in fact to its two signed amplitudes, the components of the event's
+vector along the two eigenvectors:
 
-    even residues:  (census[0] - census[2])        (real part)
-    odd residues:   (census[1] - census[3]) * i    (imaginary part)
+    even residues:  u = c0 - c2        (real part)
+    odd residues:   v = (c1 - c3) * i  (imaginary part)
 
-and all functionals are inner products of such pairs over 2**n.  The
-imaginary unit meets its own conjugate there, so every entry, functional and
-inner product is real, and one value type, ``Dyadic``, holds them all.
+That pair *is* the rank-two structure of the matrix.  With m0..m3 the
+residue-class masks of the path space, which ``paths`` builds once per
+horizon by a recurrence on n and caches, and A = m0 | m1, C = m0 | m3, an
+event's mask x gives it from three popcounts:
+
+    u = pc(x & A) + pc(x & C) - pc(x),    v = pc(x & A) - pc(x & C).
+
+Three is the fewest: no two 0/1 masks give both signed sums.  The four-way
+census, four popcounts against m0..m3, stays as the independent reference.
+All functionals are inner products of such pairs over 2**n.  The imaginary
+unit meets its own conjugate there, so every entry, functional and inner
+product is real, and one value type, ``Dyadic``, holds them all.
 """
 
 from __future__ import annotations
@@ -196,14 +202,16 @@ def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
 class DecoherenceState:
     """Entry oracle, event sums and rank-two factorization for one horizon.
 
-    The residue-class masks that every census reads are taken from the
-    per-horizon cache on the state's first census and held on the state
-    from then on, so a state that never takes a census never fetches them.
+    The residue-class masks are taken from the per-horizon cache on the
+    state's first census, and the two pair masks A and C built from them on
+    its first event sum; each is held on the state from then on, so a state
+    that never reads an event never fetches them.
     """
 
     def __init__(self, space: PathSpace):
         self.space = space
         self._masks: tuple[int, int, int, int] | None = None
+        self._pair_masks: tuple[int, int] | None = None
 
     # -- entries -----------------------------------------------------------
 
@@ -240,7 +248,9 @@ class DecoherenceState:
 
         Four popcounts of the event's mask against the residue-class masks
         of this horizon, held on the state from its first census; no member
-        is visited.
+        is visited.  The event sums read the pair (c0 - c2, c1 - c3) from
+        three popcounts instead (``_pair``); this full count is the
+        reference they are tested against.
         """
         # _check_event's test, inline on this hot path
         if event.space is not self.space and event.space != self.space:
@@ -257,11 +267,29 @@ class DecoherenceState:
             (mask & m3).bit_count(),
         )
 
+    def _pair(self, mask: int) -> tuple[int, int]:
+        """(c0 - c2, c1 - c3) of the census of the paths in mask, from
+        pc(x & A), pc(x & C) and pc(x), with A = m0 | m1 and C = m0 | m3.
+
+        The mask is an event's over this horizon, or a union of such masks:
+        the caller checks the events' space.
+        """
+        masks = self._pair_masks
+        if masks is None:
+            m0, m1, _, m3 = _residue_masks(self.space.n)
+            masks = self._pair_masks = (m0 | m1, m0 | m3)
+        a = (mask & masks[0]).bit_count()
+        c = (mask & masks[1]).bit_count()
+        return a + c - mask.bit_count(), a - c
+
     def functional(self, a: Event, b: Event) -> Dyadic:
-        """Decoherence functional of the event pair, via the rank-two censuses."""
-        ca, cb = self.census(a), self.census(b)
-        value = (ca[0] - ca[2]) * (cb[0] - cb[2]) + (ca[1] - ca[3]) * (cb[1] - cb[3])
-        return Dyadic(value, self.space.n)
+        """Decoherence functional of the event pair, via the rank-two pairs."""
+        space = self.space  # _check_event's test on both, inline on this hot path
+        if (a.space is not space and a.space != space) or (b.space is not space and b.space != space):
+            raise ValueError("event lives over a different path space")
+        ua, va = self._pair(a.mask)
+        ub, vb = self._pair(b.mask)
+        return Dyadic(ua * ub + va * vb, self.space.n)
 
     def functional_by_entries(self, a: Event, b: Event) -> Dyadic:
         """Reference route: literal sum of matrix entries over a x b, one
@@ -340,8 +368,11 @@ class DecoherenceState:
 
     def vector_measure(self, event: Event) -> VectorMeasureValue:
         """The event's two-component vector, additive and functional-compatible."""
-        c = self.census(event)
-        return VectorMeasureValue(c[0] - c[2], c[1] - c[3], self.space.n)
+        # _check_event's test, inline on this hot path
+        if event.space is not self.space and event.space != self.space:
+            raise ValueError("event lives over a different path space")
+        u, v = self._pair(event.mask)
+        return VectorMeasureValue(u, v, self.space.n)
 
     def strong_positivity_check(self, events: Sequence[Event]) -> bool:
         """Exact guard that the events' functional Gram matrix is PSD.
@@ -353,6 +384,8 @@ class DecoherenceState:
         fraction-free elimination: at most k**3 integer steps for k events.
         """
         charge(16 * len(events) ** 3, f"strong-positivity check of {len(events)} events")
-        vectors = [self.vector_measure(ev) for ev in events]
-        gram = [[x.even * y.even + x.odd * y.odd for y in vectors] for x in vectors]
+        for ev in events:
+            self._check_event(ev)
+        pairs = [self._pair(ev.mask) for ev in events]
+        gram = [[xu * yu + xv * yv for yu, yv in pairs] for xu, xv in pairs]
         return psd_by_ldl(gram)

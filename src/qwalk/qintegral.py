@@ -43,6 +43,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import pairwise, product
 from math import comb, gcd, lcm, prod
+from operator import add
 from typing import Callable
 
 from .cylinder import AtMostKOnes, _automaton, _sweep
@@ -61,6 +62,15 @@ class IntegralStrategy(Enum):
     DEFINITION = "definition"
     TRACE = "trace"
     EIGEN = "eigen"
+
+
+def _charge_values(space: PathSpace) -> None:
+    """Charge a variable's values over this space, 16 units per path, one
+    numerator each; callers that read the values from outside charge them
+    before reading."""
+    units = 16 << space.n
+    if units > BUDGET:  # charge's test, inline on this hot path
+        charge(units, f"random variable at n={space.n}")
 
 
 @dataclass(frozen=True)
@@ -85,9 +95,7 @@ class RandomVariable:
     )
 
     def __post_init__(self) -> None:
-        units = 16 << self.space.n  # one numerator per path
-        if units > BUDGET:  # charge's test, inline on this hot path
-            charge(units, f"random variable at n={self.space.n}")
+        _charge_values(self.space)
         if len(self.numerators) != self.space.size:
             raise ValueError("value vector length must be 2**n")
         if self.denominator < 1:
@@ -475,7 +483,8 @@ def disjoint_support_grade2_check(
     charge(7 << 2 * state.space.n, f"entrywise identity check at n={state.space.n}")
 
     den = lcm(f.denominator, g.denominator, h.denominator)
-    keys = dict.fromkeys(zip(f._over(den), g._over(den), h._over(den)))
+    nf, ng, nh = f._over(den), g._over(den), h._over(den)
+    keys = dict.fromkeys(zip(nf, ng, nh))
     vf, vg, vh = zip(*keys)
     vfg, vfh, vgh = ([a + b for a, b in zip(x, y)] for x, y in ((vf, vg), (vf, vh), (vg, vh)))
     vfgh = [a + b for a, b in zip(vfg, vh)]
@@ -499,9 +508,13 @@ def disjoint_support_grade2_check(
     def integ(rv: RandomVariable) -> Fraction:
         return integral(state, rv, IntegralStrategy.TRACE)
 
-    lhs = integ(f + g + h)
+    def integ_over(numerators: tuple[int, ...]) -> Fraction:
+        return integ(RandomVariable(state.space, numerators, den))
+
+    fg, fh, gh = (tuple(map(add, x, y)) for x, y in ((nf, ng), (nf, nh), (ng, nh)))
+    lhs = integ_over(tuple(map(add, fg, nh)))
     rhs = (
-        integ(f + g) + integ(f + h) + integ(g + h)
+        integ_over(fg) + integ_over(fh) + integ_over(gh)
         - integ(f) - integ(g) - integ(h)
     )
     return lhs == rhs

@@ -26,18 +26,13 @@ class Strategy(Enum):
 
     DENSE = "dense"  # literal entry-by-entry double sum
     PAIRWISE = "pairwise"  # pair measures plus the grade-2 expansion
-    RANK2 = "rank2"  # squared census sums from the rank-two structure
+    RANK2 = "rank2"  # squared amplitude pair from the rank-two structure
 
 
 class Interference(Enum):
     NO_INTERFERENCE = "none"
     CONSTRUCTIVE = "constructive"
     DESTRUCTIVE = "destructive"
-
-
-def _census_quadratic(census: tuple[int, int, int, int]) -> int:
-    """2**n times the measure of an event with this census over horizon n."""
-    return (census[0] - census[2]) ** 2 + (census[1] - census[3]) ** 2
 
 
 def _pair_mu(u: int, v: int, n: int) -> Dyadic:
@@ -61,7 +56,8 @@ def mu(state: DecoherenceState, event: Event, strategy: Strategy = Strategy.RANK
         raise ValueError("event lives over a different path space")
     n = state.space.n
     if strategy is Strategy.RANK2:
-        return mu_from_census(state.census(event), n)
+        u, v = state._pair(event.mask)
+        return Dyadic(u * u + v * v, n)
     if strategy is Strategy.DENSE:
         return state.functional_by_entries(event, event)
     if strategy is Strategy.PAIRWISE:
@@ -188,17 +184,24 @@ def interference_composition_check(state: DecoherenceState) -> bool:
     return True
 
 
+def _quadratics(state: DecoherenceState, masks) -> list[int]:
+    """2**n times the measure of each mask's paths, u**2 + v**2 of its pair."""
+    return [u * u + v * v for u, v in map(state._pair, masks)]
+
+
 def grade2_check(state: DecoherenceState, a: Event, b: Event, c: Event) -> bool:
     """Exact grade-2 additivity identity for three mutually disjoint events.
 
     Every measure at one horizon has the denominator 2**n, so the identity
-    is compared on the integer census quadratics of the seven events.
+    is compared on the integer quadratics u**2 + v**2 of the seven events'
+    amplitude pairs, each union's pair read from its own mask.
     """
     if not (a.isdisjoint(b) and a.isdisjoint(c) and b.isdisjoint(c)):
         raise ValueError("grade-2 identity needs mutually disjoint events")
-    ab, ac, bc = a.union(b), a.union(c), b.union(c)
-    q_abc, q_ab, q_ac, q_bc, q_a, q_b, q_c = (
-        _census_quadratic(state.census(e)) for e in (ab.union(c), ab, ac, bc, a, b, c)
+    state._check_event(a)  # b and c share its space
+    ma, mb, mc = a.mask, b.mask, c.mask
+    q_abc, q_ab, q_ac, q_bc, q_a, q_b, q_c = _quadratics(
+        state, (ma | mb | mc, ma | mb, ma | mc, mb | mc, ma, mb, mc)
     )
     return q_abc == q_ab + q_ac + q_bc - q_a - q_b - q_c
 
@@ -208,11 +211,12 @@ def regularity_check(state: DecoherenceState, a: Event, b: Event) -> bool:
 
     For disjoint a, b: a null event drops out of unions, and a null union
     forces its two halves to share a measure.  The measures are compared as
-    their integer census quadratics over the common denominator 2**n.
+    their integer quadratics u**2 + v**2 over the common denominator 2**n.
     """
     if not a.isdisjoint(b):
         raise ValueError("regularity check needs disjoint events")
-    q_a, q_b, q_ab = (_census_quadratic(state.census(e)) for e in (a, b, a.union(b)))
+    state._check_event(a)  # b shares its space
+    q_a, q_b, q_ab = _quadratics(state, (a.mask, b.mask, a.mask | b.mask))
     if q_a == 0 and q_ab != q_b:
         return False
     if q_ab == 0 and q_a != q_b:

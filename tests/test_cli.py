@@ -410,6 +410,21 @@ def test_integral_of_a_constant_file(tmp_path, capsys, token):
     assert (doc["num"], doc["den"]) == (want.numerator, want.denominator)
 
 
+def test_variable_file_is_charged_before_it_is_read(tmp_path, capsys):
+    # 2**21 values cost 16 units each whatever they hold, so the horizon
+    # alone refuses the file, before its 4 MiB are read; a file that
+    # cannot be opened is still a usage error first
+    path = tmp_path / "values.txt"
+    path.write_text("1\n" * (1 << 21))
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "integral", "--n", "21", "--variable", str(path))
+    assert time.perf_counter() - started < 1
+    assert (code, out) == (3, "")
+    assert f"random variable at n=21 costs {16 << 21} units, over the budget of {BUDGET}" in err
+    code, out, err = run_cli(capsys, "integral", "--n", "21", "--variable", str(tmp_path / "missing.txt"))
+    assert (code, out) == (2, "") and "cannot read" in err
+
+
 def test_eigen_output(capsys):
     doc = run_json(capsys, "eigen", "--n", "2")
     assert doc["result"]["verified_exact"] is True

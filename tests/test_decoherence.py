@@ -15,7 +15,7 @@ from qwalk.decoherence import (
 from qwalk.errors import BUDGET, ResourceLimitError
 from qwalk.exact import Dyadic
 from qwalk.paths import PathSpace, _residue_masks
-from qwalk.qmeasure import mu
+from qwalk.qmeasure import grade2_check, mu, regularity_check
 
 
 from oracles import (
@@ -238,6 +238,87 @@ def test_census_rejects_another_horizon(other):
     st.census(Event.full(st.space))  # after the masks are held, too
     with pytest.raises(ValueError):
         st.census(event(other, [0, 1]))
+
+
+def census_pair(st: DecoherenceState, ev: Event) -> tuple[int, int]:
+    c0, c1, c2, c3 = st.census(ev)
+    return c0 - c2, c1 - c3
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pair_matches_census_exhaustive(n):
+    # every event of the space: the three-popcount pair is the census's
+    st = state(n)
+    for mask in range(1 << (1 << n)):
+        ev = Event(st.space, mask)
+        assert st._pair(mask) == census_pair(st, ev), hex(mask)
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_pair_matches_census_seeded(n):
+    rng = random.Random(6000 + n)
+    st = state(n)
+    size = 1 << n
+    for i in range(2000):
+        # dense masks, and sparse ones of 1 to 64 members in turn
+        if i % 2:
+            ev = Event(st.space, rng.getrandbits(size))
+        else:
+            ev = Event.from_indices(st.space, rng.sample(range(size), rng.randint(1, min(64, size))))
+        assert st._pair(ev.mask) == census_pair(st, ev)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_pair_matches_census_wide(n):
+    rng = random.Random(6100 + n)
+    st = state(n)
+    size = 1 << n
+    for _ in range(20):
+        members = rng.sample(range(size), rng.randint(1, 64))
+        sparse = Event.from_indices(st.space, members)
+        assert st._pair(sparse.mask) == census_pair(st, sparse)
+        c0, c1, c2, c3 = census_of_indices_oracle(n, members)
+        assert st._pair(sparse.mask) == (c0 - c2, c1 - c3)
+    for _ in range(5):
+        dense = Event(st.space, rng.getrandbits(size))
+        assert st._pair(dense.mask) == census_pair(st, dense)
+    full = Event.full(st.space)
+    assert st._pair(full.mask) == census_pair(st, full)
+
+
+def test_pair_routes_agree_with_the_census():
+    # each route reads the pair; the same values from the four-way census
+    rng = random.Random(6200)
+    for n in (3, 9, 14):
+        st = state(n)
+        size = 1 << n
+        for _ in range(50):
+            a = Event(st.space, rng.getrandbits(size))
+            b = Event(st.space, rng.getrandbits(size) & ~a.mask)
+            (ua, va), (ub, vb) = census_pair(st, a), census_pair(st, b)
+            assert mu(st, a) == Dyadic(ua * ua + va * va, n)
+            assert st.functional(a, b) == Dyadic(ua * ub + va * vb, n)
+            assert st.vector_measure(a) == VectorMeasureValue(ua, va, n)
+
+
+@pytest.mark.parametrize("other", [6, 8])
+def test_pair_routes_reject_another_horizon(other):
+    # the pair takes a bare mask, so each route checks its events' space
+    st = state(7)
+    here, there = Event.full(st.space), event(other, [0, 1])
+    routes = [
+        lambda ev: mu(st, ev),
+        lambda ev: st.functional(here, ev),
+        lambda ev: st.functional(ev, here),
+        st.vector_measure,
+        lambda ev: st.strong_positivity_check([here, ev]),
+        lambda ev: grade2_check(st, ev, Event.empty(ev.space), Event.empty(ev.space)),
+        lambda ev: regularity_check(st, ev, Event.empty(ev.space)),
+    ]
+    for route in routes:
+        route(here)  # and with the masks held
+        with pytest.raises(ValueError, match="different path space"):
+            route(there)
 
 
 def test_census_matches_index_loop_dense_n12():

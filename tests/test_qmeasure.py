@@ -454,11 +454,13 @@ def test_integer_checks_agree_with_pairwise_measures(n):
 )
 def test_regularity_rejects_a_census_that_breaks_a_clause(monkeypatch, censuses):
     # the walk's measure is always regular, so only a forged census can
-    # show that each clause is enforced
+    # show that each clause is enforced; the check reads a census as the
+    # amplitude pair (c0 - c2, c1 - c3), so that pair is what is forged
     st = state(3)
     a, b = event(3, [0]), event(3, [1])
-    forged = dict(zip((a.mask, b.mask, a.union(b).mask), censuses))
-    monkeypatch.setattr(st, "census", lambda ev: forged[ev.mask])
+    pairs = [(c0 - c2, c1 - c3) for c0, c1, c2, c3 in censuses]
+    forged = dict(zip((a.mask, b.mask, a.union(b).mask), pairs))
+    monkeypatch.setattr(st, "_pair", forged.__getitem__)
     assert not regularity_check(st, a, b)
 
 

@@ -8,6 +8,7 @@ check actually integrates to be equal, in the same order.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,35 @@ def test_eigen_reconstruction_names_a_nonzero_cross_site_entry(monkeypatch, n, j
     monkeypatch.setattr(DecoherenceState, "entry_sign", stray)
     with pytest.raises(verify.CheckFailure, match=rf"n={n}, \({j},{k}\)$"):
         verify.check_eigen_reconstruction()
+
+
+def test_eigen_reconstruction_reads_every_entry_and_one_row_per_column(monkeypatch):
+    # all 4**n entry signs are read at each n, and a row is built once per
+    # distinct eigen-column, which is fixed by the path's change residue
+    sign = DecoherenceState.entry_sign
+    reads = Counter()
+
+    def counted(self, row, col):
+        reads[self.space.n] += 1
+        return sign(self, row, col)
+
+    outer_row = verify._outer_row
+    built: dict[int, list] = {}
+
+    def recorded(column, columns):
+        built.setdefault(len(columns).bit_length() - 1, []).append(column)
+        return outer_row(column, columns)
+
+    monkeypatch.setattr(DecoherenceState, "entry_sign", counted)
+    monkeypatch.setattr(verify, "_outer_row", recorded)
+    verify.check_eigen_reconstruction()
+    assert reads == {n: 4**n for n in range(1, 9)}
+    assert sorted(built) == list(range(1, 9))
+    for n, columns in built.items():
+        state = DecoherenceState(PathSpace(n))
+        want = {(*a, *b) for a, b in zip(state.eigenvector_exact(0), state.eigenvector_exact(1))}
+        assert len(columns) == len(set(columns)) == len(want) <= 8
+        assert set(columns) == want
 
 
 @pytest.mark.parametrize("n, i, j", [(1, 0, 1), (6, 9, 40), (8, 254, 255)])

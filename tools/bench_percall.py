@@ -38,6 +38,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from importlib import import_module
 from pathlib import Path
 from statistics import median
 from time import perf_counter_ns
@@ -370,6 +371,41 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
             qw.disjoint_support_grade2_check,
             bool,
         ))
+    # the amplitude pair at the widest benchmark horizon: a measure of 1 to
+    # 64 members, one of a dense mask, and the grade-2 identity on three
+    # disjoint sparse events; then the rank-two reconstruction check
+    pair_rng = random.Random(f"{SEED}:pair")
+    state = qw.DecoherenceState(qw.PathSpace(20))
+    size = state.space.size
+
+    def sparse_masks(parts: int) -> list[int]:
+        members = pair_rng.sample(range(size), pair_rng.randint(parts, 64))
+        return [sum(1 << j for j in members[i::parts]) for i in range(parts)]
+
+    ops.append((
+        "mu rank2 n=20 sparse",
+        [(state, qw.Event(state.space, sparse_masks(1)[0])) for _ in range(40)],
+        qw.mu,
+        dyadic_parts,
+    ))
+    ops.append((
+        "mu rank2 n=20 dense",
+        [(state, qw.Event(state.space, pair_rng.getrandbits(size))) for _ in range(40)],
+        qw.mu,
+        dyadic_parts,
+    ))
+    ops.append((
+        "grade2_check n=20 sparse",
+        [(state, *(qw.Event(state.space, m) for m in sparse_masks(3))) for _ in range(20)],
+        qw.grade2_check,
+        bool,
+    ))
+    ops.append((
+        "check_eigen_reconstruction",
+        [()] * 3,
+        import_module(f"{qw.__name__}.verify").check_eigen_reconstruction,
+        repr,
+    ))
     return ops
 
 
