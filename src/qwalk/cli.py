@@ -163,7 +163,7 @@ def _parse_values_file(path: str, space: PathSpace) -> list[Fraction]:
         with open(path, "r", encoding="utf-8") as file:
             _charge_values(space)  # the variable it fills, before a byte is read
             tokens = file.read().split()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
     if len(tokens) != space.size:
         raise UsageError(f"variable file must hold {space.size} values, got {len(tokens)}")
@@ -194,7 +194,7 @@ def _parse_values_file(path: str, space: PathSpace) -> list[Fraction]:
 def _parse_system(path: str):
     try:
         text = open(path, "r", encoding="utf-8").read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path!r}: {exc}") from None
     try:
         return parse_system_file(text)

@@ -340,14 +340,9 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     space = PathSpace(n)
     if complement:
         return CylinderEvent(n, Event.full(space))
-    if isinstance(inner, FinitePathSet):  # a bit for each path's prefix
-        bits = bytearray(((1 << n) + 7) >> 3)  # set in place: one mask built
-        for j in {p.index_at(n) for p in inner.paths}:
-            bits[j >> 3] |= 1 << (j & 7)
-        mask = int.from_bytes(bits, "little")
-    else:
-        mask = _hull_mask(*_automaton(inner, n), n)
-    return CylinderEvent(n, Event(space, mask))
+    if isinstance(inner, FinitePathSet):  # a member for each path's prefix
+        return CylinderEvent(n, Event.from_indices(space, (p.index_at(n) for p in inner.paths)))
+    return CylinderEvent(n, Event(space, _hull_mask(*_automaton(inner, n), n)))
 
 
 @dataclass(frozen=True)

@@ -33,6 +33,14 @@ from .exact import Dyadic, _Frozen, _new
 from .paths import PathSpace, _class_segments, _residue_masks, change_residue
 
 
+def _charge_mask(space: PathSpace) -> int:
+    """Charge an event mask over this space, one unit per path; return its width."""
+    size = 1 << space.n
+    if size > BUDGET:
+        charge(size, f"event mask at n={space.n}")
+    return size
+
+
 class Event(_Frozen):
     """Subset of the n-path space as a membership mask (bit j <=> path j)."""
 
@@ -40,7 +48,7 @@ class Event(_Frozen):
 
     def __new__(cls, space: PathSpace, mask: int) -> "Event":
         size = 1 << space.n
-        if size > BUDGET:  # charge's test, inline on this hot path
+        if size > BUDGET:  # _charge_mask's test, inline on this hot path
             charge(size, f"event mask at n={space.n}")
         if mask < 0 or mask >> size:
             raise ValueError("event mask addresses paths outside the space")
@@ -64,15 +72,20 @@ class Event(_Frozen):
 
     @classmethod
     def from_indices(cls, space: PathSpace, indices) -> "Event":
-        mask = 0
+        """The event of these path indices, any order, repeats allowed.  The
+        mask is charged before anything of its width exists, then each index
+        is range-checked and its bit set in one bytearray: O(m + 2**n / 8)."""
+        size = _charge_mask(space)
+        bits = bytearray((size + 7) >> 3)
         for j in indices:
             space.check_index(j)
-            mask |= 1 << j
-        return cls(space, mask)
+            bits[j >> 3] |= 1 << (j & 7)
+        return cls(space, int.from_bytes(bits, "little"))
 
     @classmethod
     def full(cls, space: PathSpace) -> "Event":
-        return cls(space, (1 << space.size) - 1)
+        """Every path of the space, its mask charged before it is built."""
+        return cls(space, (1 << _charge_mask(space)) - 1)
 
     @classmethod
     def empty(cls, space: PathSpace) -> "Event":
@@ -202,15 +215,14 @@ def psd_by_ldl(gram: Sequence[Sequence[int]]) -> bool:
 class DecoherenceState:
     """Entry oracle, event sums and rank-two factorization for one horizon.
 
-    The residue-class masks are taken from the per-horizon cache on the
-    state's first census, and the two pair masks A and C built from them on
-    its first event sum; each is held on the state from then on, so a state
-    that never reads an event never fetches them.
+    The two pair masks A and C are built from the per-horizon cache of
+    residue-class masks on the state's first event sum and held on the
+    state from then on, so a state that never sums an event never fetches
+    them.  The census, the reference route, reads the cache on each call.
     """
 
     def __init__(self, space: PathSpace):
         self.space = space
-        self._masks: tuple[int, int, int, int] | None = None
         self._pair_masks: tuple[int, int] | None = None
 
     # -- entries -----------------------------------------------------------
@@ -247,25 +259,14 @@ class DecoherenceState:
         """Counts of the event's members by change count mod 4.
 
         Four popcounts of the event's mask against the residue-class masks
-        of this horizon, held on the state from its first census; no member
-        is visited.  The event sums read the pair (c0 - c2, c1 - c3) from
-        three popcounts instead (``_pair``); this full count is the
-        reference they are tested against.
+        of this horizon, from the per-horizon cache; no member is visited.
+        The event sums read the pair (c0 - c2, c1 - c3) from three popcounts
+        instead (``_pair``); this full count is the reference they are
+        tested against.
         """
-        # _check_event's test, inline on this hot path
-        if event.space is not self.space and event.space != self.space:
-            raise ValueError("event lives over a different path space")
-        masks = self._masks
-        if masks is None:
-            masks = self._masks = _residue_masks(self.space.n)
+        self._check_event(event)
         mask = event.mask
-        m0, m1, m2, m3 = masks
-        return (
-            (mask & m0).bit_count(),
-            (mask & m1).bit_count(),
-            (mask & m2).bit_count(),
-            (mask & m3).bit_count(),
-        )
+        return tuple((mask & m).bit_count() for m in _residue_masks(self.space.n))
 
     def _pair(self, mask: int) -> tuple[int, int]:
         """(c0 - c2, c1 - c3) of the census of the paths in mask, from

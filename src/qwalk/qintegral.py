@@ -66,8 +66,8 @@ class IntegralStrategy(Enum):
 
 def _charge_values(space: PathSpace) -> None:
     """Charge a variable's values over this space, 16 units per path, one
-    numerator each; callers that read the values from outside charge them
-    before reading."""
+    numerator each; every constructor, and every caller that reads the
+    values from outside, charges them before building or reading any."""
     units = 16 << space.n
     if units > BUDGET:  # charge's test, inline on this hot path
         charge(units, f"random variable at n={space.n}")
@@ -118,6 +118,7 @@ class RandomVariable:
     @classmethod
     def from_values(cls, space: PathSpace, values) -> "RandomVariable":
         """Accepts anything Fraction() does; ints and Fractions pass as they are."""
+        _charge_values(space)
         values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
         den = lcm(*{v.denominator for v in values})
         return cls(
@@ -138,11 +139,13 @@ class RandomVariable:
 
     @classmethod
     def indicator(cls, event: Event) -> "RandomVariable":
+        _charge_values(event.space)
         bits = format(event.mask, f"0{event.space.size}b")[::-1]  # bit j at index j
         return cls(event.space, tuple(map(int, bits)))
 
     @classmethod
     def constant(cls, space: PathSpace, value) -> "RandomVariable":
+        _charge_values(space)
         value = Fraction(value)
         return cls(space, (value.numerator,) * space.size, value.denominator)
 

@@ -309,11 +309,9 @@ def embed_right_pad(event: Event, target: PathSpace) -> Event:
     if shift < 0:
         raise ValueError("target space must be at least as fine")
     tail = (1 << shift) - 1
-    mask = 0
-    for j in event.indices():
-        padded = (j << shift) | (tail if j & 1 else 0)
-        mask |= 1 << padded
-    return Event(target, mask)
+    return Event.from_indices(
+        target, ((j << shift) | (tail if j & 1 else 0) for j in event.indices())
+    )
 
 
 def scaling_check(

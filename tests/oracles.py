@@ -160,6 +160,15 @@ def precluded_masks_by_gray_walk(n: int) -> tuple[int, ...]:
     return tuple(found)
 
 
+def mask_by_or_loop(indices) -> int:
+    """The membership mask of the path indices, one OR of 1 << j per member:
+    quadratic in the mask width, so kept to sparse lists past n = 20."""
+    mask = 0
+    for j in indices:
+        mask |= 1 << j
+    return mask
+
+
 def refined_mask_by_members(mask: int, level: int, to_level: int) -> int:
     """The level-`to_level` base of the cylinder with the level-`level` base
     `mask`: each member j becomes the block of 2**extra paths j << extra

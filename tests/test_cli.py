@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import time
@@ -425,6 +426,18 @@ def test_variable_file_is_charged_before_it_is_read(tmp_path, capsys):
     assert (code, out) == (2, "") and "cannot read" in err
 
 
+def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "values.txt"
+    path.write_bytes(b"\xff\xfe1\n2\n")
+    for argv in (("integral", "--n", "1", "--variable", str(path)), ("quadratic", "--file", str(path))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "") and f"cannot read {str(path)!r}" in err
+        assert "Traceback" not in err
+    # the horizon is still charged before a byte is read
+    code, out, err = run_cli(capsys, "integral", "--n", "21", "--variable", str(path))
+    assert (code, out) == (3, "") and "random variable at n=21" in err
+
+
 def test_eigen_output(capsys):
     doc = run_json(capsys, "eigen", "--n", "2")
     assert doc["result"]["verified_exact"] is True
@@ -644,6 +657,27 @@ def test_reader_closing_early_is_no_error(argv, lines):
 
 
 # -- error paths ------------------------------------------------------------------------
+
+
+def under_one_gib():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("n, code", [(40, 3), (63, 3), (24, 0)])
+def test_measure_charges_the_event_mask_before_it_is_built(n, code):
+    # the last path's bit alone is 2**n bits, 128 GiB at n = 40: refused
+    # before it is built, so a child held to 1 GiB of address space exits
+    # 3 rather than failing on an allocation of its own
+    env = dict(os.environ, PYTHONPATH=str(Path(cli_module.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qwalk.cli", "measure", "--n", str(n), "--event", str((1 << n) - 1)],
+        capture_output=True, text=True, env=env, preexec_fn=under_one_gib, timeout=120,
+    )
+    assert proc.returncode == code and "Traceback" not in proc.stderr
+    if code:
+        assert proc.stdout == "" and f"event mask at n={n} costs {1 << n} units" in proc.stderr
+    else:
+        assert json.loads(proc.stdout)["params"]["event"] == [(1 << n) - 1]
 
 
 @pytest.mark.parametrize(

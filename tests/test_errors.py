@@ -12,6 +12,8 @@ input past the budget is refused with its units and the budget named.
 import ast
 import inspect
 import random
+import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -40,7 +42,7 @@ from qwalk.qintegral import (
     min_matrix_det_check,
     psd_check,
 )
-from qwalk.qmeasure import Strategy, enumerate_precluded, mu, preclusion_count
+from qwalk.qmeasure import Strategy, embed_right_pad, enumerate_precluded, mu, preclusion_count
 from qwalk.quadratic import SetSystem
 
 SRC = Path(qwalk.__file__).resolve().parent
@@ -231,3 +233,54 @@ def test_charge_boundaries(monkeypatch, module, accepted, refused, units):
         accepted()
     except Accepted as stop:
         assert stop.args[0] <= BUDGET
+
+
+def refusal_and_peak(build) -> tuple[str, int]:
+    """The refusal `build()` raises, and the most memory traced before it."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError) as info:
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(info.value), peak
+
+
+COARSE = Event.from_indices(PathSpace(3), [1, 6])
+
+
+@pytest.mark.parametrize("n", [25, 28])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda space: Event.from_indices(space, [space.size - 1]),
+        Event.full,
+        lambda space: embed_right_pad(COARSE, space),
+    ],
+    ids=["from_indices", "full", "embed_right_pad"],
+)
+def test_event_masks_are_charged_before_they_are_built(n, build):
+    # a mask of 2**25 bits is 4 MiB, of 2**28 bits 32 MiB: refused first,
+    # nothing near that size is made
+    message, peak = refusal_and_peak(lambda: build(PathSpace(n)))
+    assert message == f"event mask at n={n} costs {1 << n} units, over the budget of {BUDGET}"
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "n, build",
+    [
+        (21, lambda space, ev: RandomVariable.indicator(ev)),
+        (22, lambda space, ev: RandomVariable.constant(space, Fraction(1, 3))),
+        (22, lambda space, ev: RandomVariable.from_values(space, (1 for _ in range(space.size)))),
+    ],
+    ids=["indicator", "constant", "from_values"],
+)
+def test_random_variables_are_charged_before_they_are_built(n, build):
+    # 2**n values held one per path: refused before any per-path sequence
+    space = PathSpace(n)
+    ev = Event.from_indices(space, [5])
+    message, peak = refusal_and_peak(lambda: build(space, ev))
+    assert message == f"random variable at n={n} costs {16 << n} units, over the budget of {BUDGET}"
+    assert peak < 1 << 20

@@ -406,6 +406,43 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         import_module(f"{qw.__name__}.verify").check_eigen_reconstruction,
         repr,
     ))
+    # events built from member lists: a wide sparse list, the suite's small
+    # lists, idle-padded embeddings and a finite set's hull
+    mask_rng = random.Random(f"{SEED}:mask")
+    space = qw.PathSpace(20)
+    ops.append((
+        "Event.from_indices n=20 sparse",
+        [(space, [mask_rng.randrange(space.size) for _ in range(16_000)]) for _ in range(3)],
+        qw.Event.from_indices,
+        lambda ev: hex(ev.mask),
+    ))
+    space = qw.PathSpace(3)
+    ops.append((
+        "Event.from_indices n=3",
+        [(space, mask_rng.sample(range(8), 3)) for _ in range(20000)],
+        qw.Event.from_indices,
+        lambda ev: hex(ev.mask),
+    ))
+    fine = qw.PathSpace(6)
+    ops.append((
+        "embed_right_pad 3->6",
+        [(qw.Event(space, mask_rng.getrandbits(8)), fine) for _ in range(20000)],
+        import_module(f"{qw.__name__}.qmeasure").embed_right_pad,
+        lambda ev: hex(ev.mask),
+    ))
+    hull = qw.FinitePathSet(tuple(
+        qw.EventualPath(
+            tuple(mask_rng.randrange(2) for _ in range(mask_rng.randint(0, 40))),
+            mask_rng.randrange(2),
+        )
+        for _ in range(256)
+    ))
+    ops.append((
+        "approximant finite set n=24",
+        [(hull, 24)] * 4,
+        qw.approximant,
+        lambda cyl: (cyl.level, hex(cyl.base.mask)),
+    ))
     return ops
 
 

@@ -10,8 +10,8 @@ process with the library on PYTHONPATH and PYTHONUNBUFFERED unset.  Its
 stdout is read through a pipe and only hashed and counted, never kept.  The
 process's peak resident set comes from os.wait4, and its wall time runs
 from the spawn to the wait.  The rows are the documents whose memory grows
-with the horizon, with `verify` for scale; each side runs every row TURNS
-times.
+with the horizon, a measure of a long member list and `verify` for scale;
+each side runs every row TURNS times.
 
 With ``--baseline`` the library there and this one (or ``--src``) are
 measured in turn, alternating which side runs first on each turn.  Both
@@ -28,16 +28,20 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import time
 from pathlib import Path
 from statistics import median
 
-from bench_percall import host  # a sibling in tools/
+from bench_percall import SEED, host  # a sibling in tools/
 
 ROOT = Path(__file__).resolve().parent.parent
 TURNS = 3
+# a seeded event of 16 000 members at n = 20: about 111 KB, under Linux's
+# 128 KiB limit on one argument
+MEMBERS = ",".join(map(str, random.Random(f"{SEED}:measure").sample(range(1 << 20), 16_000)))
 ROWS = [
     ("preclusion", "--n", "6", "--max-card", "4"),
     ("matrix", "--n", "10"),
@@ -45,8 +49,14 @@ ROWS = [
     ("interference", "--n", "9"),
     ("interference", "--n", "10", "--format", "csv"),
     ("eigen", "--n", "20"),
+    ("measure", "--n", "20", "--event", MEMBERS),
     ("verify",),
 ]
+
+
+def label(argv: tuple[str, ...]) -> str:
+    """A row's name: its argv, with the member list named, not spelled out."""
+    return " ".join("<16 000 seeded members>" if arg == MEMBERS else arg for arg in argv)
 
 
 def run(src: Path, argv: tuple[str, ...]) -> dict:
@@ -76,13 +86,13 @@ def run(src: Path, argv: tuple[str, ...]) -> dict:
 
 
 def measure(sides: dict[str, Path]) -> dict:
-    runs: dict[str, dict[str, list]] = {" ".join(argv): {side: [] for side in sides} for argv in ROWS}
+    runs: dict[str, dict[str, list]] = {label(argv): {side: [] for side in sides} for argv in ROWS}
     order = list(sides.items())
     for turn in range(TURNS):
         for argv in ROWS:
             # alternate which side goes first, so a slow phase hits both
             for side, src in order if turn % 2 == 0 else order[::-1]:
-                runs[" ".join(argv)][side].append(run(src, argv))
+                runs[label(argv)][side].append(run(src, argv))
     rows = {}
     for name, by_side in runs.items():
         row = {}
