@@ -11,10 +11,12 @@ down; the verdicts reported here are numerical findings, not proofs.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from operator import truediv
 from typing import Union
 
 from .decoherence import DecoherenceState, Event
@@ -241,10 +243,13 @@ def _sweep(moves, start, n_max: int) -> tuple[list, dict]:
     automaton's hulls, one pair per live state: a step off the last site,
     the residue's parity, is a change, so a 0-step maps (u, v) to (u - v, 0)
     and a 1-step to (0, u + v), and a level's pair is the sum of what its
-    steps carry.  Returns the level pairs and level n_max's pair per state."""
+    steps carry.  Returns the level pairs and level n_max's pair per state.
+    A level's live pairs fix the next level's, so once they equal the last
+    level's every later level repeats them, exactly, and the sweep stops:
+    a finite path set's settle one level past its longest prefix."""
     levels = []
     live = {start: (1, 0)}  # the empty path: no change, on site 0
-    for _ in range(n_max):
+    while len(levels) < n_max:
         grown = {}
         even = odd = 0
         for s, (u, v) in live.items():
@@ -259,8 +264,10 @@ def _sweep(moves, start, n_max: int) -> tuple[list, dict]:
                 odd += y
                 b = grown.get(one)
                 grown[one] = (0, y) if b is None else (b[0], b[1] + y)
-        live = grown
         levels.append((even, odd))
+        if grown == live:  # a fixed point: the later levels repeat this one
+            levels += levels[-1:] * (n_max - len(levels))
+        live = grown
     return levels, live
 
 
@@ -308,13 +315,14 @@ def _limit_pairs(event: SymbolicEvent, n_max: int) -> list:
     pass: its hulls, or for a complement the whole space less the inner
     set's hulls.  Every limit-table refusal is made here, before the sweep:
     a table past LIMIT_MAX_LEVEL, and an at-most-k table at the first level
-    whose hull has more than COMBINATION_CAP members."""
+    whose hull has more than COMBINATION_CAP members, found by bisection
+    since the member count grows with the level."""
     inner, complement = _description(event)
     if n_max > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit level {n_max} is past the cap of {LIMIT_MAX_LEVEL}")
     if isinstance(inner, AtMostKOnes) and _at_most_members(inner.limit, n_max) > COMBINATION_CAP:
         k = inner.limit
-        n = next(n for n in range(1, n_max + 1) if _at_most_members(k, n) > COMBINATION_CAP)
+        n = bisect(range(n_max + 1), COMBINATION_CAP, key=lambda m: _at_most_members(k, m))
         raise ResourceLimitError(
             f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
         )
@@ -463,22 +471,23 @@ def limit_mu_hat(
 
     One pair sweep yields every level's term, each equal to
     `limit_term(event, n)`; a whole table costs what its last term does,
-    and is refused where that term is.
+    and is refused where that term is.  Each row's float is the integer
+    u**2 + v**2 over 2**n, correctly rounded as float(Dyadic) is.
     """
     if not 2 <= window <= n_max:
         raise ValueError("need n_max >= window >= 2")
-    rows = []
-    for n, (u, v) in enumerate(_limit_pairs(event, n_max), start=1):
-        exact = _pair_mu(u, v, n)
-        rows.append((n, exact, float(exact)))
-    verdict, estimate, at_n = classify_sequence([r[2] for r in rows], window, tol)
+    levels = range(1, n_max + 1)
+    nums = [u * u + v * v for u, v in _limit_pairs(event, n_max)]
+    floats = list(map(truediv, nums, map((1).__lshift__, levels)))
+    rows = tuple(zip(levels, map(Dyadic, nums, levels), floats))
+    verdict, estimate, at_n = classify_sequence(floats, window, tol)
     kind = (
         "increasing-complements"
         if isinstance(event, ComplementOfFinitePathSet)
         else "decreasing-hulls"
     )
     return LimitReport(
-        values=tuple(rows),
+        values=rows,
         verdict=verdict,
         estimate=estimate,
         at_n=at_n,
@@ -566,16 +575,16 @@ def _root_two_cos(h: int, m: int) -> Dyadic:
 def change_residue_profile_closed_form(n: int) -> tuple[int, int, int, int]:
     """paths.change_residue_counts(n), the residue profile of change counts
     mod 4 over the whole level-n space, from its closed form, evaluated
-    exactly in dyadic rationals.
+    exactly in integers.
 
-    Each class holds 2**(n-2) + 2**(n/2 - 1) * cos((n - 2j) * pi / 4) paths;
-    n - 2 and n - 2j have the same parity, so every term is dyadic and the
-    sum an integer.
+    Each class holds 2**(n-2) + 2**(n/2 - 1) * cos((n - 2j) * pi / 4) paths,
+    a quarter of 2**n + 2**((n + 2)/2) * cos((n - 2j) * pi / 4), whose
+    cosine term is an integer: n + 2 >= 3 has the parity of n - 2j.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    base = Dyadic(1 << n, 2)  # 2**(n-2)
-    return tuple((base + _root_two_cos(n - 2, n - 2 * j)).numerator_at(0) for j in range(4))
+    cos_terms = (_root_two_cos(n + 2, n - 2 * j).numerator_at(0) for j in range(4))
+    return tuple(((1 << n) + c) >> 2 for c in cos_terms)
 
 
 def complement_of_constant_closed_form(n: int) -> Dyadic:
@@ -584,10 +593,11 @@ def complement_of_constant_closed_form(n: int) -> Dyadic:
 
         1 + 1/2**n - cos(n*pi/4) / 2**(n/2 - 1)
 
-    evaluated exactly: the cosine term is 2**((2 - n)/2) * cos(n*pi/4), and
-    2 - n has the parity of n, so it is dyadic for every n.  The sign of
-    the cosine term here is the one the residue-census route confirms.
+    evaluated exactly as one numerator over 2**n: 2**n + 1 less
+    2**((n + 2)/2) * cos(n*pi/4), an integer since n + 2 >= 3 has the parity
+    of n.  The sign of the cosine term here is the one the residue-census
+    route confirms.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return 1 + Dyadic(1, n) - _root_two_cos(2 - n, n)
+    return Dyadic((1 << n) + 1 - _root_two_cos(n + 2, n).numerator_at(0), n)

@@ -117,13 +117,17 @@ class RandomVariable:
 
     @classmethod
     def from_values(cls, space: PathSpace, values) -> "RandomVariable":
-        """Accepts anything Fraction() does; ints and Fractions pass as they are."""
+        """Accepts anything Fraction() does; ints and Fractions pass as they are.
+        Over the lcm L of the denominators the form is canonical: a prime
+        power p**e exactly dividing L divides some value's denominator d, and
+        that value's numerator, prime to d, times L // d is prime to p.  So
+        the gcd pass is skipped: the variable is built over 1, then given L."""
         _charge_values(space)
         values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
         den = lcm(*{v.denominator for v in values})
-        return cls(
-            space, tuple(v.numerator * (den // v.denominator) for v in values), den
-        )
+        var = cls(space, tuple(v.numerator * (den // v.denominator) for v in values))
+        object.__setattr__(var, "denominator", den)
+        return var
 
     @classmethod
     def ones(cls, space: PathSpace) -> "RandomVariable":

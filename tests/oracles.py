@@ -6,12 +6,18 @@ too many to list, by counting them in closed form, so agreement with the
 library is a genuine cross-check rather than the same arithmetic twice.  The set-system
 references at the end walk member triples by index, or decide the grade-2
 identity on a power set through the Moebius inverse; the last one decides
-positive-semidefiniteness by elimination in rationals.
+positive-semidefiniteness by elimination in rationals.  After them come the
+pair sweep run to its last level with no early exit, the first level of an
+at-most-k hull past a member cap by a scan of every level, and the two
+cos(m*pi/4) closed forms as they were evaluated in dyadic rationals.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import comb
+
+from qwalk.cylinder import _root_two_cos
+from qwalk.exact import Dyadic
 
 
 def site_string(n: int, j: int) -> str:
@@ -237,3 +243,45 @@ def psd_by_fraction_ldl(gram) -> bool:
                 for c in range(step + 1, k):
                     m[r][c] -= f * m[step][c]
     return True
+
+
+def sweep_every_level(moves, start, n_max: int) -> tuple[list, dict]:
+    """The step automaton's signed census pairs (c0 - c2, c1 - c3) at levels
+    1..n_max, and the last level's pair per live state, by stepping every
+    live state through every level: a 0-step carries (u, v) to (u - v, 0)
+    and a 1-step to (0, u + v)."""
+    levels = []
+    live = {start: (1, 0)}
+    for _ in range(n_max):
+        grown = {}
+        for s, (u, v) in live.items():
+            for bit, carried in enumerate(((u - v, 0), (0, u + v))):
+                t = moves[s][bit]
+                if t is not None:
+                    a, b = grown.get(t, (0, 0))
+                    grown[t] = (a + carried[0], b + carried[1])
+        live = grown
+        levels.append((sum(u for u, _ in live.values()), sum(v for _, v in live.values())))
+    return levels, live
+
+
+def first_level_past_cap(k: int, n_max: int, cap: int) -> int | None:
+    """The least level n <= n_max whose at-most-k hull, C(n, 0) + ... +
+    C(n, min(k, n)) paths, has more than `cap` members, by a scan of every
+    level, or None."""
+    for n in range(1, n_max + 1):
+        if sum(comb(n, t) for t in range(min(k, n) + 1)) > cap:
+            return n
+    return None
+
+
+def residue_profile_by_dyadic(n: int) -> tuple[int, int, int, int]:
+    """The level-n change-residue profile as four Dyadic sums 2**(n-2) +
+    2**(n/2 - 1) * cos((n - 2j) * pi / 4)."""
+    base = Dyadic(1 << n, 2)
+    return tuple((base + _root_two_cos(n - 2, n - 2 * j)).numerator_at(0) for j in range(4))
+
+
+def complement_closed_form_by_dyadic(n: int):
+    """1 + 1/2**n - cos(n*pi/4) / 2**(n/2 - 1) as a sum of Dyadics."""
+    return 1 + Dyadic(1, n) - _root_two_cos(2 - n, n)

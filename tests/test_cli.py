@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import resource
@@ -26,7 +27,10 @@ from qwalk import cli as cli_module
 from qwalk import decoherence as decoherence_module
 from qwalk import errors as errors_module
 from qwalk.cli import _fraction_doc, main
+from qwalk.decoherence import DecoherenceState
 from qwalk.errors import BUDGET, ResourceLimitError
+from qwalk.paths import PathSpace
+from qwalk.qintegral import RandomVariable, integral
 
 
 def run_cli(capsys, *argv):
@@ -436,6 +440,38 @@ def test_a_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
     # the horizon is still charged before a byte is read
     code, out, err = run_cli(capsys, "integral", "--n", "21", "--variable", str(path))
     assert (code, out) == (3, "") and "random variable at n=21" in err
+
+
+def first_primes(count: int) -> list[int]:
+    sieve = bytearray([1]) * 40_000  # the 4096th prime is 38873
+    sieve[:2] = b"\0\0"
+    for p in range(2, 200):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, len(sieve), p)))
+    return [p for p, alive in enumerate(sieve) if alive][:count]
+
+
+def test_many_distinct_denominators_exit_without_a_gcd_pass(tmp_path, capsys):
+    # 1/p for the first 4096 primes: over their lcm the value is past the
+    # digit limit, found in well under the seconds a gcd pass over the
+    # 4096 numerators of some 60 000 bits took before it
+    primes = first_primes(4096)
+    path = tmp_path / "primes.txt"
+    path.write_text("".join(f"1/{p}\n" for p in primes))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "integral", "--n", "12", "--variable", str(path))
+    assert (code, out) == (3, "") and "decimal digits" in err
+    assert time.perf_counter() - start < 2.0
+    # the first 1024 primes at n = 10 still integrate, to the reduced form's value
+    values = [Fraction(1, p) for p in primes[:1024]]
+    path.write_text("".join(f"1/{p}\n" for p in primes[:1024]))
+    doc = run_json(capsys, "integral", "--n", "10", "--variable", str(path))["result"]["integral"]
+    den = math.lcm(*primes[:1024])
+    space = PathSpace(10)
+    reduced = RandomVariable(space, tuple(den // p for p in primes[:1024]), den)
+    assert reduced == RandomVariable.from_values(space, values)
+    want = integral(DecoherenceState(space), reduced)
+    assert (doc["num"], doc["den"]) == (want.numerator, want.denominator)
 
 
 def test_eigen_output(capsys):

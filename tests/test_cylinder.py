@@ -11,13 +11,18 @@ from oracles import (
     census_of_indices_oracle,
     changes_oracle,
     changes_table,
+    complement_closed_form_by_dyadic,
+    first_level_past_cap,
     mu_oracle,
     ones_oracle,
     refined_mask_by_members,
+    residue_profile_by_dyadic,
     site_string,
+    sweep_every_level,
 )
 
 from qwalk import cylinder
+from qwalk.cli import _parse_limit_event
 from qwalk.cylinder import (
     ALL_ZEROS,
     COMBINATION_CAP,
@@ -331,6 +336,12 @@ def test_complement_closed_form_values():
     assert [n for n, _, _ in table] == list(range(1, 513))
 
 
+def test_closed_forms_match_their_dyadic_evaluation():
+    for n in range(1, 601):
+        assert complement_of_constant_closed_form(n) == complement_closed_form_by_dyadic(n), n
+        assert change_residue_profile_closed_form(n) == residue_profile_by_dyadic(n), n
+
+
 def test_root_two_cos_is_the_float_value_or_refused():
     for h in range(-40, 41):
         for m in range(-16, 17):
@@ -385,6 +396,47 @@ def test_limit_table_matches_terms():
         terms = [limit_term(event, n) for n in range(1, 41)]
         rows = tuple((n, term, float(term)) for n, term in enumerate(terms, start=1))
         assert limit_mu_hat(event, 40).values == rows
+
+
+def reference_rows(event, n_max):
+    """limit_mu_hat's rows as a sweep of every level gives them: one Dyadic
+    per level's pair, and float() of it."""
+    inner, complement = cylinder._description(event)
+    pairs = sweep_every_level(*_automaton(inner, n_max), n_max)[0]
+    if complement:
+        full = change_residue_count_levels(n_max)
+        pairs = [(c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs)]
+    rows = []
+    for n, (u, v) in enumerate(pairs, start=1):
+        exact = Dyadic(u * u + v * v, n)
+        rows.append((n, exact, float(exact)))
+    return tuple(rows)
+
+
+def test_limit_rows_match_a_sweep_of_every_level():
+    rng = random.Random(20261021)
+    paths = tuple(
+        EventualPath(tuple(rng.randrange(2) for _ in range(rng.randint(0, 48))), rng.randrange(2))
+        for _ in range(8)
+    )
+    tables = [(_parse_limit_event(raw), 512) for raw in ("return-to-zero", "complement-constant")]
+    tables += [(_parse_limit_event(f"at-most-ones:{k}"), 512) for k in range(3)]
+    tables += [(_parse_limit_event("at-most-ones:3"), 181)]  # up to its refusal
+    tables += [
+        (event, 512)
+        for event in (
+            FinitePathSet(paths),
+            ComplementOfFinitePathSet(paths),
+            FinitePathSet(()),
+            FinitelyManyOnes(),
+            InfinitelyManyOnes(),
+        )
+    ]
+    for event, n_max in tables:
+        rows = limit_mu_hat(event, n_max).values
+        for n, exact, estimate in rows:
+            assert type(estimate) is float and estimate == float(exact), (event, n)
+        assert rows == reference_rows(event, n_max), event
 
 
 def test_limit_validation():
@@ -526,6 +578,31 @@ def test_at_most_cap_level_matches_run_count_seeded():
             limit_term(AtMostKOnes(k), 512)
 
 
+def test_at_most_refusal_level_matches_a_scan_of_every_level(monkeypatch):
+    def unswept(*args):
+        raise LookupError("swept")
+
+    monkeypatch.setattr(cylinder, "_sweep", unswept)
+    rng = random.Random(20261021)
+    for k in range(31):
+        first = first_level_past_cap(k, LIMIT_MAX_LEVEL, COMBINATION_CAP)
+        n_maxes = {1, 2, LIMIT_MAX_LEVEL, *rng.sample(range(1, LIMIT_MAX_LEVEL + 1), 12)}
+        if first is not None:
+            n_maxes |= {first - 1, first, first + 1} - {0}
+        for n_max in sorted(n_maxes):
+            # the scan to n_max stops where the scan to 512 does, if it gets there
+            want = first if first is not None and first <= n_max else None
+            if want is None:
+                with pytest.raises(LookupError):
+                    _limit_pairs(AtMostKOnes(k), n_max)
+                continue
+            with pytest.raises(ResourceLimitError) as refused:
+                _limit_pairs(AtMostKOnes(k), n_max)
+            assert str(refused.value) == (
+                f"at-most-{k}-ones census at level {want} exceeds {COMBINATION_CAP} members"
+            )
+
+
 def test_at_most_sweep_matches_run_count_seeded():
     rng = random.Random(20261018)
     for _ in range(24):
@@ -654,6 +731,75 @@ def test_sweep_and_hull_match_every_step_string_seeded(monkeypatch):
             assert table[n - 1] == pair(counts)
             states = _sweep(moves, start, n)[1]
             assert states == {s: pair(c) for s, c in by_state.items()}
+
+
+def random_automata(seed: int, count: int):
+    """Step tables of 1 to 12 states, with dead moves and self-loops, each
+    with a start and a table length up to 512, mostly short."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        size = rng.randint(1, 12)
+
+        def pick(s):
+            r = rng.random()
+            return None if r < 0.3 else s if r < 0.5 else rng.randrange(size)
+
+        n_max = 1 + int(511 * rng.random() ** 3)
+        yield [(pick(s), pick(s)) for s in range(size)], rng.randrange(size), n_max
+
+
+def test_sweep_matches_a_sweep_of_every_level_seeded():
+    settled = unsettled = 0
+    for moves, start, n_max in random_automata(1021, 2000):
+        levels, live = _sweep(moves, start, n_max)
+        assert (levels, live) == sweep_every_level(moves, start, n_max), (moves, start, n_max)
+        if n_max > 2:
+            if levels[-1] == levels[-2]:
+                settled += 1
+            else:
+                unsettled += 1
+    assert settled > 200 and unsettled > 200
+
+
+class CountingMoves(list):
+    """A step table that counts how often a state's moves are read."""
+
+    reads = 0
+
+    def __getitem__(self, s):
+        self.reads += 1
+        return super().__getitem__(s)
+
+
+def test_finite_set_sweeps_stop_one_level_past_the_longest_prefix(monkeypatch):
+    # a lone path holds one live state per level, so a read is a level
+    rng = random.Random(20261021)
+    for length in range(49):
+        for repeat in (0, 1):
+            path = EventualPath(tuple(rng.randrange(2) for _ in range(length)), repeat)
+            moves, start = _automaton(FinitePathSet((path,)), 512)
+            counted = CountingMoves(moves)
+            levels, _ = _sweep(counted, start, 512)
+            assert len(levels) == 512 and counted.reads <= length + 2
+    # a set of P paths holds at most P live states per level; its table,
+    # its complement's table and their last terms all stop early
+    tables = []
+    build = cylinder._automaton
+
+    def counted_automaton(inner, n):
+        moves, start = build(inner, n)
+        tables.append(CountingMoves(moves))
+        return tables[-1], start
+
+    monkeypatch.setattr(cylinder, "_automaton", counted_automaton)
+    for paths in seeded_path_sets(7):
+        longest = max((len(p.prefix) for p in paths), default=0)
+        for event in (FinitePathSet(paths), ComplementOfFinitePathSet(paths)):
+            assert len(limit_mu_hat(event, 512).values) == 512
+            limit_term(event, 512)
+            for counted in tables:
+                assert counted.reads <= max(len(paths), 1) * (longest + 2), paths
+            tables.clear()
 
 
 def test_disjointness_walk_matches_every_step_string_seeded():

@@ -101,6 +101,22 @@ def test_from_values_accepts_what_fraction_accepts():
     assert f.denominator == 60
 
 
+def test_from_values_is_in_lowest_terms_over_the_lcm_seeded():
+    # from_values skips the gcd pass; the reducing constructor runs it on
+    # the same numerators over the lcm and must find nothing to divide out
+    rng = random.Random(20261021)
+    for n in (1, 2, 3, 5, 8):
+        space = PathSpace(n)
+        for _ in range(40):
+            dens = rng.sample((1, 2, 3, 4, 6, 9, 12, 25, 49, 60, 97, 128), rng.randint(1, 4))
+            values = [Fraction(rng.randint(-30, 30), rng.choice(dens)) for _ in range(space.size)]
+            f = RandomVariable.from_values(space, values)
+            den = lcm(*(v.denominator for v in values))
+            reduced = RandomVariable(space, tuple(v.numerator * (den // v.denominator) for v in values), den)
+            assert (f.numerators, f.denominator) == (reduced.numerators, reduced.denominator)
+            assert f.values == tuple(values)
+
+
 def test_variable_rejects_bad_shapes():
     space = PathSpace(2)
     with pytest.raises(ValueError):

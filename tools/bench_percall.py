@@ -20,7 +20,8 @@ host, so each side reports the spread of its processes: the minimum and
 the median of their ns per call.  Both sides must produce identical
 results, checked by a digest of each batch's outputs, or the run fails.
 A primitive that one library refuses with ResourceLimitError is recorded
-as refused on that side, with the refusal's message, and not compared.
+as refused on that side, with the refusal's message, and not compared; a
+row named "(refused)" times the refusal itself, its message the result.
 The table goes to stderr and the JSON record to stdout.  Only the standard
 library is used.
 """
@@ -266,6 +267,27 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
         [(n,) for n in range(1, 513)],
         qw.complement_of_constant_closed_form,
         lambda d: d.as_fraction(),
+    ))
+    ops.append((
+        "change_residue_profile_closed_form n<=40",
+        [(n,) for n in range(1, 41)],
+        qw.change_residue_profile_closed_form,
+        tuple,
+    ))
+
+    def refusal(event, n):
+        """limit_term's refusal message, timed like any result."""
+        try:
+            qw.limit_term(event, n)
+        except qw.ResourceLimitError as exc:
+            return str(exc)
+        raise AssertionError(f"limit_term({event!r}, {n}) was not refused")
+
+    ops.append((
+        "limit_term at-most-3 n=512 (refused)",
+        [(qw.AtMostKOnes(3), 512)] * 20,
+        refusal,
+        str,
     ))
     ops.append((
         "variation_lower_bound n<=64",
