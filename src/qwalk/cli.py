@@ -528,6 +528,7 @@ COMMANDS = {
     "quadratic": cmd_quadratic,
     "integral": cmd_integral,
     "eigen": cmd_eigen,
+    "verify": cmd_verify,
 }
 
 
@@ -536,11 +537,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.subcommand == "verify":
-            code = cmd_verify(args)
-        else:
-            COMMANDS[args.subcommand](args)
-            code = 0
+        code = COMMANDS[args.subcommand](args) or 0
         sys.stdout.flush()  # so that a closed reader is seen here, not at exit
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

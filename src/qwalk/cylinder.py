@@ -124,6 +124,9 @@ class EventualPath:
     def __post_init__(self) -> None:
         if self.repeat not in (0, 1) or any(b not in (0, 1) for b in self.prefix):
             raise ValueError("step bits must be 0 or 1")
+        # a bit equal to 0 or 1 (True, 1.0, Fraction(1)) is kept as that int
+        object.__setattr__(self, "prefix", tuple(map(int, self.prefix)))
+        object.__setattr__(self, "repeat", int(self.repeat))
 
     def step(self, i: int) -> int:
         """Site at time i >= 1."""
@@ -152,8 +155,11 @@ class AtMostKOnes:
     limit: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.limit, int):
+            raise ValueError("limit must be an integer")
         if self.limit < 0:
             raise ValueError("limit must be nonnegative")
+        object.__setattr__(self, "limit", int(self.limit))  # True is kept as 1
 
 
 @dataclass(frozen=True)
@@ -209,32 +215,29 @@ def _automaton(event: FinitePathSet | AtMostKOnes, n: int):
     its first n steps: moves[s] holds the states after a 0-step and a
     1-step, None where no member continues; the level-n hull is the step
     strings whose run never meets None.  At-most-K counts ones up to
-    min(K, n).  A finite path set's states are sets of (path, steps read)
-    pairs, steps capped at min(prefix length, n), so a prefix reaches one
-    state however its paths are given.  A depth holds each path at most
-    once, and past the longest capped prefix L a state splits once by its
-    next bit, so the build is first charged 16 units for P * (L + 2) pairs."""
+    min(K, n).  A finite path set is the trie of its distinct prefixes to
+    depth D = min(L + 1, n), L the longest prefix capped at n: a state per
+    d steps read and their index, the root first.  Past its prefix a path
+    repeats one bit, so a depth-D state loops on the bit that reached it;
+    when D = n no run reads past it.  The build is first charged 16 units
+    for P * (L + 2) states, which bounds the trie's 1 + P * D."""
     if isinstance(event, AtMostKOnes):
         k = min(event.limit, n)  # state s: s ones read
         return [(s, s + 1 if s < k else None) for s in range(k + 1)], 0
     paths = event.paths
-    ends = [min(len(p.prefix), n) for p in paths]
-    held = len(paths) * (max(ends, default=0) + 2)
-    charge(16 * held, f"path-set automaton of {len(paths)} paths to level {n}")
-    states = [frozenset((j, 0) for j in range(len(paths)))]
-    number = {states[0]: 0}
-    moves = []
-    for state in states:  # numbered in the order they are found
-        split = ([], [])
-        for j, i in state:
-            split[paths[j].step(i + 1)].append((j, min(i + 1, ends[j])))
-        row = []
-        for pairs in map(frozenset, split):
-            if pairs and pairs not in number:
-                number[pairs] = len(states)
-                states.append(pairs)
-            row.append(number[pairs] if pairs else None)
-        moves.append(tuple(row))
+    longest = min(max((len(p.prefix) for p in paths), default=0), n)
+    charge(16 * len(paths) * (longest + 2), f"path-set automaton of {len(paths)} paths to level {n}")
+    depth = min(longest + 1, n)
+    moves = [[None, None]]  # the root: no step read
+    for p in paths:
+        s = 0
+        for bit in p.prefix[:depth] + (p.repeat,) * (depth - len(p.prefix)):
+            t = moves[s][bit]
+            if t is None:
+                t = moves[s][bit] = len(moves)
+                moves.append([None, None])
+            s = t
+        moves[s][bit] = s  # the depth-D state repeats its last bit
     return moves, 0
 
 
@@ -313,10 +316,11 @@ def _at_most_members(k: int, n: int) -> int:
 def _limit_pairs(event: SymbolicEvent, n_max: int) -> list:
     """Signed pairs of the event's limit terms at levels 1..n_max, in one
     pass: its hulls, or for a complement the whole space less the inner
-    set's hulls.  Every limit-table refusal is made here, before the sweep:
-    a table past LIMIT_MAX_LEVEL, and an at-most-k table at the first level
-    whose hull has more than COMBINATION_CAP members, found by bisection
-    since the member count grows with the level."""
+    set's hulls; the empty set's sweep is zero pairs, stopped at its fixed
+    point after two levels.  Every limit-table refusal is made here, before
+    the sweep: a table past LIMIT_MAX_LEVEL, and an at-most-k table at the
+    first level whose hull has more than COMBINATION_CAP members, found by
+    bisection since the member count grows with the level."""
     inner, complement = _description(event)
     if n_max > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit level {n_max} is past the cap of {LIMIT_MAX_LEVEL}")
@@ -326,8 +330,6 @@ def _limit_pairs(event: SymbolicEvent, n_max: int) -> list:
         raise ResourceLimitError(
             f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
         )
-    if complement and not inner.paths:  # the whole space: no automaton to sweep
-        return [(c0 - c2, c1 - c3) for c0, c1, c2, c3 in change_residue_count_levels(n_max)]
     pairs, _ = _sweep(*_automaton(inner, n_max), n_max)
     if not complement:
         return pairs

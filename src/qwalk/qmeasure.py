@@ -18,7 +18,7 @@ from math import comb
 from .decoherence import DecoherenceState, Event
 from .errors import charge
 from .exact import Dyadic
-from .paths import PathSpace, change_residue, change_residue_counts
+from .paths import PathSpace, _class_segments, change_residue_counts
 
 
 class Strategy(Enum):
@@ -282,8 +282,8 @@ def enumerate_precluded(
     if not sizes:
         return []  # and no path of a large space is visited
     classes: tuple[list[int], ...] = ([], [], [], [])
-    for j in state.space.indices():
-        classes[change_residue(j)].append(j)
+    for r, segment in _class_segments(state.space.indices(), n):  # each class ascending
+        classes[r].extend(segment)
     masks: list[int] = []
     for k, l in sizes:
         odd = _balanced_masks(classes[1], classes[3], l)

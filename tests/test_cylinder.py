@@ -161,6 +161,33 @@ def test_eventual_path_bits():
         EventualPath((0, 2), 0)
 
 
+def test_bits_and_limits_of_other_numeric_types():
+    """A bit equal to 0 or 1 is kept as that int, so every route reads it;
+    other bits and a limit that is not an integer are refused when the
+    event is made, as a negative limit is."""
+    as_ints = EventualPath((1, 0), 1)
+    one, zero = Fraction(1), Fraction(0)
+    for prefix, repeat in (((True, False), True), ((1.0, 0.0), 1.0), ((one, zero), one)):
+        path = EventualPath(prefix, repeat)
+        assert path == as_ints and hash(path) == hash(as_ints)
+        assert all(type(b) is int for b in (*path.prefix, path.repeat))
+        event = FinitePathSet((path,))
+        assert approximant(event, 3).base.to_tuple() == (0b101,)
+        assert limit_term(event, 3) == limit_term(FinitePathSet((as_ints,)), 3)
+        assert limit_term(ComplementOfFinitePathSet((path,)), 3) == limit_term(
+            ComplementOfFinitePathSet((as_ints,)), 3
+        )
+    for prefix, repeat in (((0.5,), 0), ((0,), 2.0), ((0,), None), (("1",), 0)):
+        with pytest.raises(ValueError, match="step bits must be 0 or 1"):
+            EventualPath(prefix, repeat)
+    assert AtMostKOnes(True) == AtMostKOnes(1) and type(AtMostKOnes(True).limit) is int
+    for limit in (2.0, Fraction(2), "2", None):
+        with pytest.raises(ValueError, match="limit must be an integer"):
+            AtMostKOnes(limit)
+    with pytest.raises(ValueError, match="limit must be nonnegative"):
+        AtMostKOnes(-1)
+
+
 def test_index_at_matches_steps_seeded():
     # prefixes shorter and longer than n, both repeat bits, n up to 63
     rng = random.Random(2121)
@@ -856,41 +883,72 @@ def test_every_family_is_read_by_every_entry():
 
 
 def path_set_states_oracle(paths, n: int) -> set:
-    """The states of a path set's level-n automaton, as sets of (path,
-    steps read) pairs: the paths grouped on the bits they read at each
-    depth, a path reading its bit after min(steps, prefix length, n)."""
-    ends = [min(len(p.prefix), n) for p in paths]
-    states = {frozenset((j, 0) for j in range(len(paths)))}
-    for d in range(1, max(ends, default=0) + 3):
-        groups = {}
-        for j, p in enumerate(paths):
-            read = tuple(p.step(min(t, ends[j]) + 1) for t in range(d))
-            groups.setdefault(read, set()).add((j, min(d, ends[j])))
-        states.update(map(frozenset, groups.values()))
-    return states
+    """The states of a path set's level-n automaton, as (steps read, index
+    of those steps) pairs: the root and every distinct prefix of a member,
+    to one step past the longest prefix L capped at n, and at most n."""
+    longest = min(max((len(p.prefix) for p in paths), default=0), n)
+    depth = min(longest + 1, n)
+    return {(0, 0)} | {(d, p.index_at(d)) for p in paths for d in range(depth + 1)}
 
 
 def test_path_set_automaton_holds_at_most_its_charge(monkeypatch):
-    """P paths are charged 16 units for each of the P * (L + 2) pairs their
-    automaton can hold, L the longest prefix read; the states it builds
-    hold no more, and some sets hold exactly that many."""
+    """P paths are charged 16 units for each of the P * (L + 2) states
+    their trie can hold, L the longest prefix read; the trie builds a
+    state per distinct prefix and no more, and one-path sets hold exactly
+    that many.  The empty set's lone root is not charged."""
     charged = []
     monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
     split = (EventualPath((1, 0, 1), 0), EventualPath((1, 0, 1), 1))  # two at every depth
     cases = [(split, 8)] + [
         (paths, n) for seed in (7, 11, 13) for paths in seeded_path_sets(seed) for n in (1, 4, 30)
     ]
+    cases += [(paths[:1], n) for paths, n in cases if paths]
     tight = 0
     for paths, n in cases:
         charged.clear()
-        moves, _ = _automaton(FinitePathSet(paths), n)
+        moves, start = _automaton(FinitePathSet(paths), n)
         states = path_set_states_oracle(paths, n)
-        assert len(states) == len(moves)
+        assert start == 0 and len(moves) == len(states)
         bound = len(paths) * (max((min(len(p.prefix), n) for p in paths), default=0) + 2)
-        held = sum(map(len, states))
-        assert charged == [16 * bound] and held <= bound
-        tight += held == bound
+        assert charged == [16 * bound] and len(moves) <= max(bound, 1)
+        tight += len(moves) == bound
     assert tight > 1
+
+
+def random_path_sets(rng: random.Random, count: int):
+    """Path sets of 0 to 10 paths with prefixes of 0 to 24 steps, many of
+    them sharing heads, and each with a horizon n <= 12; a set's prefixes
+    are often short enough that its runs loop past the longest."""
+    for _ in range(count):
+        paths = []
+        top = rng.choice((4, 8, 24))
+        for _ in range(rng.randint(0, 10)):
+            shared = paths and rng.random() < 0.5
+            head = rng.choice(paths).prefix[: rng.randint(0, top)] if shared else ()
+            tail = tuple(rng.randrange(2) for _ in range(rng.randint(0, top - len(head))))
+            paths.append(EventualPath(head + tail, rng.randrange(2)))
+        yield FinitePathSet(tuple(paths)), rng.randint(1, 12)
+
+
+def test_path_set_trie_matches_the_prefix_hulls_seeded():
+    """A path set's automaton reads its hulls, which approximant builds
+    from each path's prefix alone: the hull mask at level n is that base,
+    and two sets' walk parts at the first level where their bases do."""
+    rng = random.Random(3030)
+    sets = list(random_path_sets(rng, 600))
+    for event, n in sets:
+        assert _hull_mask(*_automaton(event, n), n) == approximant(event, n).base.mask, (event, n)
+    levels = set()
+    for (a, n), (b, _) in zip(sets, sets[1:] + sets[:1]):
+        if rng.random() < 0.5 and a.paths:  # a partner that shares a prefix
+            path = rng.choice(a.paths)
+            keep = rng.randint(0, len(path.prefix))
+            b = FinitePathSet(b.paths + (EventualPath(path.prefix[:keep], rng.randrange(2)),))
+        masks = [(approximant(a, m).base.mask, approximant(b, m).base.mask) for m in range(1, n + 1)]
+        first = next((m for m, (x, y) in enumerate(masks, 1) if not x & y), None)
+        assert _first_dead_level(_automaton(a, n), _automaton(b, n), n) == first, (a, b, n)
+        levels.add(first)
+    assert None in levels and len(levels) > 8
 
 
 def test_disjointness_walk_is_charged_before_any_automaton(monkeypatch):

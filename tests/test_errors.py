@@ -179,7 +179,7 @@ CHARGED = [
     ("disjointness walk of two counters", cylinder,
      lambda: strongly_disjoint(AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12),
      lambda: strongly_disjoint(AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12 + 1), 12 * (BUDGET // 12 + 1)),
-    # 16 per (path, steps read) pair the states can hold: P * (512 + 2)
+    # 16 per trie state, bounded by P * (512 + 2)
     ("path-set automaton", cylinder,
      lambda: limit_term(long_paths(2040), 512), lambda: limit_term(long_paths(2041), 512), 16 * 2041 * 514),
     ("cylinder base", None,

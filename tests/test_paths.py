@@ -147,6 +147,7 @@ def test_class_segments_land_every_path_once(n):
     # change residue, and the classes' sizes are the residue profile
     seen = landings(n, tuple(range(1 << n)))
     assert sorted(j for segment in seen for j in segment) == list(range(1 << n))
+    assert landings(n, range(1 << n)) == seen == [sorted(members) for members in seen]
     for r, members in enumerate(seen):
         assert all(change_residue(j) == r for j in members)
     assert tuple(map(len, seen)) == change_residue_counts(n)

@@ -318,6 +318,15 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
             qw.limit_mu_hat,
             lambda r: (r.verdict.value, r.at_n, [(n, e.num, e.log2_den) for n, e, _ in r.values]),
         ))
+    # the set's step automaton alone, digested by the pairs it sweeps, which
+    # do not depend on how its states are numbered
+    cyl = import_module(f"{qw.__name__}.cylinder")
+    ops.append((
+        "_automaton 8-path set n=512",
+        [(qw.FinitePathSet(paths), 512)] * 10,
+        cyl._automaton,
+        lambda automaton: cyl._sweep(*automaton, 512)[0],
+    ))
     # small cylindrical hulls, and strong disjointness stepped through levels
     ops.append((
         "approximant at-most-1|2 n=1..16",
