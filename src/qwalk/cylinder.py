@@ -195,36 +195,40 @@ SymbolicEvent = Union[
 ALL_ZEROS = EventualPath((), 0)
 
 
-def _description(event: SymbolicEvent) -> tuple[FinitePathSet | AtMostKOnes, bool]:
-    """The one reader of the event families: the path set or at-most-K
-    counter that describes the event, and whether the event is its
-    complement.  Finitely or infinitely many ones are the complement of no
-    path; every finite prefix extends into a complement, so its hulls are
-    full.  Any other object is not an event."""
-    if isinstance(event, (FinitePathSet, AtMostKOnes)):
-        return event, False
+def _description(event: SymbolicEvent, n: int):
+    """The one reader of the event families, exact for their first n steps:
+    the live states a depth of its hull holds, known before any build; a
+    call building the step automaton (moves, start) whose sweep gives its
+    limit terms, moves[s] the states after a 0-step and a 1-step or None;
+    and whether the event is that automaton's complement, whose hull is the
+    whole space.  Finitely or infinitely many ones are the complement of no
+    path.  Any other object is not an event."""
+    if isinstance(event, AtMostKOnes):
+        k = min(event.limit, n)
+        return k + 1, lambda: (_counter(k), 0), False
+    if isinstance(event, FinitePathSet):
+        return max(len(event.paths), 1), lambda: _trie(event.paths, n), False
     if isinstance(event, ComplementOfFinitePathSet):
-        return FinitePathSet(event.paths), True
+        return 1, lambda: _trie(event.paths, n), True
     if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
-        return FinitePathSet(()), True
+        return 1, lambda: _trie((), n), True
     raise ValueError(f"unsupported symbolic event {event!r}")
 
 
-def _automaton(event: FinitePathSet | AtMostKOnes, n: int):
-    """The step automaton (moves, start) of a path set or counter, exact for
-    its first n steps: moves[s] holds the states after a 0-step and a
-    1-step, None where no member continues; the level-n hull is the step
-    strings whose run never meets None.  At-most-K counts ones up to
-    min(K, n).  A finite path set is the trie of its distinct prefixes to
-    depth D = min(L + 1, n), L the longest prefix capped at n: a state per
-    d steps read and their index, the root first.  Past its prefix a path
+def _counter(k: int) -> list:
+    """The at-most-k counter's moves, from state 0: state s has read s ones."""
+    return [(s, s + 1 if s < k else None) for s in range(k + 1)]
+
+
+def _trie(paths: tuple[EventualPath, ...], n: int):
+    """The step automaton (moves, start) of a finite path set, exact for its
+    first n steps: the trie of its distinct prefixes to depth
+    D = min(L + 1, n), L the longest prefix capped at n, with a state per d
+    steps read and their index, the root first.  Past its prefix a path
     repeats one bit, so a depth-D state loops on the bit that reached it;
-    when D = n no run reads past it.  The build is first charged 16 units
-    for P * (L + 2) states, which bounds the trie's 1 + P * D."""
-    if isinstance(event, AtMostKOnes):
-        k = min(event.limit, n)  # state s: s ones read
-        return [(s, s + 1 if s < k else None) for s in range(k + 1)], 0
-    paths = event.paths
+    when D = n no run reads past it, and at n = 0 the root is alone.  The
+    build is first charged 16 units for P * (L + 2) states, which bounds
+    the trie's 1 + P * D."""
     longest = min(max((len(p.prefix) for p in paths), default=0), n)
     charge(16 * len(paths) * (longest + 2), f"path-set automaton of {len(paths)} paths to level {n}")
     depth = min(longest + 1, n)
@@ -237,7 +241,8 @@ def _automaton(event: FinitePathSet | AtMostKOnes, n: int):
                 t = moves[s][bit] = len(moves)
                 moves.append([None, None])
             s = t
-        moves[s][bit] = s  # the depth-D state repeats its last bit
+        if depth:
+            moves[s][bit] = s  # the depth-D state repeats its last bit
     return moves, 0
 
 
@@ -313,27 +318,26 @@ def _at_most_members(k: int, n: int) -> int:
     return sum(comb(n, t) for t in range(min(k, n) + 1))
 
 
-def _limit_pairs(event: SymbolicEvent, n_max: int) -> list:
-    """Signed pairs of the event's limit terms at levels 1..n_max, in one
-    pass: its hulls, or for a complement the whole space less the inner
-    set's hulls; the empty set's sweep is zero pairs, stopped at its fixed
-    point after two levels.  Every limit-table refusal is made here, before
-    the sweep: a table past LIMIT_MAX_LEVEL, and an at-most-k table at the
-    first level whose hull has more than COMBINATION_CAP members, found by
-    bisection since the member count grows with the level."""
-    inner, complement = _description(event)
+def _limit_pairs(event: SymbolicEvent, n_max: int, last: bool = False) -> list:
+    """Signed pairs of the event's limit terms at levels 1..n_max, or at
+    n_max alone when `last`: its hulls, or for a complement the whole space
+    less the inner set's hulls.  Every limit-table refusal is made here,
+    before the sweep: a table past LIMIT_MAX_LEVEL, and an at-most-k table
+    at the first level whose hull has more than COMBINATION_CAP members,
+    found by bisection since the member count grows with the level."""
+    _, build, complement = _description(event, n_max)
     if n_max > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit level {n_max} is past the cap of {LIMIT_MAX_LEVEL}")
-    if isinstance(inner, AtMostKOnes) and _at_most_members(inner.limit, n_max) > COMBINATION_CAP:
-        k = inner.limit
+    if isinstance(event, AtMostKOnes) and _at_most_members(event.limit, n_max) > COMBINATION_CAP:
+        k = event.limit
         n = bisect(range(n_max + 1), COMBINATION_CAP, key=lambda m: _at_most_members(k, m))
         raise ResourceLimitError(
             f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
         )
-    pairs, _ = _sweep(*_automaton(inner, n_max), n_max)
+    pairs = _sweep(*build(), n_max)[0][n_max - 1 if last else 0 :]
     if not complement:
         return pairs
-    full = change_residue_count_levels(n_max)
+    full = [change_residue_profile_closed_form(n_max)] if last else change_residue_count_levels(n_max)
     return [(c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs)]
 
 
@@ -342,23 +346,23 @@ def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     the event.  Hulls decrease with n and contain the event."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
-    inner, complement = _description(event)
+    _, build, complement = _description(event, n)
+    prefixes = isinstance(event, FinitePathSet)  # 2**n bits; a trie's hull mask holds 1.5 * 2**n
     if n == 0:  # the empty prefix, unless no path extends it
-        empty = not complement and isinstance(inner, FinitePathSet) and not inner.paths
-        return CylinderEvent.from_indices(0, () if empty else (0,))
+        return CylinderEvent.from_indices(0, () if prefixes and not event.paths else (0,))
     charge(1 << n, f"level-{n} approximant base")
     space = PathSpace(n)
     if complement:
         return CylinderEvent(n, Event.full(space))
-    if isinstance(inner, FinitePathSet):  # a member for each path's prefix
-        return CylinderEvent(n, Event.from_indices(space, (p.index_at(n) for p in inner.paths)))
-    return CylinderEvent(n, Event(space, _hull_mask(*_automaton(inner, n), n)))
+    if prefixes:
+        return CylinderEvent(n, Event.from_indices(space, (p.index_at(n) for p in event.paths)))
+    return CylinderEvent(n, Event(space, _hull_mask(*build(), n)))
 
 
 @dataclass(frozen=True)
 class DisjointWitness:
-    """Outcome of a strong-disjointness search: a witnessing level, or the
-    statement that none was found up to the bound (not a disproof)."""
+    """Outcome of a strong-disjointness search: a witnessing level, or that
+    none was found up to the bound, nor past it if the live pairs repeated."""
 
     witnessed: bool
     at_level: int | None
@@ -367,36 +371,32 @@ class DisjointWitness:
 def strongly_disjoint(a: SymbolicEvent, b: SymbolicEvent, n_max: int) -> DisjointWitness:
     """Least level at which the two events' cylindrical hulls are disjoint,
     by a walk over the pairs of states their hull automata reach after each
-    step; a full hull is one state, and two never part.  The walk is charged
-    one unit per level and pair of live states before either is built."""
+    step, a complement's being the whole space.  The walk is charged one
+    unit per level and pair of live states before either is built."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    described = [_description(a), _description(b)]
-    if described[0][1] and described[1][1]:  # two complements: two full hulls
-        return DisjointWitness(False, None)
-    width_a, width_b = [  # the live states a depth can hold
-        1 if complement
-        else min(inner.limit, n_max) + 1 if isinstance(inner, AtMostKOnes)
-        else max(len(inner.paths), 1)
-        for inner, complement in described
-    ]
+    width_a, build_a, whole_a = _description(a, n_max)
+    width_b, build_b, whole_b = _description(b, n_max)
     what = f"disjointness walk of {width_a} x {width_b} live states to level {n_max}"
     charge(n_max * width_a * width_b, what)
-    full = ([(0, 0)], 0)  # a one-state automaton whose every step string is live
-    automata = [full if complement else _automaton(inner, n_max) for inner, complement in described]
-    level = _first_dead_level(*automata, n_max)
+    level = _first_dead_level(None if whole_a else build_a(), None if whole_b else build_b(), n_max)
     return DisjointWitness(level is not None, level)
 
 
 def _first_dead_level(first, second, n_max: int) -> int | None:
     """The least level <= n_max at which no step string is live in both
-    automata, or None: a walk over the pairs of states the two reach."""
-    (a, start_a), (b, start_b) = first, second
-    live = {(start_a, start_b)}
+    automata (None is the whole space), else None: a walk over the pairs of
+    states they reach, stopped once a level's pairs repeat, as `_sweep` is."""
+    sides = [automaton for automaton in (first, second) if automaton]
+    live = {tuple(start for _, start in sides)}
     for n in range(1, n_max + 1):
-        live = {pair for p, q in live for pair in zip(a[p], b[q]) if None not in pair}
-        if not live:
+        steps = (tuple(m[s][bit] for (m, _), s in zip(sides, states)) for states in live for bit in (0, 1))
+        grown = {step for step in steps if None not in step}
+        if not grown:
             return n
+        if grown == live:
+            return None
+        live = grown
     return None
 
 
@@ -407,13 +407,13 @@ def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
     A complement of a finite path set is instead the increasing union of
     the complements of the inner set's hulls, so its terms are the measures
     of those complements; both exact, via signed census pairs only.  The
-    term ends the sweep `limit_mu_hat` tabulates, at that table's cost, so
-    it is refused where the table is: past LIMIT_MAX_LEVEL, and for
-    at-most-K past COMBINATION_CAP hull members.
+    term is the last pair of the sweep `limit_mu_hat` tabulates, so it is
+    refused where the table is: past LIMIT_MAX_LEVEL, and for at-most-K
+    past COMBINATION_CAP hull members.
     """
     if n < 1:
         raise ValueError("need level >= 1")
-    u, v = _limit_pairs(event, n)[-1]
+    u, v = _limit_pairs(event, n, last=True)[0]
     return _pair_mu(u, v, n)
 
 

@@ -46,7 +46,7 @@ from math import comb, gcd, lcm, prod
 from operator import add
 from typing import Callable
 
-from .cylinder import AtMostKOnes, _automaton, _sweep
+from .cylinder import _counter, _sweep
 from .decoherence import DecoherenceState, Event
 from .errors import BUDGET, charge
 from .paths import (
@@ -274,7 +274,7 @@ def _ones_class_counts(n: int) -> tuple[dict[int, int], dict[int, int]]:
     """_class_counts of the ones count, from the pair sweep of the counter
     that reads up to n ones: its state is the value, so the level-n pair of
     each nonzero state holds that value's weights.  O(n**2) additions."""
-    pairs = _sweep(*_automaton(AtMostKOnes(n), n), n)[1].items()
+    pairs = _sweep(_counter(n), 0, n)[1].items()
     return tuple({ones: pair[p] for ones, pair in pairs if ones and pair[p]} for p in (0, 1))
 
 

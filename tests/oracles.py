@@ -65,6 +65,18 @@ def at_most_census_oracle(n: int, k: int) -> tuple[int, int, int, int]:
     return tuple(counts)
 
 
+@cache
+def whole_space_census_oracle(n: int) -> tuple[int, int, int, int]:
+    """Change-count residues of all n-step paths, by binomials: step i
+    changes site iff its bit differs from step i - 1's (site 0 before step
+    1), so the change steps are n free bits and C(n, c) paths change c
+    times."""
+    counts = [0, 0, 0, 0]
+    for c in range(n + 1):
+        counts[c % 4] += comb(n, c)
+    return tuple(counts)
+
+
 def census_of_indices_oracle(n: int, indices) -> tuple[int, int, int, int]:
     """Census of explicit member indices, by string-scanned change counts."""
     counts = [0, 0, 0, 0]

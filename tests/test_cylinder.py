@@ -19,6 +19,7 @@ from oracles import (
     residue_profile_by_dyadic,
     site_string,
     sweep_every_level,
+    whole_space_census_oracle,
 )
 
 from qwalk import cylinder
@@ -48,12 +49,13 @@ from qwalk.cylinder import (
     repeated_block_measures,
     strongly_disjoint,
     variation_lower_bound,
-    _automaton,
+    _counter,
     _first_dead_level,
     _hull_mask,
     _limit_pairs,
     _root_two_cos,
     _sweep,
+    _trie,
 )
 from qwalk.decoherence import Event
 from qwalk.errors import BUDGET, ResourceLimitError
@@ -282,13 +284,13 @@ def test_hull_mask_is_charged_the_bits_it_holds(monkeypatch):
     past it, the bits it holds, counted exactly."""
     charged = []
     monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
-    _hull_mask(*_automaton(AtMostKOnes(0), 10), 10)
+    _hull_mask(_counter(0), 0, 10)
     assert charged == [2 << 10]
     monkeypatch.setattr(cylinder, "BUDGET", 0)
     for n in range(1, 11):
         for k in range(n + 2):
             charged.clear()
-            _hull_mask(*_automaton(AtMostKOnes(k), n), n)
+            _hull_mask(_counter(min(k, n)), 0, n)
             assert charged == [at_most_mask_bits_oracle(n, k)]
 
 
@@ -426,15 +428,21 @@ def test_limit_table_matches_terms():
 
 
 def reference_rows(event, n_max):
-    """limit_mu_hat's rows as a sweep of every level gives them: one Dyadic
-    per level's pair, and float() of it."""
-    inner, complement = cylinder._description(event)
-    pairs = sweep_every_level(*_automaton(inner, n_max), n_max)[0]
-    if complement:
-        full = change_residue_count_levels(n_max)
-        pairs = [(c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs)]
+    """limit_mu_hat's rows from the oracles' censuses, one level at a time:
+    at-most-K by runs, a path set's distinct prefixes, and for a complement
+    the whole space less its inner set's prefixes; finitely and infinitely
+    many ones are the complement of no path.  Each row is u**2 + v**2 over
+    2**n for the census's pair, and float() of it."""
     rows = []
-    for n, (u, v) in enumerate(pairs, start=1):
+    for n in range(1, n_max + 1):
+        if isinstance(event, AtMostKOnes):
+            census = at_most_census_oracle(n, event.limit)
+        else:
+            prefixes = {p.index_at(n) for p in getattr(event, "paths", ())}
+            census = census_of_indices_oracle(n, prefixes)
+            if not isinstance(event, FinitePathSet):
+                census = tuple(f - c for f, c in zip(whole_space_census_oracle(n), census))
+        u, v = pair(census)
         exact = Dyadic(u * u + v * v, n)
         rows.append((n, exact, float(exact)))
     return tuple(rows)
@@ -532,8 +540,8 @@ def sweep(event, n_max):
 
 
 def at_most_sweep(k, n_max):
-    """The at-most-k automaton's pairs, with no refusal at the cap."""
-    return _sweep(*_automaton(AtMostKOnes(k), n_max), n_max)[0]
+    """The at-most-k counter's pairs, with no refusal at the cap."""
+    return _sweep(_counter(min(k, n_max)), 0, n_max)[0]
 
 
 def test_at_most_sweep_matches_enumeration():
@@ -680,7 +688,8 @@ def test_prefix_sweeps_match_indices():
 def test_automata_are_clamped_to_the_horizon():
     # a counter or a prefix longer than the horizon is read only that far
     huge = AtMostKOnes(10**12)
-    assert len(_automaton(huge, 8)[0]) == 9
+    width, build, _ = cylinder._description(huge, 8)
+    assert width == len(build()[0]) == 9
     assert limit_mu_hat(huge, 8).values == limit_mu_hat(FinitelyManyOnes(), 8).values
     assert limit_term(huge, 8) == 1
     assert approximant(huge, 6).base == Event.full(PathSpace(6))
@@ -693,7 +702,7 @@ def test_automata_are_clamped_to_the_horizon():
         approximant(huge, 24)
     long = EventualPath((1, 0) * 50_000, 0)
     paths = (long, EventualPath(long.prefix[:7], 1), ALL_ZEROS)
-    moves, _ = _automaton(FinitePathSet(paths), 3)
+    moves, _ = _trie(paths, 3)
     assert len(moves) <= 2 * 3 + 2
     inner, outer = sweep(FinitePathSet(paths), 3), sweep(ComplementOfFinitePathSet(paths), 3)
     for n in (1, 2, 3):
@@ -804,21 +813,21 @@ def test_finite_set_sweeps_stop_one_level_past_the_longest_prefix(monkeypatch):
     for length in range(49):
         for repeat in (0, 1):
             path = EventualPath(tuple(rng.randrange(2) for _ in range(length)), repeat)
-            moves, start = _automaton(FinitePathSet((path,)), 512)
+            moves, start = _trie((path,), 512)
             counted = CountingMoves(moves)
             levels, _ = _sweep(counted, start, 512)
             assert len(levels) == 512 and counted.reads <= length + 2
     # a set of P paths holds at most P live states per level; its table,
     # its complement's table and their last terms all stop early
     tables = []
-    build = cylinder._automaton
+    build = cylinder._trie
 
-    def counted_automaton(inner, n):
-        moves, start = build(inner, n)
+    def counted_trie(paths, n):
+        moves, start = build(paths, n)
         tables.append(CountingMoves(moves))
         return tables[-1], start
 
-    monkeypatch.setattr(cylinder, "_automaton", counted_automaton)
+    monkeypatch.setattr(cylinder, "_trie", counted_trie)
     for paths in seeded_path_sets(7):
         longest = max((len(p.prefix) for p in paths), default=0)
         for event in (FinitePathSet(paths), ComplementOfFinitePathSet(paths)):
@@ -834,7 +843,7 @@ def test_disjointness_walk_matches_every_step_string_seeded():
     at which the two tables' step-string hulls share no member.  The seeded
     path sets' automata join the tables, so pairs also part late."""
     tables = list(random_step_tables(1616))
-    tables += [_automaton(FinitePathSet(paths), 16) for paths in seeded_path_sets(7)]
+    tables += [_trie(paths, 16) for paths in seeded_path_sets(7)]
     hulls = [
         [sum(1 << j for j, s in enumerate(run) if s is not None) for _, run in runs]
         for runs in (step_string_runs(*t, 16) for t in tables)
@@ -903,10 +912,11 @@ def test_path_set_automaton_holds_at_most_its_charge(monkeypatch):
         (paths, n) for seed in (7, 11, 13) for paths in seeded_path_sets(seed) for n in (1, 4, 30)
     ]
     cases += [(paths[:1], n) for paths, n in cases if paths]
+    cases += [(paths, 0) for paths in seeded_path_sets(7)]  # the root alone
     tight = 0
     for paths, n in cases:
         charged.clear()
-        moves, start = _automaton(FinitePathSet(paths), n)
+        moves, start = _trie(paths, n)
         states = path_set_states_oracle(paths, n)
         assert start == 0 and len(moves) == len(states)
         bound = len(paths) * (max((min(len(p.prefix), n) for p in paths), default=0) + 2)
@@ -937,7 +947,7 @@ def test_path_set_trie_matches_the_prefix_hulls_seeded():
     rng = random.Random(3030)
     sets = list(random_path_sets(rng, 600))
     for event, n in sets:
-        assert _hull_mask(*_automaton(event, n), n) == approximant(event, n).base.mask, (event, n)
+        assert _hull_mask(*_trie(event.paths, n), n) == approximant(event, n).base.mask, (event, n)
     levels = set()
     for (a, n), (b, _) in zip(sets, sets[1:] + sets[:1]):
         if rng.random() < 0.5 and a.paths:  # a partner that shares a prefix
@@ -946,7 +956,7 @@ def test_path_set_trie_matches_the_prefix_hulls_seeded():
             b = FinitePathSet(b.paths + (EventualPath(path.prefix[:keep], rng.randrange(2)),))
         masks = [(approximant(a, m).base.mask, approximant(b, m).base.mask) for m in range(1, n + 1)]
         first = next((m for m, (x, y) in enumerate(masks, 1) if not x & y), None)
-        assert _first_dead_level(_automaton(a, n), _automaton(b, n), n) == first, (a, b, n)
+        assert _first_dead_level(_trie(a.paths, n), _trie(b.paths, n), n) == first, (a, b, n)
         levels.add(first)
     assert None in levels and len(levels) > 8
 
@@ -960,16 +970,38 @@ def test_disjointness_walk_is_charged_before_any_automaton(monkeypatch):
     assert strongly_disjoint(*late, 300) == DisjointWitness(True, 300)
     assert strongly_disjoint(*late, 299) == DisjointWitness(False, None)
 
-    def unbuilt(event, n):
+    def unbuilt(*args):
         raise AssertionError("an automaton was built before the charge")
 
-    monkeypatch.setattr(cylinder, "_automaton", unbuilt)
+    monkeypatch.setattr(cylinder, "_trie", unbuilt)
+    monkeypatch.setattr(cylinder, "_counter", unbuilt)
     refused = f"{10**9 + 1} x 1 live states to level {10**9} costs {(10**9 + 1) * 10**9}"
     with pytest.raises(ResourceLimitError, match=refused):
         strongly_disjoint(AtMostKOnes(10**12), FinitelyManyOnes(), 10**9)
     both = FinitePathSet(late[0].paths + late[1].paths)
     with pytest.raises(ResourceLimitError, match=f"1 x 2 live states to level {BUDGET} costs {2 * BUDGET}"):
         strongly_disjoint(FinitePathSet(()), both, BUDGET)
+
+
+def test_disjointness_walks_stop_at_a_repeated_live_set(monkeypatch):
+    """Two one-path sets and at-most-2 against at-most-3 never part, and
+    their live pairs repeat after a few levels, so walks to the largest
+    bounds the budget admits read a few dozen levels of moves, not n_max."""
+    tables = []
+    counter, trie = cylinder._counter, cylinder._trie
+
+    def counted(moves):
+        tables.append(CountingMoves(moves))
+        return tables[-1]
+
+    monkeypatch.setattr(cylinder, "_counter", lambda k: counted(counter(k)))
+    monkeypatch.setattr(cylinder, "_trie", lambda paths, n: (counted(trie(paths, n)[0]), 0))
+    one_path = FinitePathSet((ALL_ZEROS,))
+    for a, b, n_max in ((one_path, one_path, BUDGET), (AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12)):
+        tables.clear()
+        assert strongly_disjoint(a, b, n_max) == DisjointWitness(False, None)
+        # a level reads a row per step bit and live pair, of at most 12: 36 levels at most
+        assert len(tables) == 2 and all(0 < t.reads <= 2 * 12 * 36 for t in tables)
 
 
 # -- block products ---------------------------------------------------------------

@@ -318,13 +318,14 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
             qw.limit_mu_hat,
             lambda r: (r.verdict.value, r.at_n, [(n, e.num, e.log2_den) for n, e, _ in r.values]),
         ))
-    # the set's step automaton alone, digested by the pairs it sweeps, which
-    # do not depend on how its states are numbered
+    # the set's trie alone, digested by the pairs it sweeps, which do not
+    # depend on how its states are numbered; a library without `_trie` built
+    # it as `_automaton(FinitePathSet(paths), n)`
     cyl = import_module(f"{qw.__name__}.cylinder")
     ops.append((
-        "_automaton 8-path set n=512",
-        [(qw.FinitePathSet(paths), 512)] * 10,
-        cyl._automaton,
+        "_trie 8-path set n=512",
+        [(paths, 512)] * 10,
+        getattr(cyl, "_trie", None) or (lambda paths, n: cyl._automaton(qw.FinitePathSet(paths), n)),
         lambda automaton: cyl._sweep(*automaton, 512)[0],
     ))
     # small cylindrical hulls, and strong disjointness stepped through levels
