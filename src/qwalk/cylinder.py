@@ -3,10 +3,10 @@
 A cylinder event pins down finitely many initial steps and leaves the rest
 free; its measure is the truncated measure of its base, which is well
 defined because appending a free step never changes the measure.  Events
-beyond the cylinder algebra are described symbolically: finite path sets
-and at-most-K ones as step automata, whose one sweep of signed census pairs
-gives the measures of their cylindrical hulls.  Those may or may not settle
-down; the verdicts reported here are numerical findings, not proofs.
+beyond the cylinder algebra are described symbolically, their cylindrical
+hulls as step automata, whose one sweep of signed census pairs gives the
+hulls' measures.  Those may or may not settle down; the verdicts reported
+here are numerical findings, not proofs.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ class FinitelyManyOnes:
 class InfinitelyManyOnes:
     """All paths that visit site 1 infinitely often.
 
-    The disjoint partner of FinitelyManyOnes: the two never witness
-    strong disjointness because both hulls are the full space at every
-    level, and both limit sequences are constantly 1.
+    The disjoint partner of FinitelyManyOnes: both hulls are the full
+    space at every level, so the two are proved never strongly disjoint
+    at level 1, and both limit sequences are constantly 1.
     """
 
 
@@ -198,20 +198,21 @@ ALL_ZEROS = EventualPath((), 0)
 def _description(event: SymbolicEvent, n: int):
     """The one reader of the event families, exact for their first n steps:
     the live states a depth of its hull holds, known before any build; a
-    call building the step automaton (moves, start) whose sweep gives its
-    limit terms, moves[s] the states after a 0-step and a 1-step or None;
-    and whether the event is that automaton's complement, whose hull is the
-    whole space.  Finitely or infinitely many ones are the complement of no
-    path.  Any other object is not an event."""
+    call building the hull's step automaton (moves, start), moves[s] the
+    states after a 0-step and a 1-step or None, whose sweep gives its
+    hull's census pairs; and, for a complement of a finite path set alone,
+    a call building its inner set's automaton, else None.  A complement's
+    hull, and that of finitely or infinitely many ones, is the whole space:
+    one state, live on either bit.  Any other object is not an event."""
     if isinstance(event, AtMostKOnes):
         k = min(event.limit, n)
-        return k + 1, lambda: (_counter(k), 0), False
+        return k + 1, lambda: (_counter(k), 0), None
     if isinstance(event, FinitePathSet):
-        return max(len(event.paths), 1), lambda: _trie(event.paths, n), False
+        return max(len(event.paths), 1), lambda: _trie(event.paths, n), None
     if isinstance(event, ComplementOfFinitePathSet):
-        return 1, lambda: _trie(event.paths, n), True
+        return 1, lambda: ([(0, 0)], 0), lambda: _trie(event.paths, n)
     if isinstance(event, (FinitelyManyOnes, InfinitelyManyOnes)):
-        return 1, lambda: _trie((), n), True
+        return 1, lambda: ([(0, 0)], 0), None
     raise ValueError(f"unsupported symbolic event {event!r}")
 
 
@@ -320,12 +321,12 @@ def _at_most_members(k: int, n: int) -> int:
 
 def _limit_pairs(event: SymbolicEvent, n_max: int, last: bool = False) -> list:
     """Signed pairs of the event's limit terms at levels 1..n_max, or at
-    n_max alone when `last`: its hulls, or for a complement the whole space
-    less the inner set's hulls.  Every limit-table refusal is made here,
-    before the sweep: a table past LIMIT_MAX_LEVEL, and an at-most-k table
-    at the first level whose hull has more than COMBINATION_CAP members,
-    found by bisection since the member count grows with the level."""
-    _, build, complement = _description(event, n_max)
+    n_max alone when `last`: its hulls, or the whole space less an inner
+    set's hulls.  Every limit-table refusal is made here, before the sweep:
+    a table past LIMIT_MAX_LEVEL, and an at-most-k table at the first level
+    whose hull has more than COMBINATION_CAP members, found by bisection
+    since the member count grows with the level."""
+    _, hull, inner = _description(event, n_max)
     if n_max > LIMIT_MAX_LEVEL:
         raise ResourceLimitError(f"limit level {n_max} is past the cap of {LIMIT_MAX_LEVEL}")
     if isinstance(event, AtMostKOnes) and _at_most_members(event.limit, n_max) > COMBINATION_CAP:
@@ -334,8 +335,8 @@ def _limit_pairs(event: SymbolicEvent, n_max: int, last: bool = False) -> list:
         raise ResourceLimitError(
             f"at-most-{k}-ones census at level {n} exceeds {COMBINATION_CAP} members"
         )
-    pairs = _sweep(*build(), n_max)[0][n_max - 1 if last else 0 :]
-    if not complement:
+    pairs = _sweep(*(hull if inner is None else inner)(), n_max)[0][n_max - 1 if last else 0 :]
+    if inner is None:
         return pairs
     full = [change_residue_profile_closed_form(n_max)] if last else change_residue_count_levels(n_max)
     return [(c0 - c2 - u, c1 - c3 - v) for (c0, c1, c2, c3), (u, v) in zip(full, pairs)]
@@ -343,26 +344,27 @@ def _limit_pairs(event: SymbolicEvent, n_max: int, last: bool = False) -> list:
 
 def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     """The level-n cylindrical hull: all paths whose first n steps extend into
-    the event.  Hulls decrease with n and contain the event."""
+    the event.  Hulls decrease with n and contain the event.  A finite path
+    set's is its prefixes' 2**n-bit mask; any other is `_hull_mask` of its
+    automaton, up to 2**(n + 1) bits, so a full hull is refused at n = 24."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
-    _, build, complement = _description(event, n)
-    prefixes = isinstance(event, FinitePathSet)  # 2**n bits; a trie's hull mask holds 1.5 * 2**n
+    _, hull, _ = _description(event, n)
+    prefixes = isinstance(event, FinitePathSet)
     if n == 0:  # the empty prefix, unless no path extends it
         return CylinderEvent.from_indices(0, () if prefixes and not event.paths else (0,))
     charge(1 << n, f"level-{n} approximant base")
     space = PathSpace(n)
-    if complement:
-        return CylinderEvent(n, Event.full(space))
     if prefixes:
         return CylinderEvent(n, Event.from_indices(space, (p.index_at(n) for p in event.paths)))
-    return CylinderEvent(n, Event(space, _hull_mask(*build(), n)))
+    return CylinderEvent(n, Event(space, _hull_mask(*hull(), n)))
 
 
 @dataclass(frozen=True)
 class DisjointWitness:
-    """Outcome of a strong-disjointness search: a witnessing level, or that
-    none was found up to the bound, nor past it if the live pairs repeated."""
+    """Outcome of a strong-disjointness search: the least level of disjoint
+    hulls; else the level whose live pairs repeated the last level's, which
+    proves they never part, or None if the bound ran out first."""
 
     witnessed: bool
     at_level: int | None
@@ -371,33 +373,32 @@ class DisjointWitness:
 def strongly_disjoint(a: SymbolicEvent, b: SymbolicEvent, n_max: int) -> DisjointWitness:
     """Least level at which the two events' cylindrical hulls are disjoint,
     by a walk over the pairs of states their hull automata reach after each
-    step, a complement's being the whole space.  The walk is charged one
-    unit per level and pair of live states before either is built."""
+    step.  The walk is charged one unit per level and pair of live states
+    before either automaton is built."""
     if n_max < 1:
         raise ValueError("need n_max >= 1")
-    width_a, build_a, whole_a = _description(a, n_max)
-    width_b, build_b, whole_b = _description(b, n_max)
+    width_a, hull_a, _ = _description(a, n_max)
+    width_b, hull_b, _ = _description(b, n_max)
     what = f"disjointness walk of {width_a} x {width_b} live states to level {n_max}"
     charge(n_max * width_a * width_b, what)
-    level = _first_dead_level(None if whole_a else build_a(), None if whole_b else build_b(), n_max)
-    return DisjointWitness(level is not None, level)
+    return _first_dead_level(hull_a(), hull_b(), n_max)
 
 
-def _first_dead_level(first, second, n_max: int) -> int | None:
-    """The least level <= n_max at which no step string is live in both
-    automata (None is the whole space), else None: a walk over the pairs of
-    states they reach, stopped once a level's pairs repeat, as `_sweep` is."""
-    sides = [automaton for automaton in (first, second) if automaton]
-    live = {tuple(start for _, start in sides)}
+def _first_dead_level(first, second, n_max: int) -> DisjointWitness:
+    """A walk over the pairs of states the two automata reach: witnessed at
+    the least level <= n_max with no step string live in both, else not, at
+    the level whose pairs repeat the last level's, since no later level
+    parts them (`_sweep` stops there too), or at None."""
+    (moves_a, moves_b), start = zip(first, second)
+    live = {start}
     for n in range(1, n_max + 1):
-        steps = (tuple(m[s][bit] for (m, _), s in zip(sides, states)) for states in live for bit in (0, 1))
-        grown = {step for step in steps if None not in step}
+        grown = {pair for s, t in live for pair in zip(moves_a[s], moves_b[t]) if None not in pair}
         if not grown:
-            return n
+            return DisjointWitness(True, n)
         if grown == live:
-            return None
+            return DisjointWitness(False, n)
         live = grown
-    return None
+    return DisjointWitness(False, None)
 
 
 def limit_term(event: SymbolicEvent, n: int) -> Dyadic:
@@ -483,11 +484,8 @@ def limit_mu_hat(
     floats = list(map(truediv, nums, map((1).__lshift__, levels)))
     rows = tuple(zip(levels, map(Dyadic, nums, levels), floats))
     verdict, estimate, at_n = classify_sequence(floats, window, tol)
-    kind = (
-        "increasing-complements"
-        if isinstance(event, ComplementOfFinitePathSet)
-        else "decreasing-hulls"
-    )
+    inner = _description(event, n_max)[2]
+    kind = "decreasing-hulls" if inner is None else "increasing-complements"
     return LimitReport(
         values=rows,
         verdict=verdict,
@@ -559,19 +557,18 @@ def variation_lower_bound(n: int) -> int:
 _COS_EIGHTH_SIGNS = (1, 1, 0, -1, -1, -1, 0, 1)
 
 
-def _root_two_cos(h: int, m: int) -> Dyadic:
-    """2**(h/2) * cos(m*pi/4), exact when h and m have the same parity.
+def _root_two_cos(h: int, m: int) -> int:
+    """2**(h/2) * cos(m*pi/4), an integer when m has h's parity and h >= m & 1.
 
     cos(m*pi/4) is 0 or +-1 for even m and +-2**(-1/2) for odd m, so the
-    product is 0 or a signed power of two, 2**(h/2) or 2**((h-1)/2).  With
-    h and m of different parity the root-two parts do not cancel, and
-    ValueError is raised.
+    product is 0 or a signed power of two, 2**(h/2) or 2**((h-1)/2).  Other
+    inputs, whose root-two parts do not cancel or whose power is a fraction,
+    raise ValueError.
     """
-    if (h - m) & 1:
-        raise ValueError(f"2**({h}/2) * cos({m}*pi/4) is not dyadic")
-    sign = _COS_EIGHTH_SIGNS[m & 7]
     exp = (h - (m & 1)) >> 1
-    return Dyadic(sign << exp) if exp >= 0 else Dyadic(sign, -exp)
+    if (h - m) & 1 or exp < 0:
+        raise ValueError(f"2**({h}/2) * cos({m}*pi/4) is not an integer")
+    return _COS_EIGHTH_SIGNS[m & 7] << exp
 
 
 def change_residue_profile_closed_form(n: int) -> tuple[int, int, int, int]:
@@ -585,7 +582,7 @@ def change_residue_profile_closed_form(n: int) -> tuple[int, int, int, int]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    cos_terms = (_root_two_cos(n + 2, n - 2 * j).numerator_at(0) for j in range(4))
+    cos_terms = (_root_two_cos(n + 2, n - 2 * j) for j in range(4))
     return tuple(((1 << n) + c) >> 2 for c in cos_terms)
 
 
@@ -602,4 +599,4 @@ def complement_of_constant_closed_form(n: int) -> Dyadic:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    return Dyadic((1 << n) + 1 - _root_two_cos(n + 2, n).numerator_at(0), n)
+    return Dyadic((1 << n) + 1 - _root_two_cos(n + 2, n), n)

@@ -8,16 +8,13 @@ references at the end walk member triples by index, or decide the grade-2
 identity on a power set through the Moebius inverse; the last one decides
 positive-semidefiniteness by elimination in rationals.  After them come the
 pair sweep run to its last level with no early exit, the first level of an
-at-most-k hull past a member cap by a scan of every level, and the two
-cos(m*pi/4) closed forms as they were evaluated in dyadic rationals.
+at-most-k hull past a member cap by a scan of every level, and the
+stays-nowhere complement's term from censuses.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import comb
-
-from qwalk.cylinder import _root_two_cos
-from qwalk.exact import Dyadic
 
 
 def site_string(n: int, j: int) -> str:
@@ -287,13 +284,8 @@ def first_level_past_cap(k: int, n_max: int, cap: int) -> int | None:
     return None
 
 
-def residue_profile_by_dyadic(n: int) -> tuple[int, int, int, int]:
-    """The level-n change-residue profile as four Dyadic sums 2**(n-2) +
-    2**(n/2 - 1) * cos((n - 2j) * pi / 4)."""
-    base = Dyadic(1 << n, 2)
-    return tuple((base + _root_two_cos(n - 2, n - 2 * j)).numerator_at(0) for j in range(4))
-
-
-def complement_closed_form_by_dyadic(n: int):
-    """1 + 1/2**n - cos(n*pi/4) / 2**(n/2 - 1) as a sum of Dyadics."""
-    return 1 + Dyadic(1, n) - _root_two_cos(2 - n, n)
+def stays_nowhere_complement_oracle(n: int) -> Fraction:
+    """The level-n term of the event of every path but the one that never
+    leaves site 0: the whole space's census less that path's."""
+    census = zip(whole_space_census_oracle(n), census_of_indices_oracle(n, (0,)))
+    return census_mu_oracle(tuple(f - c for f, c in census), n)

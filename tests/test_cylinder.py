@@ -11,13 +11,12 @@ from oracles import (
     census_of_indices_oracle,
     changes_oracle,
     changes_table,
-    complement_closed_form_by_dyadic,
     first_level_past_cap,
     mu_oracle,
     ones_oracle,
     refined_mask_by_members,
-    residue_profile_by_dyadic,
     site_string,
+    stays_nowhere_complement_oracle,
     sweep_every_level,
     whole_space_census_oracle,
 )
@@ -242,8 +241,13 @@ def test_approximant_full_kinds():
         FinitelyManyOnes(),
         InfinitelyManyOnes(),
     ):
+        assert cylinder._description(kind, 6)[1]() == ([(0, 0)], 0)  # one state, live on either bit
         for n in (1, 3, 6):
             assert approximant(kind, n).base == Event.full(PathSpace(n))
+        # at level 24 its largest two depths hold 2**24 + 2**23 bits, over the budget
+        with pytest.raises(ResourceLimitError, match=f"level-24 hull mask costs {3 << 23} units"):
+            approximant(kind, 24)
+    assert approximant(FinitelyManyOnes(), 23).base == Event.full(PathSpace(23))  # the largest built
 
 
 def test_approximants_decrease():
@@ -365,22 +369,25 @@ def test_complement_closed_form_values():
     assert [n for n, _, _ in table] == list(range(1, 513))
 
 
-def test_closed_forms_match_their_dyadic_evaluation():
+def test_closed_forms_match_the_census_oracles():
     for n in range(1, 601):
-        assert complement_of_constant_closed_form(n) == complement_closed_form_by_dyadic(n), n
-        assert change_residue_profile_closed_form(n) == residue_profile_by_dyadic(n), n
+        assert complement_of_constant_closed_form(n).as_fraction() == stays_nowhere_complement_oracle(n), n
+        assert change_residue_profile_closed_form(n) == whole_space_census_oracle(n), n
 
 
 def test_root_two_cos_is_the_float_value_or_refused():
+    """An int where h and m share a parity and h >= m & 1; elsewhere the
+    root-two parts do not cancel or the power of two is a fraction."""
     for h in range(-40, 41):
         for m in range(-16, 17):
-            if (h - m) % 2:
+            if (h - m) % 2 or h < m % 2:
                 with pytest.raises(ValueError):
                     _root_two_cos(h, m)
                 continue
             scale = 2.0 ** (h / 2)
             want = scale * math.cos(m * math.pi / 4)
-            assert abs(float(_root_two_cos(h, m)) - want) <= 1e-12 * scale, (h, m)
+            got = _root_two_cos(h, m)
+            assert type(got) is int and abs(got - want) <= 1e-12 * scale, (h, m)
 
 
 def test_complement_closed_form_float_shape():
@@ -852,9 +859,33 @@ def test_disjointness_walk_matches_every_step_string_seeded():
     for a, hulls_a in zip(tables, hulls):
         for b, hulls_b in zip(tables, hulls):
             first = next((n for n in range(1, 17) if not hulls_a[n - 1] & hulls_b[n - 1]), None)
-            assert _first_dead_level(a, b, 16) == first
+            walk = _first_dead_level(a, b, 16)
+            assert (walk.at_level if walk.witnessed else None) == first
             levels.add(first)
     assert {None, 1, 5, 7} <= levels
+
+
+def test_disjointness_walk_stops_at_the_first_repeated_live_set_seeded():
+    """The walk's live pairs at level n are the pairs of states reached by
+    the step strings live in both tables.  Read off every step string, the
+    walk is witnessed at the first level with none, and proved unwitnessed
+    at the first level whose pairs equal the last level's."""
+    tables = list(random_step_tables(1616))
+    runs = [list(step_string_runs(*t, 12)) for t in tables]
+    outcomes = set()
+    for a, runs_a in zip(tables, runs):
+        for b, runs_b in zip(tables, runs):
+            want, last = DisjointWitness(False, None), {(a[1], b[1])}
+            for (n, reached_a), (_, reached_b) in zip(runs_a, runs_b):
+                live = {pair for pair in zip(reached_a, reached_b) if None not in pair}
+                if not live or live == last:
+                    want = DisjointWitness(not live, n)
+                    break
+                last = live
+            assert _first_dead_level(a, b, 12) == want, (a, b)
+            outcomes.add(want)
+    proofs = {w.at_level for w in outcomes if not w.witnessed}
+    assert len(proofs) > 2 and any(w.witnessed for w in outcomes)
 
 
 def test_sweep_rejects_unknown_events():
@@ -883,6 +914,8 @@ def test_every_family_is_read_by_every_entry():
     assert set(families) == set(instances)
     for family in families:
         event = instances[family]
+        # only a complement of a finite path set has an inner set
+        assert (cylinder._description(event, 3)[2] is None) == (family is not ComplementOfFinitePathSet)
         assert approximant(event, 0).level == 1 and approximant(event, 3).level == 3
         assert limit_mu_hat(event, 8).values[-1][1] == limit_term(event, 8)
         for other in instances.values():
@@ -956,7 +989,8 @@ def test_path_set_trie_matches_the_prefix_hulls_seeded():
             b = FinitePathSet(b.paths + (EventualPath(path.prefix[:keep], rng.randrange(2)),))
         masks = [(approximant(a, m).base.mask, approximant(b, m).base.mask) for m in range(1, n + 1)]
         first = next((m for m, (x, y) in enumerate(masks, 1) if not x & y), None)
-        assert _first_dead_level(_trie(a.paths, n), _trie(b.paths, n), n) == first, (a, b, n)
+        walk = _first_dead_level(_trie(a.paths, n), _trie(b.paths, n), n)
+        assert (walk.at_level if walk.witnessed else None) == first, (a, b, n)
         levels.add(first)
     assert None in levels and len(levels) > 8
 
@@ -985,8 +1019,9 @@ def test_disjointness_walk_is_charged_before_any_automaton(monkeypatch):
 
 def test_disjointness_walks_stop_at_a_repeated_live_set(monkeypatch):
     """Two one-path sets and at-most-2 against at-most-3 never part, and
-    their live pairs repeat after a few levels, so walks to the largest
-    bounds the budget admits read a few dozen levels of moves, not n_max."""
+    their live pairs repeat at levels 2 and 3, which the walks report as
+    proofs; walks to the largest bounds the budget admits read a few dozen
+    levels of moves, not n_max."""
     tables = []
     counter, trie = cylinder._counter, cylinder._trie
 
@@ -997,9 +1032,10 @@ def test_disjointness_walks_stop_at_a_repeated_live_set(monkeypatch):
     monkeypatch.setattr(cylinder, "_counter", lambda k: counted(counter(k)))
     monkeypatch.setattr(cylinder, "_trie", lambda paths, n: (counted(trie(paths, n)[0]), 0))
     one_path = FinitePathSet((ALL_ZEROS,))
-    for a, b, n_max in ((one_path, one_path, BUDGET), (AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12)):
+    walks = ((one_path, one_path, BUDGET, 2), (AtMostKOnes(2), AtMostKOnes(3), BUDGET // 12, 3))
+    for a, b, n_max, proof in walks:
         tables.clear()
-        assert strongly_disjoint(a, b, n_max) == DisjointWitness(False, None)
+        assert strongly_disjoint(a, b, n_max) == DisjointWitness(False, proof)
         # a level reads a row per step bit and live pair, of at most 12: 36 levels at most
         assert len(tables) == 2 and all(0 < t.reads <= 2 * 12 * 36 for t in tables)
 

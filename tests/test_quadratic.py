@@ -460,8 +460,8 @@ def test_strong_disjointness_never_witnessed():
     finitely = FinitelyManyOnes()
     infinitely = InfinitelyManyOnes()
     for bound in (1, 8, 32):
-        verdict = strongly_disjoint(finitely, infinitely, bound)
-        assert not verdict.witnessed and verdict.at_level is None
+        # both hulls are the whole space: its one state repeats at level 1
+        assert strongly_disjoint(finitely, infinitely, bound) == DisjointWitness(False, 1)
 
 
 def test_strong_disjointness_overlapping_hulls():
@@ -496,9 +496,12 @@ def test_strong_disjointness_is_the_first_level_of_disjoint_approximants():
         for b, masks_b in zip(family, masks):
             first = next((n for n in range(1, 13) if not masks_a[n - 1] & masks_b[n - 1]), None)
             levels.add(first)
+            # witnessed at the first disjoint level, else proved or not by 12
+            walk = strongly_disjoint(a, b, 12)
+            assert (walk.at_level if walk.witnessed else None) == first
             for n_max in range(1, 13):
-                witnessed = first is not None and first <= n_max
-                want = DisjointWitness(witnessed, first if witnessed else None)
+                reached = walk.at_level is not None and walk.at_level <= n_max
+                want = walk if reached else DisjointWitness(False, None)
                 assert strongly_disjoint(a, b, n_max) == want
     assert len(levels) >= 6  # the family splits at many levels, and some pairs never
 

@@ -172,3 +172,10 @@ def test_disjoint_support_identities_replays_its_variables(monkeypatch):
             rvs.append(RandomVariable.from_values(space, values))
         want.append((n, *rvs))
     assert [(state.space.n, *rvs) for state, *rvs in calls] == want
+
+
+def test_random_quadratic_closures_fails_when_no_system_needs_closing(monkeypatch):
+    # the empty and full sets alone are closed, so no closure step runs
+    monkeypatch.setattr(verify, "_closure_seeds", lambda rng, size: {0, (1 << size) - 1})
+    with pytest.raises(verify.CheckFailure, match="only 0 of 100 seeded systems needed closing"):
+        verify.check_random_quadratic_closures()

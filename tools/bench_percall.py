@@ -319,13 +319,12 @@ def build_ops(qw) -> list[tuple[str, list, object, object]]:
             lambda r: (r.verdict.value, r.at_n, [(n, e.num, e.log2_den) for n, e, _ in r.values]),
         ))
     # the set's trie alone, digested by the pairs it sweeps, which do not
-    # depend on how its states are numbered; a library without `_trie` built
-    # it as `_automaton(FinitePathSet(paths), n)`
+    # depend on how its states are numbered
     cyl = import_module(f"{qw.__name__}.cylinder")
     ops.append((
         "_trie 8-path set n=512",
         [(paths, 512)] * 10,
-        getattr(cyl, "_trie", None) or (lambda paths, n: cyl._automaton(qw.FinitePathSet(paths), n)),
+        cyl._trie,
         lambda automaton: cyl._sweep(*automaton, 512)[0],
     ))
     # small cylindrical hulls, and strong disjointness stepped through levels
