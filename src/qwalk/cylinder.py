@@ -20,7 +20,7 @@ from operator import truediv
 from typing import Union
 
 from .decoherence import DecoherenceState, Event
-from .errors import BUDGET, ResourceLimitError, charge
+from .errors import ResourceLimitError, charge
 from .exact import Dyadic
 from .paths import PathSpace, change_residue_count_levels
 from .qmeasure import _pair_mu, mu
@@ -285,32 +285,18 @@ def _hull_mask(moves, start, n: int) -> int:
     back for the states a run reaches at each depth: with m steps left, a
     state's mask is its 0-move's mask below its 1-move's shifted up by
     2**(m - 1).  The build holds two depths' masks, at most 2**(n + 1)
-    bits; past the budget, a first pass over the same states counts their
-    bit lengths, and the build is charged the largest two-depth sum."""
+    bits, which its caller charges."""
     reached = [{start}]  # the states a run reaches after d steps
     for _ in range(n):
         reached.append({t for s in reached[-1] for t in moves[s] if t is not None})
-
-    def tails(join):  # each depth's values, from the last back
-        values = dict.fromkeys(reached[n], 1)  # the empty string is live
-        yield values
-        for m in range(n):
-            values[None] = 0  # a dead move
-            values = {
-                s: join(1 << m, values[zero], values[one])
-                for s in reached[n - 1 - m]
-                for zero, one in (moves[s],)
-            }
-            yield values
-
-    units = 2 << n
-    if units > BUDGET:  # small hulls still fit at the top level
-        bit_lengths = tails(lambda half, zero, one: half + one if one else zero)
-        held = [sum(lengths.values()) for lengths in bit_lengths]
-        units = max(map(sum, zip(held, held[1:])))
-    charge(units, f"level-{n} hull mask")
-    for masks in tails(lambda half, zero, one: zero | one << half):
-        pass  # only the last depth's masks, the start's, are kept
+    masks = dict.fromkeys(reached[n], 1)  # the empty string is live
+    for m in range(n):
+        masks[None] = 0  # a dead move
+        masks = {
+            s: masks[zero] | masks[one] << (1 << m)
+            for s in reached[n - 1 - m]
+            for zero, one in (moves[s],)
+        }
     return masks[start]
 
 
@@ -344,20 +330,20 @@ def _limit_pairs(event: SymbolicEvent, n_max: int, last: bool = False) -> list:
 
 def approximant(event: SymbolicEvent, n: int) -> CylinderEvent:
     """The level-n cylindrical hull: all paths whose first n steps extend into
-    the event.  Hulls decrease with n and contain the event.  A finite path
-    set's is its prefixes' 2**n-bit mask; any other is `_hull_mask` of its
-    automaton, up to 2**(n + 1) bits, so a full hull is refused at n = 24."""
+    the event.  Hulls decrease with n and contain the event.  The hull is
+    `_hull_mask` of the event's automaton, charged its 2**(n + 1) bits
+    before the automaton is built, so every hull is refused at n = 24; the
+    level-0 hull is the empty prefix exactly when the level-1 hull is not
+    empty."""
     if n < 0:
         raise ValueError("approximant level must be nonnegative")
-    _, hull, _ = _description(event, n)
-    prefixes = isinstance(event, FinitePathSet)
-    if n == 0:  # the empty prefix, unless no path extends it
-        return CylinderEvent.from_indices(0, () if prefixes and not event.paths else (0,))
-    charge(1 << n, f"level-{n} approximant base")
-    space = PathSpace(n)
-    if prefixes:
-        return CylinderEvent(n, Event.from_indices(space, (p.index_at(n) for p in event.paths)))
-    return CylinderEvent(n, Event(space, _hull_mask(*hull(), n)))
+    level = max(n, 1)
+    _, hull, _ = _description(event, level)
+    charge(2 << level, f"level-{level} hull mask")
+    mask = _hull_mask(*hull(), level)
+    if n == 0:  # the empty prefix, re-expressed over one step, or nothing
+        mask = 0b11 if mask else 0
+    return CylinderEvent(level, Event(PathSpace(level), mask))
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,10 @@ def _charge_values(space: PathSpace) -> None:
         charge(units, f"random variable at n={space.n}")
 
 
+# the characters "0" and "1" to the bytes 0 and 1, which a tuple reads as ints
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 @dataclass(frozen=True)
 class RandomVariable:
     """An exact-rational-valued function on the n-path space.
@@ -145,7 +149,7 @@ class RandomVariable:
     def indicator(cls, event: Event) -> "RandomVariable":
         _charge_values(event.space)
         bits = format(event.mask, f"0{event.space.size}b")[::-1]  # bit j at index j
-        return cls(event.space, tuple(map(int, bits)))
+        return cls(event.space, tuple(bits.encode().translate(_BIT_BYTES)))
 
     @classmethod
     def constant(cls, space: PathSpace, value) -> "RandomVariable":
@@ -427,11 +431,13 @@ def min_matrix_det_check(values) -> bool:
     has determinant a_1 * (a_2 - a_1) * ... * (a_m - a_{m-1}).  Over the lcm
     denominator both sides scale by den**m, so the numerators' integer
     elimination, at most m**3 steps, is compared with their telescoped product.
+    The steps are charged from the count, before any value is converted.
     """
-    vals = [Fraction(v) for v in values]
+    vals = list(values)
     charge(16 * len(vals) ** 3, f"min-matrix check of {len(vals)} values")
     if not vals:
         raise ValueError("need at least one value")
+    vals = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
     den = lcm(*(v.denominator for v in vals))
     nums = [v.numerator * (den // v.denominator) for v in vals]
     if any(a < 0 for a in nums):

@@ -212,9 +212,7 @@ def odd_count_system(x_count: int = 3, y_count: int = 2) -> SetSystem:
 def cardinality_squared_table(system: SetSystem) -> QMeasureTable:
     """The squared-cardinality assignment, a q-measure on any finite
     quadratic algebra."""
-    return QMeasureTable(
-        system, {m: Fraction(m.bit_count() ** 2) for m in system.members}
-    )
+    return QMeasureTable(system, {m: m.bit_count() ** 2 for m in system.members})
 
 
 def parse_system_file(text: str) -> SetSystem:

@@ -244,8 +244,8 @@ def test_approximant_full_kinds():
         assert cylinder._description(kind, 6)[1]() == ([(0, 0)], 0)  # one state, live on either bit
         for n in (1, 3, 6):
             assert approximant(kind, n).base == Event.full(PathSpace(n))
-        # at level 24 its largest two depths hold 2**24 + 2**23 bits, over the budget
-        with pytest.raises(ResourceLimitError, match=f"level-24 hull mask costs {3 << 23} units"):
+        # at level 24 two depths' masks are charged 2**25 bits, over the budget
+        with pytest.raises(ResourceLimitError, match=f"level-24 hull mask costs {2 << 24} units"):
             approximant(kind, 24)
     assert approximant(FinitelyManyOnes(), 23).base == Event.full(PathSpace(23))  # the largest built
 
@@ -271,52 +271,57 @@ def test_approximant_level_zero():
     assert approximant(FinitePathSet([]), 0).base.cardinality == 0
 
 
-def at_most_mask_bits_oracle(n: int, k: int) -> int:
-    """The mask bits the level-n at-most-k hull build holds at its largest,
-    two adjacent depths: after d steps the counter at s ones has, for its
-    largest live tail of m = n - d steps, j = min(k - s, m) ones then zeros."""
-
-    def depth(d: int) -> int:
-        m = n - d
-        return sum((1 << m) - (1 << (m - min(k - s, m))) + 1 for s in range(min(d, k) + 1))
-
-    return max(depth(d) + depth(d + 1) for d in range(n))
-
-
-def test_hull_mask_is_charged_the_bits_it_holds(monkeypatch):
-    """Within the budget a build is charged its bound, 2**(n + 1) bits;
-    past it, the bits it holds, counted exactly."""
-    charged = []
-    monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
-    _hull_mask(_counter(0), 0, 10)
-    assert charged == [2 << 10]
-    monkeypatch.setattr(cylinder, "BUDGET", 0)
-    for n in range(1, 11):
-        for k in range(n + 2):
-            charged.clear()
-            _hull_mask(_counter(min(k, n)), 0, n)
-            assert charged == [at_most_mask_bits_oracle(n, k)]
+def test_approximant_level_zero_is_the_empty_prefix_when_level_one_is_live_seeded():
+    """The level-0 hull holds the empty prefix, whole at level 1, exactly
+    when some path of level 1 extends into the event, in every family."""
+    rng = random.Random(3300)
+    events = [FinitePathSet(()), ComplementOfFinitePathSet(()), FinitelyManyOnes(), InfinitelyManyOnes()]
+    for _ in range(40):
+        paths = tuple(
+            EventualPath(tuple(rng.randrange(2) for _ in range(rng.randint(0, 6))), rng.randrange(2))
+            for _ in range(rng.randint(0, 4))
+        )
+        events += [FinitePathSet(paths), ComplementOfFinitePathSet(paths), AtMostKOnes(rng.randint(0, 3))]
+    live = set()
+    for event in events:
+        level_one = approximant(event, 1).base.mask
+        zero = approximant(event, 0)
+        assert zero.level == 1 and zero.base.mask == (0b11 if level_one else 0), event
+        live.add(bool(level_one))
+    assert live == {False, True}
 
 
-def test_approximant_resource_caps():
-    with pytest.raises(ResourceLimitError):
-        approximant(AtMostKOnes(1), 30)
-    # refused before anything is built, for the bits of two depths' masks:
-    # at level 24 only the hulls of at most one 1 fit
-    assert [k for k in range(25) if at_most_mask_bits_oracle(24, k) <= BUDGET] == [0, 1]
-    assert at_most_mask_bits_oracle(23, 10**12) == 2 << 23 <= BUDGET
+def test_approximant_resource_caps(monkeypatch):
+    """Every family's hull is charged 2**(n + 1) bits for two depths'
+    masks before its automaton is built: built at level 23, refused at 24
+    and beyond with the same message, a path set's trie never made."""
     for k in (0, 1, 2, 6, 12, 23, 10**12):
         hull = approximant(AtMostKOnes(k), 23).base
         assert hull.cardinality == sum(at_most_census_oracle(23, k))
-        bits = at_most_mask_bits_oracle(24, k)
-        if k < 2:
-            hull = approximant(AtMostKOnes(k), 24).base
-            assert hull.cardinality == sum(at_most_census_oracle(24, k))
-            continue
-        with pytest.raises(ResourceLimitError, match=f"level-24 hull mask costs {bits} units"):
-            approximant(AtMostKOnes(k), 24)
-    with pytest.raises(ResourceLimitError, match="level-40 approximant base"):
-        approximant(AtMostKOnes(12), 40)
+    paths = (ALL_ZEROS, EventualPath((1, 0, 1), 1))
+    assert approximant(FinitePathSet(paths), 23).base.to_tuple() == (0, (0b101 << 20) | ((1 << 20) - 1))
+    events = [
+        AtMostKOnes(0),
+        AtMostKOnes(1),
+        AtMostKOnes(12),
+        AtMostKOnes(10**12),
+        FinitePathSet(()),
+        FinitePathSet(paths),
+        ComplementOfFinitePathSet(paths),
+        FinitelyManyOnes(),
+        InfinitelyManyOnes(),
+    ]
+
+    def unbuilt(*args):
+        raise AssertionError("an automaton was built before the charge")
+
+    monkeypatch.setattr(cylinder, "_trie", unbuilt)
+    monkeypatch.setattr(cylinder, "_counter", unbuilt)
+    monkeypatch.setattr(cylinder, "_hull_mask", unbuilt)
+    for event in events:
+        for n in (24, 25, 40):
+            with pytest.raises(ResourceLimitError, match=f"^level-{n} hull mask costs {2 << n} units"):
+                approximant(event, n)
 
 
 # -- limit sequences -------------------------------------------------------------
@@ -739,33 +744,15 @@ def step_string_runs(moves, start, n_max: int):
         yield n, reached
 
 
-def test_sweep_and_hull_match_every_step_string_seeded(monkeypatch):
+def test_sweep_and_hull_match_every_step_string_seeded():
     """Every length-n step string is run through the table, and the census
-    of those whose run never meets None is read off their site strings.
-    The hull mask is charged the bit lengths of the step-string masks
-    of the states reached at two adjacent depths, at their largest."""
-    charged = []
-    monkeypatch.setattr(cylinder, "charge", lambda units, what: charged.append(units))
-    monkeypatch.setattr(cylinder, "BUDGET", 0)  # count the bits at every level
+    of those whose run never meets None is read off their site strings;
+    the hull mask is the set of those step strings."""
     for moves, start in random_step_tables(1616):
         table = _sweep(moves, start, 16)[0]
-        tails = {  # (state, steps): the mask of its live step strings
-            (s, m): sum(1 << j for j, t in enumerate(run) if t is not None)
-            for s in range(len(moves))
-            for m, run in step_string_runs(moves, s, 10)
-        }
-        depths = [{start}]
         for n, reached in step_string_runs(moves, start, 16):
             members = [j for j, s in enumerate(reached) if s is not None]
-            charged.clear()
             assert _hull_mask(moves, start, n) == sum(1 << j for j in members)
-            depths.append(set(reached) - {None})
-            if n <= 10:
-                held = [
-                    sum(tails.get((s, n - d), 1).bit_length() for s in depths[d])
-                    for d in range(n + 1)
-                ]
-                assert charged == [max(a + b for a, b in zip(held, held[1:]))]
             counts = [0, 0, 0, 0]
             by_state = {}
             for j in members:
@@ -974,13 +961,15 @@ def random_path_sets(rng: random.Random, count: int):
 
 
 def test_path_set_trie_matches_the_prefix_hulls_seeded():
-    """A path set's automaton reads its hulls, which approximant builds
-    from each path's prefix alone: the hull mask at level n is that base,
-    and two sets' walk parts at the first level where their bases do."""
+    """A path set's automaton reads its hulls, read here from each path's
+    prefix alone: the approximant at level n is the set of the paths'
+    level-n prefixes, and two sets' walk parts at the first level where
+    their hulls do."""
     rng = random.Random(3030)
     sets = list(random_path_sets(rng, 600))
     for event, n in sets:
-        assert _hull_mask(*_trie(event.paths, n), n) == approximant(event, n).base.mask, (event, n)
+        prefixes = sum(1 << j for j in {p.index_at(n) for p in event.paths})
+        assert approximant(event, n).base.mask == prefixes, (event, n)
     levels = set()
     for (a, n), (b, _) in zip(sets, sets[1:] + sets[:1]):
         if rng.random() < 0.5 and a.paths:  # a partner that shares a prefix

@@ -168,10 +168,9 @@ CHARGED = [
      lambda: mu(DecoherenceState(PathSpace(13)), first_paths(13, 4097), Strategy.PAIRWISE), 4097**2),
     ("entry sum of two events", decoherence,
      lambda: entry_sum(4096, 4096), lambda: entry_sum(4097, 4096), 4097 * 4096),
-    # the bit lengths of two depths' hull masks: 2**25 less 10 237 from
-    # the start's and its two successors' largest live tails
-    ("at-most-12 hull", None,
-     lambda: approximant(AtMostKOnes(12), 23), lambda: approximant(AtMostKOnes(12), 24), (2 << 24) - 10_237),
+    # the bits of two depths' hull masks, 2**(n + 1), for every family
+    ("hull mask", cylinder,
+     lambda: approximant(AtMostKOnes(12), 23), lambda: approximant(AtMostKOnes(12), 24), 2 << 24),
     # one unit per pair of live states and level: 1 x 1 states, and 3 x 4
     ("disjointness walk of two paths", cylinder,
      lambda: strongly_disjoint(ONE_PATH, ONE_PATH, BUDGET),
@@ -185,8 +184,6 @@ CHARGED = [
     ("cylinder base", None,
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 24),
      lambda: refine(CylinderEvent.from_indices(1, (1,)), 25), 1 << 25),
-    ("approximant base", None,
-     lambda: approximant(FinitePathSet(()), 24), lambda: approximant(FinitePathSet(()), 25), 1 << 25),
     ("set system", None,
      lambda: SetSystem(12, tuple(range(4096))), lambda: SetSystem(13, tuple(range(4097))), 4097**2),
     ("psd check", None,

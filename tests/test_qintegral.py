@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -60,6 +61,13 @@ def test_indicator_variable():
     ev = Event.from_indices(PathSpace(3), [1, 4])
     f = RandomVariable.indicator(ev)
     assert f.values == (0, 1, 0, 0, 1, 0, 0, 0)
+    # numerator j is bit j of the mask, an int, for seeded masks
+    rng = random.Random(148)
+    for n in range(1, 13):
+        mask = rng.getrandbits(1 << n)
+        numerators = RandomVariable.indicator(Event(PathSpace(n), mask)).numerators
+        assert numerators == tuple(mask >> j & 1 for j in range(1 << n))
+        assert all(type(v) is int for v in numerators)
 
 
 def test_canonical_form_equal_values_equal_variables():
@@ -663,6 +671,17 @@ def test_min_matrix_det_validation():
     assert 16 * 101**3 <= BUDGET < 16 * 102**3
     with pytest.raises(ResourceLimitError, match=f"costs {16 * 102**3} units"):
         min_matrix_det_check(list(range(102)))
+
+
+def test_min_matrix_det_is_charged_before_any_value_is_converted():
+    # 300 values that Fraction refuses are refused for their number, 3 for
+    # their form
+    with pytest.raises(ResourceLimitError, match=f"costs {16 * 300**3} units"):
+        min_matrix_det_check(["x"] * 300)
+    with pytest.raises(ValueError):
+        min_matrix_det_check(["x"] * 3)
+    # values that are neither ints nor Fractions are converted as Fraction() does
+    assert min_matrix_det_check(iter(["1/2", 1.5, Decimal("2.5")]))
 
 
 def test_psd_check_families():
