@@ -168,9 +168,12 @@ CHARGED = [
      lambda: mu(DecoherenceState(PathSpace(13)), first_paths(13, 4097), Strategy.PAIRWISE), 4097**2),
     ("entry sum of two events", decoherence,
      lambda: entry_sum(4096, 4096), lambda: entry_sum(4097, 4096), 4097 * 4096),
-    # the bits of two depths' hull masks, 2**(n + 1), for every family
-    ("hull mask", cylinder,
+    # the bits of two depths' hull masks, 2**(n + 1), for every family:
+    # a counter's automaton and a finite path set's trie alike
+    ("at-most-12 hull", cylinder,
      lambda: approximant(AtMostKOnes(12), 23), lambda: approximant(AtMostKOnes(12), 24), 2 << 24),
+    ("approximant base", cylinder,
+     lambda: approximant(FinitePathSet(()), 23), lambda: approximant(FinitePathSet(()), 24), 2 << 24),
     # one unit per pair of live states and level: 1 x 1 states, and 3 x 4
     ("disjointness walk of two paths", cylinder,
      lambda: strongly_disjoint(ONE_PATH, ONE_PATH, BUDGET),
